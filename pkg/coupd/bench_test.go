@@ -10,6 +10,22 @@ import (
 	"testing"
 )
 
+// benchBatch is the batch every coupd batch benchmark sends: 256 records
+// cycling through the four kinds, the shape coupload sends. An empty
+// client makes it a bare batch.
+func benchBatch(client string, seq uint64) BatchRequest {
+	req := BatchRequest{Client: client, Seq: seq}
+	for i := 0; i < 64; i++ {
+		req.Updates = append(req.Updates,
+			Update{Name: "hits", Kind: "counter", Op: "inc"},
+			Update{Name: "lat", Kind: "hist", Op: "inc", Args: []int64{int64(i % 512)}, Bins: 512},
+			Update{Name: "span", Kind: "minmax", Op: "observe", Args: []int64{int64(i)}},
+			Update{Name: "refs", Kind: "refcount", Op: "inc"},
+		)
+	}
+	return req
+}
+
 // BenchmarkCoupdBatch measures the full server-side batch path — HTTP
 // routing, pooled decode, per-record registry fan-in — for a 256-record
 // mixed batch through ServeHTTP (no network), the same shape coupload
@@ -20,15 +36,7 @@ func BenchmarkCoupdBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var req BatchRequest
-	for i := 0; i < 64; i++ {
-		req.Updates = append(req.Updates,
-			Update{Name: "hits", Kind: "counter", Op: "inc"},
-			Update{Name: "lat", Kind: "hist", Op: "inc", Args: []int64{int64(i % 512)}, Bins: 512},
-			Update{Name: "span", Kind: "minmax", Op: "observe", Args: []int64{int64(i)}},
-			Update{Name: "refs", Kind: "refcount", Op: "inc"},
-		)
-	}
+	req := benchBatch("", 0)
 	body, err := json.Marshal(req)
 	if err != nil {
 		b.Fatal(err)
@@ -64,15 +72,7 @@ func BenchmarkCoupdBatchSequenced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := BatchRequest{Client: "bench", Seq: 100_000_000_000}
-	for i := 0; i < 64; i++ {
-		req.Updates = append(req.Updates,
-			Update{Name: "hits", Kind: "counter", Op: "inc"},
-			Update{Name: "lat", Kind: "hist", Op: "inc", Args: []int64{int64(i % 512)}, Bins: 512},
-			Update{Name: "span", Kind: "minmax", Op: "observe", Args: []int64{int64(i)}},
-			Update{Name: "refs", Kind: "refcount", Op: "inc"},
-		)
-	}
+	req := benchBatch("bench", 100_000_000_000)
 	body, err := json.Marshal(req)
 	if err != nil {
 		b.Fatal(err)
@@ -104,6 +104,47 @@ func BenchmarkCoupdBatchSequenced(b *testing.B) {
 	}
 	if got := s.sessions.dedupHits.Value(); got != 0 {
 		b.Fatalf("%d dedup hits in a fresh-seq benchmark (seq patching broken)", got)
+	}
+}
+
+// BenchmarkDecodeBatch is the server's decode stage alone: the
+// sequenced bench batch's body through the pooled decoder.
+func BenchmarkDecodeBatch(b *testing.B) {
+	req := benchBatch("bench", 100_000_000_000)
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var d batchDecoder
+	if _, err := d.decodeBatch(body); err != nil { // size the pooled buffers
+		b.Fatal(err)
+	}
+	d.reset()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := d.decodeBatch(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(got.Updates) != len(req.Updates) {
+			b.Fatalf("decoded %d records, want %d", len(got.Updates), len(req.Updates))
+		}
+		d.reset()
+	}
+}
+
+// BenchmarkAppendBatch is the client's encode stage alone: the
+// sequenced bench batch appended into a reused buffer.
+func BenchmarkAppendBatch(b *testing.B) {
+	req := benchBatch("bench", 100_000_000_000)
+	buf := appendBatch(nil, &req)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = appendBatch(buf[:0], &req)
 	}
 }
 

@@ -112,6 +112,8 @@ type Session struct {
 	c   *Client
 	id  string
 	seq uint64 // last successfully acknowledged seq
+
+	scratch []byte // encode buffer, reused across Sends
 }
 
 // SendResult reports one acknowledged batch.
@@ -135,10 +137,12 @@ type SendResult struct {
 // rejected one and the server's dedup window stays aligned.
 func (s *Session) Send(ctx context.Context, updates []Update) (SendResult, error) {
 	seq := s.seq + 1
-	body, err := json.Marshal(&BatchRequest{Updates: updates, Client: s.id, Seq: seq})
-	if err != nil {
-		return SendResult{}, fmt.Errorf("coupd client: marshal batch: %w", err)
-	}
+	// Encode into the session's scratch, then copy into a body sized to
+	// fit: the transport may still read a body after Do returns, so a
+	// body is never reused by a later Send.
+	s.scratch = appendBatch(s.scratch[:0], &BatchRequest{Updates: updates, Client: s.id, Seq: seq})
+	body := make([]byte, len(s.scratch))
+	copy(body, s.scratch)
 	if s.c.budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.c.budget)

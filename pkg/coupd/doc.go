@@ -53,6 +53,21 @@
 // anything applies, so a rejected batch applies nothing (see below). The
 // typed sentinels in errors.go name every failure class.
 //
+// # The batch codec
+//
+// Batch bodies are plain JSON, the shape of BatchRequest. The server reads
+// them with a scanner that knows that schema (codec.go) instead of
+// reflection, and Session.Send writes them with a matching append-style
+// encoder; the wire format is unchanged. The decoder accepts exactly the
+// bodies encoding/json's Decoder accepts and decodes each to the same
+// value — case-insensitive keys, null fields, unknown fields, duplicate
+// keys, trailing bytes, integer range checks — and FuzzDecodeBatch holds
+// it to that. The one deliberate difference: the body is read whole, so a
+// body over MaxBatchBytes is rejected even when a complete JSON value ends
+// before the cap. A warm decode allocates nothing: records, their args
+// and interned names come from a pooled per-request decoder. Responses,
+// snapshots, /v1/stats and error bodies stay on encoding/json.
+//
 // # Exactly-once replay
 //
 // Commutative is not idempotent: a counter increment replayed by a

@@ -66,7 +66,7 @@ type Server struct {
 	batchLen    *obs.Histogram // log2-bucketed accepted batch sizes
 	depth       *obs.Counter   // in-flight batches right now
 	panics      *obs.Counter   // handler panics recovered to 500s
-	batchReqs   sync.Pool      // *BatchRequest, decode reuse
+	decoders    sync.Pool      // *batchDecoder, body read + decode reuse
 	entScratch  sync.Pool      // *entScratch, validate-then-apply reuse
 	snapScratch sync.Pool      // *snapScratch, reduction reuse
 }
@@ -186,7 +186,7 @@ func New(opts ...Option) (*Server, error) {
 	}
 	s.sessions = newSessionTable(s.sessMax, s.sessTTL, m)
 	s.sem = make(chan struct{}, s.maxInFlight)
-	s.batchReqs.New = func() any { return &BatchRequest{} }
+	s.decoders.New = func() any { return &batchDecoder{} }
 	s.entScratch.New = func() any { return &entScratch{} }
 	s.snapScratch.New = func() any { return &snapScratch{} }
 	s.mux = http.NewServeMux()
@@ -311,19 +311,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// makes it safe during shutdown — and what lets a client whose ack
 	// was lost in transit resolve its batch instead of losing it.
 
-	req := s.batchReqs.Get().(*BatchRequest)
+	dec := s.decoders.Get().(*batchDecoder)
 	defer func() {
-		req.Updates = req.Updates[:0]
-		s.batchReqs.Put(req)
+		dec.reset()
+		s.decoders.Put(dec)
 	}()
-	// json.Decode merges into pre-existing slice elements, so a record
-	// that omits a field would inherit the previous batch's value; zero
-	// the pooled backing array so reuse can't leak records across
-	// batches, and reset the session fields the same way.
-	clear(req.Updates[:cap(req.Updates)])
-	req.Client, req.Seq = "", 0
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBatchBytes))
-	if err := dec.Decode(req); err != nil {
+	body, err := dec.readBody(http.MaxBytesReader(w, r.Body, MaxBatchBytes), r.ContentLength)
+	var req *BatchRequest
+	if err == nil {
+		req, err = dec.decodeBatch(body)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("coupd: %v: bad batch body: %v", ErrBadUpdate, err)})
 		return
 	}
