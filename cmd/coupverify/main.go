@@ -1,10 +1,10 @@
-// Command coupverify exhaustively model-checks the detailed message-level
-// MESI and MEUSI protocols (the Fig 8 experiment), or a single
-// configuration.
+// Command coupverify exhaustively model-checks one configuration of the
+// detailed message-level MESI or MEUSI protocol. The full Fig 8
+// verification-cost grid is an experiment: run it with
+// `coupbench -exp fig8`.
 //
 // Usage:
 //
-//	coupverify -exp fig8                 # the full verification-cost grid
 //	coupverify -protocol meusi -cores 3 -ops 2
 package main
 
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/check"
-	"repro/internal/exp"
 	"repro/internal/proto"
 )
 
@@ -40,7 +39,6 @@ func kindNames() string {
 
 func main() {
 	var (
-		expID   = flag.String("exp", "", "run a registered experiment (fig8)")
 		protoN  = flag.String("protocol", "meusi", "modelled protocol (case-insensitive)")
 		cores   = flag.Int("cores", 2, "modelled cores")
 		ops     = flag.Int("ops", 1, "commutative-update types (meusi)")
@@ -50,19 +48,6 @@ func main() {
 	)
 	flag.StringVar(protoN, "proto", *protoN, "alias for -protocol")
 	flag.Parse()
-
-	if *expID != "" {
-		e, ok := exp.ByID(*expID)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "coupverify: unknown experiment %q; have:\n  %s\n",
-				*expID, strings.Join(exp.Listing(), "\n  "))
-			os.Exit(2)
-		}
-		for _, t := range e.Run(exp.DefaultParams()) {
-			fmt.Println(t.String())
-		}
-		return
-	}
 
 	kind, ok := kinds[strings.ToLower(*protoN)]
 	if !ok {

@@ -66,7 +66,7 @@ func BenchmarkEngineContendedCounter(b *testing.B) {
 
 // BenchmarkEngineLoadL1 isolates pure engine overhead: single core,
 // L1-resident loads, no coherence traffic at all. This is the floor every
-// scheduler handoff, heap operation and backing-store access sits on.
+// scheduler handoff, loser-tree replay and backing-store access sits on.
 func BenchmarkEngineLoadL1(b *testing.B) {
 	m := New(benchCfg(1, MESI))
 	a := m.Alloc(64, 64)

@@ -28,10 +28,10 @@
 // whole kernel that way); the cache and directory arrays store 31-bit
 // hardware-style tags structure-of-arrays in lazily allocated pages; and
 // the backing memory image is a two-level paged table with lines embedded
-// by value. Machines beyond 256 cores fall back to a radix-16 min
-// structure over the same packed keys (same inline run-ahead, wider
-// groups instead of binary matches), and only past 65536 cores — where
-// ids no longer fit a packed key — to a 4-ary min-heap. See README.md
+// by value. The loser tree is the only scheduler: it covers every machine
+// the package can build, because the hierarchy tracks sharers in uint64
+// bitvectors — one bit per chip at the L4 directory, one per core at each
+// L3 — which caps a machine at 64 chips of 64 cores (4096). See README.md
 // for measured throughput.
 //
 // The simulator substitutes for zsim (Sanchez & Kozyrakis, ISCA'13), which
@@ -317,6 +317,15 @@ func (c *Config) Chips() int {
 	return n
 }
 
+// sharerBits is the width of the hierarchy's sharer bitvectors: the L4
+// directory keeps one bit per chip and each L3 one bit per core of its
+// chip. A machine therefore has at most sharerBits chips of at most
+// sharerBits cores.
+const sharerBits = 64
+
+// maxCores is the largest machine Validate accepts.
+const maxCores = sharerBits * sharerBits
+
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
 	if c.Protocol.Spec().Name == "" {
@@ -328,8 +337,11 @@ func (c *Config) Validate() error {
 	if c.CoresPerChip < 1 {
 		return fmt.Errorf("sim: CoresPerChip must be >= 1")
 	}
-	if c.Cores > 64*c.CoresPerChip {
-		return fmt.Errorf("sim: too many cores (%d)", c.Cores)
+	if c.CoresPerChip > sharerBits {
+		return fmt.Errorf("sim: CoresPerChip must be <= %d (one sharer bit per core), got %d", sharerBits, c.CoresPerChip)
+	}
+	if c.Cores > sharerBits*c.CoresPerChip {
+		return fmt.Errorf("sim: too many cores (%d): at most %d chips of %d", c.Cores, sharerBits, c.CoresPerChip)
 	}
 	for _, g := range []struct {
 		name       string

@@ -69,7 +69,6 @@ type Machine struct {
 	cfg   Config
 	cores []*core
 	hier  *hierarchy
-	pq    coreHeap
 	stats Stats
 
 	allocPtr uint64
@@ -77,14 +76,13 @@ type Machine struct {
 
 	// arena/shape link a machine built by NewIn back to its pool; released
 	// guards against double Release. Scheduler scratch (treeKeys, treeLos,
-	// radix, barrier) is owned by the machine so recycled machines run
-	// without per-Run allocations.
+	// barrier) is owned by the machine so recycled machines run without
+	// per-Run allocations.
 	arena    *Arena
 	shape    machineShape
 	released bool
 	treeKeys []uint64
 	treeLos  []int32
-	radix    [][]uint64
 	barrier  []*core
 
 	// raH is the run-ahead horizon: the packed (time<<16 | id) key of the
@@ -92,7 +90,7 @@ type Machine struct {
 	// executing. Ctx.exec services operations inline — without a coroutine
 	// switch — while the running core's own packed key stays below this
 	// horizon. The zero value makes every core yield its first operation
-	// to the scheduler. Only the scheduler loops update it.
+	// to the scheduler. Only runTree and releaseBarrier update it.
 	raH uint64
 
 	// commNative caches Protocol.Spec().CommNative() so the per-operation
@@ -183,32 +181,13 @@ func (m *Machine) spawn(c *core, kernel func(*Ctx)) {
 	c.next()
 }
 
-// treeSchedCores is the machine size up to which the scheduler uses the
-// loser tree over packed keys (binary matches with path-loser replay
-// stay ahead of wider scans at these sizes). The paper's sweeps top out
-// at 128 cores, so every registered experiment runs on the tree.
-const treeSchedCores = 256
+// treeDepth bounds the loser tree's height: the winner's path is recorded
+// in fixed [treeDepth] scratch. 2^treeDepth leaves cover every machine
+// Validate accepts (maxCores); the constant below fails to compile if
+// they ever stop doing so.
+const treeDepth = 16
 
-// radixSchedCores is the machine size up to which the >treeSchedCores
-// fallback uses the radix-16 min structure over packed keys — the limit
-// is the packed key's 16-bit id field. Beyond it the pointer heap (no
-// packed keys, no inline run-ahead) remains as the last resort; no
-// registered experiment or Table-1 geometry gets anywhere near it.
-const radixSchedCores = 1 << 16
-
-// schedOverride forces a specific scheduler regardless of core count.
-// Test hook only: the equivalence tests drive the same machine through
-// two schedulers and require byte-identical stats.
-type schedKind uint8
-
-const (
-	schedAuto schedKind = iota
-	schedTree
-	schedRadix
-	schedHeap
-)
-
-var schedOverride = schedAuto
+const _ = uint(1<<treeDepth - maxCores)
 
 // Run executes kernel once per core, each as a simulated thread, and
 // returns the collected statistics. Run may be called once per Machine.
@@ -224,18 +203,7 @@ func (m *Machine) Run(kernel func(c *Ctx)) Stats {
 		m.spawn(c, kernel)
 	}
 
-	var end uint64
-	n := len(m.cores)
-	switch {
-	case schedOverride == schedTree || (schedOverride == schedAuto && n <= treeSchedCores):
-		end = m.runTree()
-	case schedOverride == schedRadix || (schedOverride == schedAuto && n <= radixSchedCores):
-		end = m.runRadix()
-	default:
-		end = m.runHeap()
-	}
-
-	m.stats.Cycles = end
+	m.stats.Cycles = m.runTree()
 	for _, c := range m.cores {
 		m.stats.Instrs += c.instrs
 	}
@@ -254,7 +222,7 @@ const notRunnable = ^uint64(0)
 // run-ahead horizon — the earliest op among every other core — is the best
 // of the losers along the winner's path. The packed keys make every match a
 // single uint64 compare with the (time, id) tie-break built in. The picked
-// core is resumed with that horizon published in raT/raI, so it keeps
+// core is resumed with that horizon published in raH, so it keeps
 // servicing its own operations inline (in Ctx.exec, with no scheduler work
 // and no coroutine switch) until it would overtake another core; a
 // single-core machine runs its whole kernel inline. It returns the maximum
@@ -295,8 +263,8 @@ func (m *Machine) runTree() uint64 {
 	// update replays leaf i's matches up the tree after its key changed.
 	// Replay is only sound for the current winner's leaf (every loser
 	// stored on the winner's path came from the opposing subtree); the
-	// schedulers below re-key nothing else, and bulk re-keys (barrier
-	// release) rebuild the whole tree instead.
+	// loop below re-keys nothing else, and bulk re-keys (barrier release)
+	// rebuild the whole tree instead.
 	update := func(i int) {
 		w := int32(i)
 		for node := (p2 + i) >> 1; node >= 1; node >>= 1 {
@@ -307,6 +275,11 @@ func (m *Machine) runTree() uint64 {
 		los[0] = w
 	}
 
+	// pathLos/pathKeys record the winner's path losers and their keys;
+	// every slot read in an iteration is written earlier in it, so they are
+	// declared once rather than zeroed per operation.
+	var pathLos [treeDepth]int32
+	var pathKeys [treeDepth]uint64
 	live := n
 	barrierWait := m.barrier[:0]
 	var end uint64
@@ -339,15 +312,14 @@ func (m *Machine) runTree() uint64 {
 		// the horizon (their minimum) and, after the service, the match
 		// replay — nothing else can re-key a leaf in between, so the replay
 		// reuses the recorded keys instead of re-walking the key table.
-		// Path length is log2(p2) <= 8 (treeSchedCores == 256).
-		var pathLos [8]int32
-		var pathKeys [8]uint64
+		// Path length is log2(p2) <= treeDepth; the &(treeDepth-1) masks
+		// let the compiler drop the bounds checks.
 		h := notRunnable
 		d := 0
 		for node := (p2 + i1) >> 1; node >= 1; node >>= 1 {
 			l := los[node]
 			k := keys[l]
-			pathLos[d&7], pathKeys[d&7] = l, k
+			pathLos[d&(treeDepth-1)], pathKeys[d&(treeDepth-1)] = l, k
 			d++
 			if k < h {
 				h = k
@@ -363,7 +335,7 @@ func (m *Machine) runTree() uint64 {
 		w, kw := int32(i1), nk
 		d = 0
 		for node := (p2 + i1) >> 1; node >= 1; node >>= 1 {
-			l, kl := pathLos[d&7], pathKeys[d&7]
+			l, kl := pathLos[d&(treeDepth-1)], pathKeys[d&(treeDepth-1)]
 			d++
 			if kl < kw {
 				los[node] = w
@@ -382,258 +354,13 @@ func (m *Machine) runTree() uint64 {
 // packKey packs a core's next-op time and id into one comparable word:
 // smaller key == earlier (time, id). Times are bounded to 2^47 cycles —
 // over a simulated day at Table-1 clock rates, far beyond any experiment —
-// so the shift cannot overflow; ids are bounded by the schedulers (≤ 256
-// cores on the tree, and the heap disables packing beyond 16-bit ids).
+// so the shift cannot overflow; ids fit the low 16 bits because Validate
+// caps machines at maxCores (4096) cores.
 func packKey(t uint64, id int) uint64 {
 	if t >= 1<<47 {
 		panic("sim: simulated time exceeds 2^47 cycles")
 	}
 	return t<<16 | uint64(id)
-}
-
-// Radix scheduler geometry: every internal node covers radixD children,
-// so a 65536-core machine is four levels deep. Nodes store the minimum
-// packed key of their subtree — the (time, id) tie-break rides along in
-// the key itself, and the winning leaf's id is just the low 16 bits of
-// the root minimum.
-const (
-	radixBits = 4
-	radixD    = 1 << radixBits
-	radixMask = radixD - 1
-	// radixMaxDepth bounds the per-pick sibling-min scratch: levels(2^16
-	// leaves, radix 16) = 4.
-	radixMaxDepth = 4
-)
-
-// radixLevels returns the machine's radix scratch sized for n leaves:
-// level 0 holds one key per core and every level is padded to a multiple
-// of radixD with notRunnable sentinels, so group scans never bounds-check
-// and pad entries never win a match. The slices live on the machine and
-// survive arena recycling.
-func (m *Machine) radixLevels(n int) [][]uint64 {
-	pad := func(k int) int { return (k + radixMask) &^ radixMask }
-	var sizes []int
-	for sz := pad(n); ; sz = pad((sz + radixMask) >> radixBits) {
-		sizes = append(sizes, sz)
-		if sz <= radixD {
-			break
-		}
-	}
-	if len(m.radix) != len(sizes) || len(m.radix[0]) != sizes[0] {
-		m.radix = make([][]uint64, len(sizes))
-		for l, sz := range sizes {
-			m.radix[l] = make([]uint64, sz)
-		}
-	}
-	return m.radix
-}
-
-// radixRebuild recomputes every internal level bottom-up (level 0 is
-// already set). Used at startup and after bulk re-keys (barrier release).
-// Only real groups — those whose children exist — are recomputed; pad
-// entries past them hold notRunnable from the per-Run initialization and
-// are never written, so levels shorter than radixD·len(parent) stay
-// in-bounds.
-func radixRebuild(lvl [][]uint64) {
-	for l := 1; l < len(lvl); l++ {
-		child, parent := lvl[l-1], lvl[l]
-		for g := 0; g < len(child)>>radixBits; g++ {
-			mn := notRunnable
-			for _, k := range child[g<<radixBits : (g+1)<<radixBits] {
-				if k < mn {
-					mn = k
-				}
-			}
-			parent[g] = mn
-		}
-	}
-}
-
-// radixUpdate replays leaf i's group minimums up the structure after its
-// key changed, by rescanning each ancestor group. The hot path (picked
-// winner) uses the cheaper sibling-min replay inside runRadix instead;
-// this scan version serves the re-keys with no recorded path: finish,
-// barrier park.
-func radixUpdate(lvl [][]uint64, i int) {
-	idx := i
-	for l := 1; l < len(lvl); l++ {
-		g := idx >> radixBits
-		child := lvl[l-1]
-		mn := notRunnable
-		for _, k := range child[g<<radixBits : (g+1)<<radixBits] {
-			if k < mn {
-				mn = k
-			}
-		}
-		lvl[l][g] = mn
-		idx = g
-	}
-}
-
-// runRadix drives the simulation with a radix-16 min structure over packed
-// (time<<16 | id) keys — the d-ary port of the loser tree, used beyond
-// treeSchedCores cores where the binary tree's fixed path scratch runs
-// out. Picking the earliest core scans the sixteen top-level entries;
-// re-keying the serviced core replays its ancestor path against recorded
-// per-level sibling minimums (one compare per level, like the loser
-// tree's path replay); and those same sibling minimums provide the
-// run-ahead horizon — the earliest operation among every other core — so
-// inline servicing in Ctx.exec works at any machine size with ids that
-// fit the packed key, which the 4-ary pointer heap this replaced could
-// not offer. It returns the maximum core finish time.
-func (m *Machine) runRadix() uint64 {
-	n := len(m.cores)
-	lvl := m.radixLevels(n)
-	// Clear every level — including pad entries, which nothing below ever
-	// writes — so arena-recycled scratch carries no stale keys.
-	for _, row := range lvl {
-		for i := range row {
-			row[i] = notRunnable
-		}
-	}
-	leaves := lvl[0]
-	for i, c := range m.cores {
-		leaves[i] = packKey(c.time, i)
-	}
-	radixRebuild(lvl)
-	depth := len(lvl)
-	top := lvl[depth-1]
-
-	live := n
-	barrierWait := m.barrier[:0]
-	var end uint64
-	for live > 0 {
-		// Pick: the root minimum IS the winning leaf's packed key.
-		wk := top[0]
-		for _, k := range top[1:] {
-			if k < wk {
-				wk = k
-			}
-		}
-		i1 := int(wk & 0xFFFF)
-		c := m.cores[i1]
-		if c.req.kind == opFinish {
-			live--
-			if c.time > end {
-				end = c.time
-			}
-			leaves[i1] = notRunnable
-			radixUpdate(lvl, i1)
-			continue
-		}
-		if c.req.kind == opBarrier {
-			leaves[i1] = notRunnable
-			radixUpdate(lvl, i1)
-			barrierWait = append(barrierWait, c)
-			if len(barrierWait) == live {
-				m.releaseBarrier(barrierWait, func(w *core) {
-					leaves[w.id] = packKey(w.time, w.id)
-				})
-				radixRebuild(lvl)
-				barrierWait = barrierWait[:0]
-			}
-			continue
-		}
-		// Walk the winner's ancestor path once, recording each level's
-		// sibling minimum: their combined minimum is the run-ahead horizon
-		// (earliest op among every other core), and after the service each
-		// ancestor's new value is min(propagated key, recorded sibling min)
-		// — no rescan, exactly the loser tree's path-replay trick in d-ary
-		// form. Nothing re-keys another leaf between recording and replay.
-		var sib [radixMaxDepth]uint64
-		h := notRunnable
-		idx := i1
-		for l := 0; l < depth; l++ {
-			row := lvl[l]
-			g := idx &^ radixMask
-			mn := notRunnable
-			for j, k := range row[g : g+radixD] {
-				if g+j != idx && k < mn {
-					mn = k
-				}
-			}
-			sib[l&(radixMaxDepth-1)] = mn
-			if mn < h {
-				h = mn
-			}
-			idx >>= radixBits
-		}
-		m.raH = h
-		c.time += m.hier.access(c)
-		c.next() // the kernel run-ahead services further ops inline
-		// Replay: propagate the winner's new key up against the recorded
-		// sibling minimums.
-		cur := packKey(c.time, i1)
-		idx = i1
-		for l := 0; l < depth; l++ {
-			lvl[l][idx] = cur
-			if s := sib[l&(radixMaxDepth-1)]; s < cur {
-				cur = s
-			}
-			idx >>= radixBits
-		}
-	}
-	if len(barrierWait) > 0 {
-		panic("sim: deadlock — some cores finished while others wait at a barrier")
-	}
-	m.barrier = barrierWait[:0]
-	return end
-}
-
-// runHeap drives the simulation with the 4-ary min-heap scheduler, the
-// last-resort fallback beyond radixSchedCores cores, where core ids no
-// longer fit a packed key's 16-bit id field (so neither the radix
-// structure nor inline run-ahead apply). It returns the maximum core
-// finish time.
-func (m *Machine) runHeap() uint64 {
-	// Packed horizons carry 16 id bits; on larger machines the running
-	// core's id would truncate in Ctx.exec, so inline servicing is off.
-	canPack := len(m.cores) <= 1<<16
-	if cap(m.pq.a) < len(m.cores) {
-		m.pq.a = make([]*core, 0, len(m.cores))
-	} else {
-		m.pq.a = m.pq.a[:0]
-	}
-	for _, c := range m.cores {
-		m.pq.push(c)
-	}
-	live := len(m.cores)
-	barrierWait := m.barrier[:0]
-	var end uint64
-	for live > 0 {
-		c := m.pq.pop()
-		if c.req.kind == opFinish {
-			live--
-			if c.time > end {
-				end = c.time
-			}
-			continue
-		}
-		if c.req.kind == opBarrier {
-			barrierWait = append(barrierWait, c)
-			if len(barrierWait) == live {
-				m.releaseBarrier(barrierWait, func(w *core) { m.pq.push(w) })
-				barrierWait = barrierWait[:0]
-			}
-			continue
-		}
-		switch {
-		case !canPack:
-			m.raH = 0 // ids do not fit a packed key: no inline servicing
-		case len(m.pq.a) == 0:
-			m.raH = notRunnable
-		default:
-			m.raH = packKey(m.pq.a[0].time, m.pq.a[0].id)
-		}
-		c.time += m.hier.access(c)
-		c.next() // the kernel run-ahead services further ops inline
-		m.pq.push(c)
-	}
-	if len(barrierWait) > 0 {
-		panic("sim: deadlock — some cores finished while others wait at a barrier")
-	}
-	m.barrier = barrierWait[:0]
-	return end
 }
 
 // releaseBarrier aligns all waiting cores to the barrier exit time and
@@ -660,71 +387,6 @@ func (m *Machine) releaseBarrier(waiting []*core, reschedule func(*core)) {
 				reschedule(c)
 			}
 		}
-	}
-}
-
-// coreBefore is the scheduler's total order: earliest next-op time first,
-// ties broken by core id.
-func coreBefore(x, y *core) bool {
-	return x.time < y.time || (x.time == y.time && x.id < y.id)
-}
-
-// coreHeap is a hand-rolled 4-ary min-heap of cores ordered by coreBefore.
-// Compared to container/heap it avoids interface boxing and indirect
-// Less/Swap calls, and the wider nodes halve the tree depth, which matters
-// because the heap is touched up to twice per simulated memory operation.
-type coreHeap struct{ a []*core }
-
-func (h *coreHeap) push(c *core) {
-	h.a = append(h.a, c)
-	a := h.a
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !coreBefore(a[i], a[p]) {
-			break
-		}
-		a[i], a[p] = a[p], a[i]
-		i = p
-	}
-}
-
-func (h *coreHeap) pop() *core {
-	a := h.a
-	c := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a[n] = nil
-	h.a = a[:n]
-	if n > 1 {
-		h.siftDown(0)
-	}
-	return c
-}
-
-func (h *coreHeap) siftDown(i int) {
-	a := h.a
-	n := len(a)
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			return
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for k := first + 1; k < last; k++ {
-			if coreBefore(a[k], a[best]) {
-				best = k
-			}
-		}
-		if !coreBefore(a[best], a[i]) {
-			return
-		}
-		a[i], a[best] = a[best], a[i]
-		i = best
 	}
 }
 

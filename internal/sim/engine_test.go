@@ -1,6 +1,11 @@
 package sim
 
 import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 )
@@ -173,100 +178,98 @@ func TestManyBarriers(t *testing.T) {
 	}
 }
 
-// TestRadixSchedulerLargeMachine drives the >256-core radix scheduler
-// path end to end: exact results, determinism and invariants at 272 cores.
-func TestRadixSchedulerLargeMachine(t *testing.T) {
-	run := func() (uint64, Stats) {
-		cfg := smallCfg(272, MEUSI) // 17 chips: beyond treeSchedCores
-		m := New(cfg)
-		ctr := m.Alloc(64, 64)
-		m.Run(func(c *Ctx) {
-			for i := 0; i < 20; i++ {
-				c.CommAdd64(ctr, 1)
+// updateWide regenerates testdata/wide_stats.json from the current engine.
+// Run `go test ./internal/sim -run TestSchedulerEquivalence -update` only when
+// a change is *supposed* to alter simulated timing; scheduler changes must
+// leave the file untouched.
+var updateWide = flag.Bool("update", false, "rewrite testdata/wide_stats.json from the current engine")
+
+const widePath = "testdata/wide_stats.json"
+
+// wideKernel mixes skewed Work, commutative updates, plain loads/stores and
+// barriers so the run-ahead horizon, park/release rebuilds and finish
+// re-keys all get exercised. Every core adds 4*30 to the shared counter.
+func wideKernel(shared uint64) func(*Ctx) {
+	return func(c *Ctx) {
+		for round := 0; round < 4; round++ {
+			c.Work(uint64(c.Tid()*31+round) * 7)
+			for i := 0; i < 30; i++ {
+				c.CommAdd64(shared, 1)
+			}
+			if c.Tid()%3 == 0 {
+				c.Load64(shared + 64)
+				c.Store64(shared+64, uint64(c.Tid()))
 			}
 			c.Barrier()
-			if c.Tid() == 0 {
-				c.Load64(ctr)
-			}
-		})
-		if err := m.CheckInvariants(); err != nil {
-			t.Fatal(err)
 		}
-		return m.ReadWord64(ctr), m.Stats()
-	}
-	v1, s1 := run()
-	v2, s2 := run()
-	if v1 != 20*272 {
-		t.Errorf("counter=%d, want %d", v1, 20*272)
-	}
-	if v1 != v2 || s1 != s2 {
-		t.Error("radix scheduler is non-deterministic")
 	}
 }
 
-// TestSchedulerEquivalence pins the contract every scheduler shares: any
-// exact min-extraction over (time, id) keys produces the same event order,
-// so the loser tree, the radix structure and the 4-ary heap must yield
-// byte-identical stats on the same machine. The kernel mixes skewed Work,
-// commutative updates, plain loads/stores and barriers so the run-ahead
-// horizon, park/release rebuilds and finish re-keys all get exercised on
-// every structure.
+// TestSchedulerEquivalence pins the scheduler on wide machines: at 48, 272 and
+// 1024 cores (16 per chip) and at 4096 cores (64 chips of 64, the largest
+// machine Validate accepts), the full Stats must be byte-identical to the
+// recorded values. They were recorded with three different scheduler
+// structures that agreed byte for byte: any exact min-extraction over
+// (time, id) keys reproduces them, and the counter total and coherence
+// invariants are checked on every run.
 func TestSchedulerEquivalence(t *testing.T) {
-	kernel := func(shared uint64) func(*Ctx) {
-		return func(c *Ctx) {
-			for round := 0; round < 4; round++ {
-				c.Work(uint64(c.Tid()*31+round) * 7)
-				for i := 0; i < 30; i++ {
-					c.CommAdd64(shared, 1)
-				}
-				if c.Tid()%3 == 0 {
-					c.Load64(shared + 64)
-					c.Store64(shared+64, uint64(c.Tid()))
-				}
-				c.Barrier()
-			}
-		}
-	}
-	run := func(cores int, kind schedKind) (uint64, Stats) {
-		t.Helper()
-		defer func(prev schedKind) { schedOverride = prev }(schedOverride)
-		schedOverride = kind
-		m := New(smallCfg(cores, MEUSI))
+	cfgs := []Config{smallCfg(48, MEUSI), smallCfg(272, MEUSI), smallCfg(1024, MEUSI), smallCfg(4096, MEUSI)}
+	cfgs[3].CoresPerChip = 64
+	got := map[string]Stats{}
+	for _, cfg := range cfgs {
+		key := fmt.Sprintf("%dc/%dpc", cfg.Cores, cfg.CoresPerChip)
+		m := New(cfg)
 		shared := m.Alloc(128, 64)
-		m.Run(kernel(shared))
+		st := m.Run(wideKernel(shared))
 		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if v, want := m.ReadWord64(shared), uint64(4*30*cfg.Cores); v != want {
+			t.Errorf("%s: counter=%d, want %d", key, v, want)
+		}
+		got[key] = st
+	}
+
+	if *updateWide {
+		data, err := json.MarshalIndent(got, "", "\t")
+		if err != nil {
 			t.Fatal(err)
 		}
-		return m.ReadWord64(shared), m.Stats()
+		if err := os.MkdirAll(filepath.Dir(widePath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(widePath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d entries to %s", len(got), widePath)
+		return
 	}
-	// 48 cores: all three structures apply (the tree's path scratch caps
-	// it at treeSchedCores, so the three-way comparison runs below that).
-	vTree, sTree := run(48, schedTree)
-	vRadix, sRadix := run(48, schedRadix)
-	vHeap, sHeap := run(48, schedHeap)
-	if vTree != 4*30*48 {
-		t.Errorf("counter=%d, want %d", vTree, 4*30*48)
+
+	data, err := os.ReadFile(widePath)
+	if err != nil {
+		t.Fatalf("missing %s (generate with -update): %v", widePath, err)
 	}
-	if vTree != vRadix || sTree != sRadix {
-		t.Errorf("tree vs radix diverge at 48 cores:\n tree  %+v\n radix %+v", sTree, sRadix)
+	var want map[string]Stats
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("corrupt %s: %v", widePath, err)
 	}
-	if vTree != vHeap || sTree != sHeap {
-		t.Errorf("tree vs heap diverge at 48 cores:\n tree %+v\n heap %+v", sTree, sHeap)
+	if len(want) != len(got) {
+		t.Errorf("%s has %d entries, run produced %d", widePath, len(want), len(got))
 	}
-	// 272 cores: past the tree; the auto-selected radix path must match
-	// the heap it replaced as the first fallback.
-	vR, sR := run(272, schedRadix)
-	vH, sH := run(272, schedHeap)
-	if vR != vH || sR != sH {
-		t.Errorf("radix vs heap diverge at 272 cores:\n radix %+v\n heap  %+v", sR, sH)
+	for key, g := range got {
+		if w, ok := want[key]; !ok {
+			t.Errorf("%s: not in %s", key, widePath)
+		} else if g != w {
+			t.Errorf("%s: stats diverged from the recorded run\n got: %+v\nwant: %+v", key, g, w)
+		}
 	}
 }
 
-// TestTreeSchedulerAtBoundary pins the largest tree-scheduled machine
-// (exactly treeSchedCores cores, the packed-key id limit) to the exact
-// expected total.
+// TestTreeSchedulerAtBoundary runs a machine that fills its loser tree
+// exactly (256 cores: a power of two, so no pad leaves) and checks the
+// exact expected total.
 func TestTreeSchedulerAtBoundary(t *testing.T) {
-	cfg := smallCfg(256, MEUSI) // exactly treeSchedCores
+	cfg := smallCfg(256, MEUSI)
 	m := New(cfg)
 	ctr := m.Alloc(64, 64)
 	m.Run(func(c *Ctx) {

@@ -35,6 +35,16 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("zero ways must be invalid")
 	}
+	bad = cfg
+	bad.Cores, bad.CoresPerChip = 128, 128
+	if bad.Validate() == nil {
+		t.Error("a chip wider than the 64-bit sharer vector must be invalid")
+	}
+	widest := cfg
+	widest.Cores, widest.CoresPerChip = maxCores, sharerBits
+	if err := widest.Validate(); err != nil {
+		t.Errorf("64 chips of 64 cores must be valid: %v", err)
+	}
 }
 
 func TestChipsScaling(t *testing.T) {

@@ -151,8 +151,9 @@ func TestShardedDrainConcurrent(t *testing.T) {
 	goroutines, opsPer := stressDims(t)
 	s := MustSharded(Add64, WithShards(4))
 	var drained atomic.Uint64
-	done := make(chan struct{})
+	done, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(stopped)
 		for {
 			select {
 			case <-done:
@@ -168,6 +169,7 @@ func TestShardedDrainConcurrent(t *testing.T) {
 		}
 	})
 	close(done)
+	<-stopped // a Drain in flight at close must land in drained before we read it
 	total := drained.Load() + s.Drain()
 	if want := uint64(goroutines * opsPer); total != want {
 		t.Errorf("drained total %d, want %d (updates lost or double-counted)", total, want)

@@ -132,6 +132,7 @@ func TestOptionValidation(t *testing.T) {
 		{"zero cores", []Option{WithCores(0)}, ErrInvalidOption},
 		{"negative cores", []Option{WithCores(-4)}, ErrInvalidOption},
 		{"non-pow2 cores per chip", []Option{WithCoresPerChip(12)}, ErrInvalidOption},
+		{"chip wider than the sharer vector", []Option{WithCoresPerChip(128)}, ErrInvalidOption},
 		{"non-pow2 L3 banks", []Option{WithL3Banks(6)}, ErrInvalidOption},
 		{"non-pow2 L4 banks", []Option{WithL4Banks(3)}, ErrInvalidOption},
 		{"non-pow2 channels", []Option{WithMemChannels(5)}, ErrInvalidOption},

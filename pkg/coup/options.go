@@ -83,7 +83,9 @@ func WithProtocol(name string) Option {
 
 // WithCores sets the total simulated core count (the paper sweeps 1–128;
 // any count ≥ 1 up to 64 chips' worth is accepted, powers of two not
-// required — the paper itself measures 96).
+// required — the paper itself measures 96). The directories track sharers
+// in 64-bit vectors, one bit per chip, so a machine has at most 64 chips:
+// 4096 cores at 64 cores per chip.
 func WithCores(n int) Option {
 	return func(b *builder) error {
 		if err := positive("cores", n); err != nil {
@@ -98,7 +100,9 @@ func WithCores(n int) Option {
 }
 
 // WithCoresPerChip sets the cores per processor chip (Table 1: 16). Must
-// be a power of two.
+// be a power of two of at most 64: each chip's L3 directory tracks its
+// cores in a 64-bit sharer vector. With at most 64 chips, the largest
+// machine is 64 × 64 = 4096 cores.
 func WithCoresPerChip(n int) Option {
 	return func(b *builder) error {
 		if err := powerOfTwo("cores per chip", n); err != nil {
