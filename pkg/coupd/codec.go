@@ -1,7 +1,6 @@
 package coupd
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,6 +34,11 @@ import (
 // String tokens holding an escape or a non-ASCII byte are unescaped by
 // json.Unmarshal, so U+FFFD substitution and escape rules are the
 // standard library's; every other token is read in place.
+//
+// Records in the exact layout the encoders write (recName … recBins
+// below) are read in one pass by canonicalRecord; a record in any other
+// layout goes to the general scanner from its first byte, so the fast
+// path changes speed, never acceptance or values.
 
 // Pooled-buffer caps: a decoder whose buffers grew past these for one
 // huge batch drops them rather than pinning them in the pool.
@@ -312,6 +316,9 @@ func (d *batchDecoder) updates() error {
 			}
 			cur = d.recs[:n+1]
 		}
+		if d.canonicalRecord(&cur[n]) {
+			return nil
+		}
 		return d.update(&cur[n])
 	})
 	if err != nil {
@@ -352,6 +359,140 @@ func (d *batchDecoder) update(u *Update) error {
 		}
 		return d.skipValue()
 	})
+}
+
+// The canonical record layout, as appendBatch and json.Marshal both write
+// an Update: recName, a string, recKind, a string, recOp, a string, then
+// recArgs with its integers and ']' when Args is non-empty, then recBins
+// and an integer when Bins is non-zero, then '}'.
+const (
+	recName = `{"name":`
+	recKind = `,"kind":`
+	recOp   = `,"op":`
+	recArgs = `,"args":[`
+	recBins = `,"bins":`
+)
+
+// canonicalRecord decodes the record at d.pos into u in one pass when it
+// is in the canonical layout with plain strings and plain integers, and
+// u is still zero; it reports whether it did. Such a record has no
+// repeated, unknown or case-folded key and no token that needs
+// unescaping, so it decodes as update would decode it. Otherwise d and u
+// are left as they were and update decodes the record from its first
+// byte.
+//
+//coup:hotpath
+func (d *batchDecoder) canonicalRecord(u *Update) bool {
+	if u.Name != "" || u.Kind != "" || u.Op != "" || u.Args != nil || u.Bins != 0 {
+		return false // a repeated "updates" key merges into u
+	}
+	data := d.data
+	name, p := plainField(data, d.pos, recName)
+	kind, p := plainField(data, p, recKind)
+	op, p := plainField(data, p, recOp)
+	if p < 0 {
+		return false
+	}
+	args := d.args // stored back on success only, so a failed attempt leaves the arena as it was
+	if hasFrag(data, p, recArgs) {
+		p += len(recArgs)
+		for {
+			v, end := plainInt(data, p)
+			if end < 0 || end == len(data) {
+				return false
+			}
+			args = append(args, v)
+			p = end + 1
+			if data[end] == ']' {
+				break
+			}
+			if data[end] != ',' {
+				return false
+			}
+		}
+	}
+	var bins int64
+	if hasFrag(data, p, recBins) {
+		if bins, p = plainInt(data, p+len(recBins)); p < 0 || int64(int(bins)) != bins {
+			return false
+		}
+	}
+	if p == len(data) || data[p] != '}' {
+		return false
+	}
+	u.Name, u.Kind, u.Op = d.names.intern(name), d.wordString(kind), d.wordString(op)
+	if len(args) > len(d.args) {
+		u.Args = args[len(d.args):len(args):len(args)]
+	}
+	u.Bins = int(bins)
+	d.args, d.pos = args, p+1
+	return true
+}
+
+// plainField scans the key fragment frag and then a plain string at pos,
+// returning the string's value and the position after it, or -1.
+func plainField(data []byte, pos int, frag string) ([]byte, int) {
+	if !hasFrag(data, pos, frag) {
+		return nil, -1
+	}
+	start := pos + len(frag)
+	end := plainString(data, start)
+	if end < 0 {
+		return nil, -1
+	}
+	return data[start+1 : end-1], end
+}
+
+// hasFrag reports whether data holds frag at pos, which may be -1.
+func hasFrag(data []byte, pos int, frag string) bool {
+	return pos >= 0 && len(data)-pos >= len(frag) && string(data[pos:pos+len(frag)]) == frag
+}
+
+// plainString scans the string token at pos when every byte between its
+// quotes is plain — 0x20–0x7f other than '"' and '\\' — so those bytes
+// are its value, and returns the position after it, or -1.
+func plainString(data []byte, pos int) int {
+	if pos >= len(data) || data[pos] != '"' {
+		return -1
+	}
+	for pos++; pos < len(data); pos++ {
+		switch c := data[pos]; {
+		case c == '"':
+			return pos + 1
+		case c < 0x20 || c >= 0x80 || c == '\\':
+			return -1
+		}
+	}
+	return -1
+}
+
+// plainInt scans the integer at pos when it is written
+// -?(0|[1-9][0-9]{0,17}) — few enough digits to fit an int64 unchecked —
+// and not followed by a digit, '.', 'e' or 'E', and returns it with the
+// position after it, or end -1.
+func plainInt(data []byte, pos int) (v int64, end int) {
+	neg := pos < len(data) && data[pos] == '-'
+	if neg {
+		pos++
+	}
+	start := pos
+	for pos < len(data) && pos-start < 18 && '0' <= data[pos] && data[pos] <= '9' {
+		v = v*10 + int64(data[pos]-'0')
+		pos++
+	}
+	if pos == start || data[start] == '0' && pos > start+1 {
+		return 0, -1 // no digits, or a leading zero
+	}
+	if pos < len(data) {
+		switch c := data[pos]; {
+		case '0' <= c && c <= '9', c == '.', c == 'e', c == 'E':
+			return 0, -1
+		}
+	}
+	if neg {
+		v = -v
+	}
+	return v, pos
 }
 
 // argsInto decodes an array of integers into *dst with encoding/json's
@@ -550,7 +691,7 @@ func (d *batchDecoder) enter() error {
 
 // literal consumes the literal lit (null, true or false) at d.pos.
 func (d *batchDecoder) literal(lit string) error {
-	if !bytes.HasPrefix(d.data[d.pos:], []byte(lit)) {
+	if !hasFrag(d.data, d.pos, lit) {
 		return d.syntaxError("in literal " + lit)
 	}
 	d.pos += len(lit)
@@ -562,14 +703,16 @@ func (d *batchDecoder) literal(lit string) error {
 // its bytes between the quotes are its value.
 func (d *batchDecoder) stringToken() (tok []byte, plain bool, err error) {
 	start := d.pos
-	plain = true
+	if end := plainString(d.data, start); end >= 0 {
+		d.pos = end
+		return d.data[start:end], true, nil
+	}
 	for d.pos++; d.pos < len(d.data); d.pos++ {
 		switch c := d.data[d.pos]; {
 		case c == '"':
 			d.pos++
-			return d.data[start:d.pos], plain, nil
+			return d.data[start:d.pos], false, nil
 		case c == '\\':
-			plain = false
 			d.pos++
 			switch d.peek() {
 			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
@@ -585,8 +728,6 @@ func (d *batchDecoder) stringToken() (tok []byte, plain bool, err error) {
 			}
 		case c < 0x20:
 			return nil, false, d.syntaxError("in string literal")
-		case c >= 0x80:
-			plain = false
 		}
 	}
 	return nil, false, d.syntaxError("in string literal")
@@ -745,14 +886,14 @@ func appendBatch(dst []byte, req *BatchRequest) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = append(dst, `{"name":`...)
+			dst = append(dst, recName...)
 			dst = appendString(dst, u.Name)
-			dst = append(dst, `,"kind":`...)
+			dst = append(dst, recKind...)
 			dst = appendString(dst, u.Kind)
-			dst = append(dst, `,"op":`...)
+			dst = append(dst, recOp...)
 			dst = appendString(dst, u.Op)
 			if len(u.Args) > 0 {
-				dst = append(dst, `,"args":[`...)
+				dst = append(dst, recArgs...)
 				for j, a := range u.Args {
 					if j > 0 {
 						dst = append(dst, ',')
@@ -762,7 +903,7 @@ func appendBatch(dst []byte, req *BatchRequest) []byte {
 				dst = append(dst, ']')
 			}
 			if u.Bins != 0 {
-				dst = append(dst, `,"bins":`...)
+				dst = append(dst, recBins...)
 				dst = strconv.AppendInt(dst, int64(u.Bins), 10)
 			}
 			dst = append(dst, '}')

@@ -126,6 +126,55 @@ var parityCases = []struct {
 	{"control byte in string", "{\"client\":\"a\x01\"}", false},
 	{"bad unicode escape", `{"client":"\u12g4"}`, false},
 	{"DEL is a plain byte", "{\"client\":\"a\x7f\"}", true},
+
+	// Near-canonical records: each starts in the layout canonicalRecord
+	// reads, then leaves it, so the general scanner must take over from
+	// the record's first byte.
+	{"canonical cut after name key", `{"updates":[{"name":`, false},
+	{"canonical cut in name", `{"updates":[{"name":"a`, false},
+	{"canonical cut after kind key", `{"updates":[{"name":"a","kind":`, false},
+	{"canonical cut after op key", `{"updates":[{"name":"a","kind":"hist","op":`, false},
+	{"canonical cut after args key", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[`, false},
+	{"canonical cut in args", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[1,`, false},
+	{"canonical cut after bins key", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[1],"bins":`, false},
+	{"canonical cut in bins", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[1],"bins":4`, false},
+	{"canonical cut after record", `{"updates":[{"name":"a","kind":"hist","op":"add"}`, false},
+	{"canonical escaped value", `{"updates":[{"name":"a\u0062","kind":"counter","op":"inc"}]}`, true},
+	{"canonical escaped quote", `{"updates":[{"name":"a","kind":"counter","op":"i\"nc"}]}`, true},
+	{"canonical non-ASCII value", "{\"updates\":[{\"name\":\"h\u00e9\",\"kind\":\"counter\",\"op\":\"inc\"}]}", true},
+	{"canonical invalid UTF-8 value", "{\"updates\":[{\"name\":\"a\",\"kind\":\"count\xffer\",\"op\":\"inc\"}]}", true},
+	{"canonical control byte", "{\"updates\":[{\"name\":\"a\x1f\",\"kind\":\"counter\",\"op\":\"inc\"}]}", false},
+	{"canonical raw angle bracket", `{"updates":[{"name":"a<b>&c","kind":"counter","op":"inc"}]}`, true},
+	{"canonical reordered keys", `{"updates":[{"kind":"counter","name":"a","op":"inc"}]}`, true},
+	{"canonical bins before args", `{"updates":[{"name":"a","kind":"hist","op":"add","bins":4,"args":[1]}]}`, true},
+	{"canonical upper-case name key", `{"updates":[{"NAME":"a","kind":"counter","op":"inc"}]}`, true},
+	{"canonical upper-case args key", `{"updates":[{"name":"a","kind":"hist","op":"add","Args":[1],"biNs":4}]}`, true},
+	{"canonical missing op", `{"updates":[{"name":"a","kind":"counter"}]}`, true},
+	{"canonical repeated op", `{"updates":[{"name":"a","kind":"counter","op":"inc","op":"dec"}]}`, true},
+	{"canonical space after colon", `{"updates":[{"name": "a","kind":"counter","op":"inc"}]}`, true},
+	{"canonical space after comma", `{"updates":[{"name":"a", "kind":"counter","op":"inc"}]}`, true},
+	{"canonical space in args", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[1, 2]}]}`, true},
+	{"canonical space before brace", `{"updates":[{"name":"a","kind":"hist","op":"add","bins":4 }]}`, true},
+	{"canonical empty args", `{"updates":[{"name":"a","kind":"counter","op":"inc","args":[]}]}`, true},
+	{"canonical args trailing comma", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[1,]}]}`, false},
+	{"canonical args leading zero", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[01]}]}`, false},
+	{"canonical args fraction", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[1.0]}]}`, false},
+	{"canonical args exponent", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[1e2]}]}`, false},
+	{"canonical args bare minus", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[-]}]}`, false},
+	{"canonical args plus sign", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[+1]}]}`, false},
+	{"canonical args null", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[null]}]}`, true},
+	{"canonical args 18 digits", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[-999999999999999999,999999999999999999]}]}`, true},
+	{"canonical args 19 digits", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[1234567890123456789]}]}`, true},
+	{"canonical args 20 digits", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[12345678901234567890]}]}`, false},
+	{"canonical args int64 extremes", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[-9223372036854775808,9223372036854775807]}]}`, true},
+	{"canonical fractional bins", `{"updates":[{"name":"a","kind":"hist","op":"add","bins":1.5}]}`, false},
+	{"canonical negative zero bins", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[-0],"bins":-0}]}`, true},
+	{"canonical bins past int", `{"updates":[{"name":"a","kind":"hist","op":"add","bins":9223372036854775808}]}`, false},
+	{"canonical unknown key after bins", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[1],"bins":4,"x":[1]}]}`, true},
+	{"canonical duplicate updates merge", `{"updates":[{"name":"a","kind":"hist","op":"add","args":[1,2],"bins":4}],` +
+		`"updates":[{"name":"b","kind":"counter","op":"inc"},{"name":"c","kind":"counter","op":"inc"}]}`, true},
+	{"canonical duplicate updates re-expose", `{"updates":[{"name":"a","kind":"counter","op":"inc"},{"name":"b","kind":"hist","op":"add","args":[1],"bins":2}],` +
+		`"updates":[{"name":"c","kind":"counter","op":"inc"}],"updates":[{"name":"d","kind":"counter","op":"inc"},{"name":"e","kind":"counter","op":"inc"}]}`, true},
 }
 
 // TestDecodeBatchParity pins decodeBatch to encoding/json on every edge
@@ -175,6 +224,72 @@ func TestDecodeBatchRecordsIsolated(t *testing.T) {
 	if req.Updates[1].Args[0] != 2 {
 		t.Fatalf("appending to record 0's args overwrote record 1's: %v", req.Updates[1].Args)
 	}
+}
+
+// checkCanonical fails unless canonicalRecord reads each record of body,
+// a non-empty batch appendBatch wrote, in one pass and to the matching
+// record of want.
+func checkCanonical(t testing.TB, body []byte, want []Update) {
+	t.Helper()
+	d := batchDecoder{data: body, pos: len(`{"updates":[`)}
+	for i, w := range want {
+		var got Update
+		if !d.canonicalRecord(&got) {
+			t.Fatalf("record %d of %s: not read as canonical", i, body)
+		}
+		if len(w.Args) == 0 {
+			w.Args = nil // omitted, so never decoded
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Fatalf("record %d of %s:\ncanonicalRecord %#v\nencoded         %#v", i, body, got, w)
+		}
+		next := byte(',')
+		if i == len(want)-1 {
+			next = ']'
+		}
+		if body[d.pos] != next {
+			t.Fatalf("record %d of %s: ends at offset %d, before %q", i, body, d.pos, body[d.pos])
+		}
+		d.pos++
+	}
+}
+
+// encodesCanonical reports whether appendBatch writes u's strings as
+// ASCII without escapes and its integers in at most 18 digits: the
+// records the fast path exists for.
+func encodesCanonical(u Update) bool {
+	for _, s := range []string{u.Name, u.Kind, u.Op} {
+		nonASCII := strings.IndexFunc(s, func(r rune) bool { return r >= utf8.RuneSelf }) >= 0
+		if nonASCII || len(appendString(nil, s)) != len(s)+2 {
+			return false
+		}
+	}
+	short := func(v int64) bool { return -1e18 < v && v < 1e18 }
+	for _, a := range u.Args {
+		if !short(a) {
+			return false
+		}
+	}
+	return short(int64(u.Bins))
+}
+
+// TestCanonicalRecord pins the encoder to the decoder's fast path: every
+// record appendBatch writes with plain strings and short integers is read
+// by canonicalRecord, and to the record that was encoded.
+func TestCanonicalRecord(t *testing.T) {
+	recs := append(benchBatch("", 0).Updates,
+		Update{},
+		Update{Name: "a b~\x7f", Kind: "hist", Op: "add", Args: []int64{0, -1, 999_999_999_999_999_999, -999_999_999_999_999_999}, Bins: -3},
+		Update{Name: "custom", Kind: "gauge", Op: "set", Args: []int64{}, Bins: 1},
+		Update{Name: "x", Kind: "refcount", Op: "escalate", Bins: 999_999_999_999_999_999},
+	)
+	for _, u := range recs {
+		if !encodesCanonical(u) {
+			t.Fatalf("%#v is not a canonical record", u)
+		}
+	}
+	req := BatchRequest{Updates: recs, Client: "c", Seq: 1}
+	checkCanonical(t, appendBatch(nil, &req), recs)
 }
 
 // TestDecodeBatchZeroAllocs pins the steady state: once a pooled decoder
@@ -323,6 +438,13 @@ func FuzzAppendBatch(f *testing.F) {
 		}
 		if !checkDecodeParity(t, &batchDecoder{}, got) {
 			t.Fatalf("encoded batch rejected: %s", got)
+		}
+		canonical := len(req.Updates) > 0
+		for _, u := range req.Updates {
+			canonical = canonical && encodesCanonical(u)
+		}
+		if canonical {
+			checkCanonical(t, got, req.Updates)
 		}
 		for _, s := range []string{name, kind, op, client} {
 			if !utf8.ValidString(s) {

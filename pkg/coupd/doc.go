@@ -68,6 +68,15 @@
 // and interned names come from a pooled per-request decoder. Responses,
 // snapshots, /v1/stats and error bodies stay on encoding/json.
 //
+// Each record is first tried against the one layout both encoders write —
+// {"name":…,"kind":…,"op":…} with optional "args" and "bins" in that order,
+// no whitespace, strings of printable ASCII without escapes, integers of
+// at most 18 digits — and read in a single pass when it matches. Any
+// other record (curl's whitespace, other key orders or cases, escapes,
+// long numbers, a repeated "updates" key) falls back to the general
+// scanner from its first byte, so the fast path changes speed only;
+// TestCanonicalRecord and FuzzAppendBatch pin the encoder to it.
+//
 // # Exactly-once replay
 //
 // Commutative is not idempotent: a counter increment replayed by a

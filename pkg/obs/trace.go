@@ -241,6 +241,11 @@ var traceMagic = [8]byte{'C', 'O', 'U', 'P', 'T', 'R', 'C', 0x01}
 
 const traceRecBytes = 40
 
+// maxTracePrealloc caps the events ReadTrace allocates ahead of reading
+// them (~192 KB), so a header's count sizes nothing by itself; a longer
+// trace grows the slice as its records arrive.
+const maxTracePrealloc = 4096
+
 // WriteTrace writes events in the binary trace format.
 func WriteTrace(w io.Writer, events []Event) error {
 	var hdr [16]byte
@@ -274,7 +279,8 @@ func (r *Ring) DumpTo(w io.Writer) ([]Event, error) {
 	return events, nil
 }
 
-// ReadTrace parses a binary trace stream written by WriteTrace.
+// ReadTrace parses a binary trace stream written by WriteTrace. A stream
+// with fewer records than its header counts is an error.
 func ReadTrace(rd io.Reader) ([]Event, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
@@ -284,7 +290,7 @@ func ReadTrace(rd io.Reader) ([]Event, error) {
 		return nil, fmt.Errorf("obs: bad trace magic %x", hdr[:8])
 	}
 	n := binary.LittleEndian.Uint64(hdr[8:])
-	events := make([]Event, 0, n)
+	events := make([]Event, 0, min(n, maxTracePrealloc))
 	var rec [traceRecBytes]byte
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(rd, rec[:]); err != nil {

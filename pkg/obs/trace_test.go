@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
 	"testing"
 )
@@ -97,6 +98,86 @@ func TestReadTraceRejectsBadMagic(t *testing.T) {
 	if _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
 		t.Error("ReadTrace accepted empty stream")
 	}
+}
+
+// traceHeader is a COUPTRC header counting n records.
+func traceHeader(n uint64) []byte {
+	hdr := make([]byte, 16)
+	copy(hdr, traceMagic[:])
+	binary.LittleEndian.PutUint64(hdr[8:], n)
+	return hdr
+}
+
+// TestReadTraceShortStream pins the error for a stream holding fewer
+// records than its header counts, however large the count: the count
+// must not size an allocation before the records arrive.
+func TestReadTraceShortStream(t *testing.T) {
+	rec := make([]byte, traceRecBytes)
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"2^60 records claimed, none present", traceHeader(1 << 60)},
+		{"2^32 records claimed, one present", append(traceHeader(1<<32), rec...)},
+		{"max records claimed, none present", traceHeader(^uint64(0))},
+		{"two records claimed, one present", append(traceHeader(2), rec...)},
+		{"one record claimed, half present", append(traceHeader(1), rec[:traceRecBytes/2]...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if events, err := ReadTrace(bytes.NewReader(tc.stream)); err == nil {
+				t.Fatalf("ReadTrace accepted a short stream, returning %d events", len(events))
+			}
+		})
+	}
+}
+
+// FuzzReadTrace holds ReadTrace on arbitrary bytes to its contract: it
+// never panics, it fails on a stream shorter than its header counts, and
+// on success it returns exactly the header's count of events, which
+// WriteTrace writes back to the bytes they were read from.
+func FuzzReadTrace(f *testing.F) {
+	r := NewRing(64)
+	r.Record(EvSpanBegin, 1, 11, 22)
+	r.Record(EvReduce, 2, 33, 44)
+	r.Record(EvSpanEnd, 1, 11, 55)
+	var buf bytes.Buffer
+	if _, err := r.DumpTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()-1])
+	f.Add(traceHeader(0))
+	f.Add(traceHeader(1 << 60))
+	f.Add([]byte("NOTATRACEFILE...."))
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		events, err := ReadTrace(bytes.NewReader(stream))
+		if len(stream) < 16 || [8]byte(stream[:8]) != traceMagic {
+			if err == nil {
+				t.Fatal("ReadTrace accepted a stream without a COUPTRC header")
+			}
+			return
+		}
+		n := binary.LittleEndian.Uint64(stream[8:16])
+		if held := uint64(len(stream)-16) / traceRecBytes; held < n {
+			if err == nil {
+				t.Fatalf("header counts %d records, stream holds %d: accepted", n, held)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("complete stream of %d records rejected: %v", n, err)
+		}
+		if uint64(len(events)) != n {
+			t.Fatalf("header counts %d records, ReadTrace returned %d", n, len(events))
+		}
+		var back bytes.Buffer
+		if err := WriteTrace(&back, events); err != nil {
+			t.Fatal(err)
+		}
+		if read := stream[:16+n*traceRecBytes]; !bytes.Equal(back.Bytes(), read) {
+			t.Fatalf("WriteTrace(ReadTrace(s)) != s:\n%x\n%x", back.Bytes(), read)
+		}
+	})
 }
 
 // TestRingConcurrent hammers the ring from many goroutines while dumping,
