@@ -19,10 +19,12 @@
 // -threshold (relative, default 0.20). Two kinds of metrics are gated
 // differently:
 //
-//   - Machine-independent metrics (allocs/op, B/op) are always gated:
-//     they are deterministic properties of the code, identical on a
-//     laptop and a CI runner, so a committed baseline stays valid
-//     everywhere. A small absolute slack absorbs runtime jitter.
+//   - Machine-independent metrics (allocs/op, B/op, and the simulator's
+//     resumes/simop, its kernel coroutine switches per simulated op) are
+//     always gated: they are deterministic properties of the code,
+//     identical on a laptop and a CI runner, so a committed baseline stays
+//     valid everywhere. A small absolute slack absorbs runtime jitter and
+//     the per-run constants that b.N does not amortize.
 //   - Wall-clock metrics (ns/op, and throughput metrics like simops/s or
 //     specs/s, where lower is better inverted) are gated only when the
 //     baseline was recorded on the same CPU model (the "cpu" context
@@ -133,18 +135,21 @@ func higherIsBetter(metric string) bool {
 // of the code rather than of the host (and so is gated even when the
 // baseline comes from a different CPU).
 func machineIndependent(metric string) bool {
-	return metric == "allocs/op" || metric == "B/op"
+	return metric == "allocs/op" || metric == "B/op" || metric == "resumes/simop"
 }
 
 // absSlack absorbs runtime jitter in machine-independent metrics: the
 // allocator and GC may add a few objects (or a few dozen bytes) per op
-// independent of the code under test.
+// independent of the code under test, and a run's fixed resumes (one per
+// kernel start) weigh more at the small b.N of a short run.
 func absSlack(metric string) float64 {
 	switch metric {
 	case "allocs/op":
 		return 4
 	case "B/op":
 		return 512
+	case "resumes/simop":
+		return 0.01
 	}
 	return 0
 }

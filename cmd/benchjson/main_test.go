@@ -10,7 +10,7 @@ goarch: amd64
 pkg: repro/internal/sim
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkEngineLoadL1         	12345678	        20.10 ns/op	       0 B/op	       0 allocs/op
-BenchmarkEngineThroughput     	   60000	      5000 ns/op	   4000000 simops/s	      15 B/op	       0 allocs/op
+BenchmarkEngineThroughput     	   60000	      5000 ns/op	         0.2000 resumes/simop	   4000000 simops/s	      15 B/op	       0 allocs/op
 PASS
 `
 
@@ -35,7 +35,7 @@ func TestParseBench(t *testing.T) {
 	if r.Name != "BenchmarkEngineThroughput" || r.Iterations != 60000 {
 		t.Errorf("result = %+v", r)
 	}
-	if r.Metrics["ns/op"] != 5000 || r.Metrics["simops/s"] != 4000000 || r.Metrics["allocs/op"] != 0 {
+	if r.Metrics["ns/op"] != 5000 || r.Metrics["simops/s"] != 4000000 || r.Metrics["allocs/op"] != 0 || r.Metrics["resumes/simop"] != 0.2 {
 		t.Errorf("metrics = %v", r.Metrics)
 	}
 }
@@ -72,10 +72,12 @@ func TestCompareSameCPU(t *testing.T) {
 
 func TestCompareWithinThreshold(t *testing.T) {
 	baseline := parse(t, benchOutput)
-	// 10% slower: inside the 20% threshold. allocs/op 0 -> 3: inside slack.
-	fresh := parse(t, strings.ReplaceAll(strings.ReplaceAll(benchOutput,
+	// 10% slower: inside the 20% threshold. allocs/op 0 -> 3 and
+	// resumes/simop 0.2 -> 0.25: inside threshold plus slack.
+	fresh := parse(t, strings.ReplaceAll(strings.ReplaceAll(strings.ReplaceAll(benchOutput,
 		"20.10 ns/op", "22.00 ns/op"),
-		"       0 allocs/op", "       3 allocs/op"))
+		"       0 allocs/op", "       3 allocs/op"),
+		"0.2000 resumes/simop", "0.2500 resumes/simop"))
 	if got := regressions(compare(baseline, fresh, 0.20)); len(got) != 0 {
 		t.Errorf("unexpected regressions: %v", got)
 	}
@@ -84,11 +86,13 @@ func TestCompareWithinThreshold(t *testing.T) {
 func TestCompareCrossCPUGatesOnlyMachineIndependent(t *testing.T) {
 	baseline := parse(t, benchOutput)
 	// Different CPU: wall-clock metrics 3x worse must be SKIPPED, but an
-	// allocs/op explosion must still fail.
-	fresh := parse(t, strings.ReplaceAll(strings.ReplaceAll(strings.ReplaceAll(benchOutput,
+	// allocs/op explosion and a coroutine switch brought back per
+	// simulated op must still fail.
+	fresh := parse(t, strings.ReplaceAll(strings.ReplaceAll(strings.ReplaceAll(strings.ReplaceAll(benchOutput,
 		"Intel(R) Xeon(R) Processor @ 2.10GHz", "AMD EPYC 7B13"),
 		"20.10 ns/op", "60.00 ns/op"),
-		"       0 allocs/op", "     999 allocs/op"))
+		"       0 allocs/op", "     999 allocs/op"),
+		"0.2000 resumes/simop", "1.0000 resumes/simop"))
 	vs := compare(baseline, fresh, 0.20)
 	got := regressions(vs)
 	if got["BenchmarkEngineLoadL1 ns/op"] || got["BenchmarkEngineThroughput simops/s"] {
@@ -96,6 +100,9 @@ func TestCompareCrossCPUGatesOnlyMachineIndependent(t *testing.T) {
 	}
 	if !got["BenchmarkEngineLoadL1 allocs/op"] {
 		t.Errorf("allocs/op not gated across CPUs: %v", got)
+	}
+	if !got["BenchmarkEngineThroughput resumes/simop"] {
+		t.Errorf("resumes/simop not gated across CPUs: %v", got)
 	}
 	skips := 0
 	for _, v := range vs {
@@ -172,6 +179,23 @@ func TestReportVerdicts(t *testing.T) {
 	for _, want := range []string{"FAIL BenchmarkA", "ok   BenchmarkB", "SKIP BenchmarkC"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestMachineIndependentMetrics lists the metrics the gate checks on every
+// runner, whatever CPU recorded the baseline.
+func TestMachineIndependentMetrics(t *testing.T) {
+	for metric, want := range map[string]bool{
+		"allocs/op":     true,
+		"B/op":          true,
+		"resumes/simop": true,
+		"ns/op":         false,
+		"simops/s":      false,
+		"specs/s":       false,
+	} {
+		if got := machineIndependent(metric); got != want {
+			t.Errorf("machineIndependent(%q) = %v, want %v", metric, got, want)
 		}
 	}
 }

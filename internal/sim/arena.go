@@ -211,6 +211,7 @@ func (m *Machine) reset(cfg Config) {
 	m.released = false
 	m.raH = 0
 	m.commNative = cfg.Protocol.Spec().CommNative()
+	m.eng = EngineCounters{}
 	for i, c := range m.cores {
 		c.time = 0
 		c.req = request{}
@@ -218,6 +219,8 @@ func (m *Machine) reset(cfg Config) {
 		c.instrs = 0
 		c.yield = nil
 		c.next = nil
+		c.stop = nil
+		c.qh, c.qn, c.qcap, c.gap = 0, 0, postCap, 0
 	}
 	m.hier.reset(&m.cfg, &m.stats)
 }

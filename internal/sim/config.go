@@ -20,6 +20,22 @@
 // reductions all happen for real, and every workload validates its final
 // memory image against a sequential reference.
 //
+// A thread is resumed only when it needs a result. Operations that return
+// nothing — stores, commutative updates (native, including under RMO), and
+// the integer fetch-op a commutative update falls back to under MESI/MSI,
+// its result discarded — are posted: they queue on the issuing core, each
+// with the Work cycles since its predecessor, and the thread runs on. The
+// engine services them one at a time in the same (issue time, core id)
+// order as any other op, so simulated results are exactly those of
+// blocking on every op; the host just skips a coroutine switch pair per
+// update. Loads, CAS, atomics, the floating-point load+CAS loop, barriers,
+// Now and a full queue still block. The price is a kernel contract: a
+// thread may run ahead, in host time, of its own queued ops, so kernels
+// exchange data only through simulated memory, or through Go-side state
+// across a Barrier, which drains every queue. Machine.EngineCounters
+// reports how many ops went inline, posted or through the scheduler, and
+// how many resumes a run cost.
+//
 // Three structures keep the per-operation cost allocation-free: the
 // scheduler is a loser tree over packed (time<<16 | id) keys whose root
 // names the next core and whose path losers bound how far that core may

@@ -18,6 +18,14 @@ import (
 // implementations express the same updates. Under RMO they are shipped to
 // the line's home bank. Workloads are therefore written once and run
 // unmodified under every protocol.
+//
+// Stores and commutative updates return nothing, so they are posted: the
+// kernel goes on running while the engine services them later, in the
+// same global order as any other op (see Ctx.post). A kernel may
+// therefore run ahead, in host time, of its own pending ops, and kernels
+// must exchange data only through simulated memory, or through Go-side
+// state read on the far side of a Barrier, which drains every core's
+// pending ops.
 type Ctx struct {
 	m *Machine
 	c *core
@@ -35,8 +43,16 @@ func (x *Ctx) Chip() int { return x.c.chip }
 // NChips returns the number of processor chips.
 func (x *Ctx) NChips() int { return x.m.cfg.Chips() }
 
-// Now returns the core's current cycle count.
-func (x *Ctx) Now() uint64 { return x.c.time }
+// Now returns the core's current cycle count. With posted ops pending, that
+// count depends on their latencies, so Now first waits for the engine to
+// service them.
+func (x *Ctx) Now() uint64 {
+	if x.c.qn > 0 {
+		x.c.req = request{kind: opDrain}
+		x.yield()
+	}
+	return x.c.time
+}
 
 // Rand returns a deterministic per-core pseudo-random value.
 func (x *Ctx) Rand() uint64 { return x.c.rng.next() }
@@ -46,13 +62,21 @@ func (x *Ctx) RandN(n uint64) uint64 { return x.c.rng.intn(n) }
 
 // Work advances the core's clock by n cycles of non-memory computation and
 // accounts roughly one instruction per cycle for instruction-mix stats.
+// With posted ops pending, the clock is their issue time, so the cycles
+// are owed by the next op instead.
 func (x *Ctx) Work(n uint64) {
-	x.c.time += n
-	x.c.instrs += n
+	c := x.c
+	if c.qn == 0 {
+		c.time += n
+	} else {
+		c.gap += n
+	}
+	c.instrs += n
 }
 
-// Barrier blocks until every thread reaches it. Cost models a software tree
-// barrier (see Config.BarrierBase).
+// Barrier blocks until every thread reaches it, and so until every core's
+// posted ops have been serviced. Cost models a software tree barrier (see
+// Config.BarrierBase).
 func (x *Ctx) Barrier() {
 	x.c.req = request{kind: opBarrier}
 	x.yield()
@@ -60,9 +84,13 @@ func (x *Ctx) Barrier() {
 
 // yield suspends the kernel coroutine and hands x.c.req to the engine;
 // when the engine resumes the core, results are already in x.c.req. This
-// is a direct coroutine switch (iter.Pull), not a channel handoff.
+// is a direct coroutine switch (iter.Pull), not a channel handoff. A false
+// return means Run is stopping the coroutine; errStopped unwinds the
+// kernel to its top frame (see spawn).
 func (x *Ctx) yield() {
-	x.c.yield(struct{}{})
+	if !x.c.yield(struct{}{}) {
+		panic(errStopped)
+	}
 }
 
 // exec services the operation already stored in c.req (writing the request
@@ -81,11 +109,37 @@ func (x *Ctx) exec() *request {
 	// coroutine switch, no scheduler touch. A single-core machine never
 	// leaves this path.
 	if c.time<<16|uint64(uint16(c.id)) < m.raH {
-		c.time += m.hier.access(c)
+		c.time += m.hier.access(c, &c.req)
+		m.eng.Inline++
 		return &c.req
 	}
 	x.yield()
 	return &c.req
+}
+
+// post issues the operation in c.req, whose result the kernel never reads.
+// Below the run-ahead horizon it is serviced inline, like any op.
+// Otherwise, while the core's queue has room, it is posted: queued with
+// the Work issued since its predecessor, and the kernel runs on without a
+// coroutine switch. The engine services it when its (issue time, core id)
+// comes up, exactly where it would have serviced the op had the kernel
+// blocked on it. While ops are posted, the core's clock stays at the
+// oldest one's issue time, which failed the horizon check, so no later op
+// is serviced inline ahead of them. A full queue makes the op block.
+//
+//coup:hotpath
+func (x *Ctx) post() {
+	c := x.c
+	if c.qn < c.qcap && c.time<<16|uint64(uint16(c.id)) >= x.m.raH {
+		c.instrs++
+		e := &c.q[(c.qh+c.qn)&(postCap-1)]
+		e.req, e.gap = c.req, c.gap
+		c.gap = 0
+		c.qn++
+		x.m.eng.Posted++
+		return
+	}
+	x.exec()
 }
 
 // Load64 loads a 64-bit word.
@@ -109,13 +163,13 @@ func (x *Ctx) LoadF32(addr uint64) float32 { return math.Float32frombits(x.Load3
 // Store64 stores a 64-bit word.
 func (x *Ctx) Store64(addr, v uint64) {
 	x.c.req = request{kind: opStore, addr: addr, val: v, width: 8}
-	x.exec()
+	x.post()
 }
 
 // Store32 stores a 32-bit word.
 func (x *Ctx) Store32(addr uint64, v uint32) {
 	x.c.req = request{kind: opStore, addr: addr, val: uint64(v), width: 4}
-	x.exec()
+	x.post()
 }
 
 // StoreF64 stores a float64.
@@ -161,28 +215,29 @@ func (x *Ctx) CAS32(addr uint64, old, new uint32) bool {
 	return x.exec().ok
 }
 
-// comm issues a commutative update, falling back per protocol.
+// comm issues a commutative update, falling back per protocol. Every form
+// but the floating-point load+CAS loop discards its result, so it posts.
 //
 //coup:hotpath
 func (x *Ctx) comm(t ops.Type, addr, v uint64, width uint8) {
 	if x.m.commNative {
 		x.c.req = request{kind: opComm, addr: addr, val: v, width: width, otype: t}
-		x.exec()
+		x.post()
 	} else {
 		// MESI baseline: the same update expressed with conventional atomics.
 		switch t {
 		case ops.AddI16, ops.AddI32, ops.AddI64:
 			x.c.req = request{kind: opRMW, addr: addr, val: v, width: width, rop: rmwAdd}
-			x.exec()
+			x.post()
 		case ops.Or64:
 			x.c.req = request{kind: opRMW, addr: addr, val: v, width: width, rop: rmwOr}
-			x.exec()
+			x.post()
 		case ops.And64:
 			x.c.req = request{kind: opRMW, addr: addr, val: v, width: width, rop: rmwAnd}
-			x.exec()
+			x.post()
 		case ops.Xor64:
 			x.c.req = request{kind: opRMW, addr: addr, val: v, width: width, rop: rmwXor}
-			x.exec()
+			x.post()
 		case ops.AddF32:
 			for {
 				old := x.Load32(addr)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 	"math/bits"
@@ -15,9 +16,10 @@ type opKind uint8
 const (
 	opLoad opKind = iota
 	opStore
-	opRMW  // atomic read-modify-write (fetch-and-op); returns the old value
-	opCAS  // compare-and-swap; may fail
-	opComm // commutative update (COUP instruction)
+	opRMW   // atomic read-modify-write (fetch-and-op); returns the old value
+	opCAS   // compare-and-swap; may fail
+	opComm  // commutative update (COUP instruction)
+	opDrain // no memory access: the kernel waits for its posted ops (Ctx.Now)
 	opBarrier
 	opFinish
 )
@@ -33,7 +35,8 @@ const (
 	rmwXchg
 )
 
-// request is the operation a core hands to the engine when it yields.
+// request is the operation a core hands to the engine when it yields or
+// posts.
 type request struct {
 	kind  opKind
 	addr  uint64
@@ -48,10 +51,28 @@ type request struct {
 	ok  bool
 }
 
+// postCap is the capacity of a core's posted-op queue (a power of two,
+// so the ring indexes with a mask). A kernel that issues more result-less
+// ops in a row than this blocks on the next one.
+const postCap = 16
+
+// posted is a queued result-less operation and the Work cycles between
+// its predecessor's completion and its own issue.
+type posted struct {
+	req request
+	gap uint64
+}
+
 // core is one simulated hardware context. Its kernel runs inside a pulled
 // iterator (iter.Pull), so suspending at a memory operation and resuming
 // with the result is a direct coroutine switch on the engine's goroutine
 // schedule — no channel operations and no Go-scheduler round trip.
+//
+// Operations that return nothing to the kernel are posted instead (see
+// Ctx.post): they queue in q, oldest at q[qh], and the kernel runs on.
+// While any are pending, time is the oldest one's issue time — the core's
+// scheduler key — and gap collects the Work issued after the newest one,
+// owed by whatever the kernel blocks on next.
 type core struct {
 	id, chip int
 	time     uint64
@@ -59,8 +80,14 @@ type core struct {
 	pc       *privCache              // this core's private caches (hierarchy-owned)
 	yield    func(struct{}) bool     // suspends the kernel, set once at spawn
 	next     func() (struct{}, bool) // resumes the kernel until its next request
+	stop     func()                  // unwinds a suspended kernel (Run's panic path)
 	rng      rng
 	instrs   uint64 // Work()-modelled instructions
+
+	q      [postCap]posted
+	qh, qn int // ring head and length
+	qcap   int // posting capacity: postCap, or 0 to make every op block (tests)
+	gap    uint64
 }
 
 // Machine is a configured simulated system. Build one with New, set up the
@@ -75,28 +102,52 @@ type Machine struct {
 	ran      bool
 
 	// arena/shape link a machine built by NewIn back to its pool; released
-	// guards against double Release. Scheduler scratch (treeKeys, treeLos,
-	// barrier) is owned by the machine so recycled machines run without
-	// per-Run allocations.
+	// guards against double Release. Scheduler scratch (treeKeys, treeLos)
+	// is owned by the machine so recycled machines run without per-Run
+	// allocations.
 	arena    *Arena
 	shape    machineShape
 	released bool
 	treeKeys []uint64
 	treeLos  []int32
-	barrier  []*core
 
 	// raH is the run-ahead horizon: the packed (time<<16 | id) key of the
 	// earliest next operation among every core except the one currently
 	// executing. Ctx.exec services operations inline — without a coroutine
 	// switch — while the running core's own packed key stays below this
-	// horizon. The zero value makes every core yield its first operation
-	// to the scheduler. Only runTree and releaseBarrier update it.
+	// horizon. The zero value makes every core post or yield its first
+	// operation. Only runTree and releaseBarrier update it.
 	raH uint64
 
 	// commNative caches Protocol.Spec().CommNative() so the per-operation
 	// dispatch in Ctx.comm avoids the protocol-table lock.
 	commNative bool
+
+	eng EngineCounters
 }
+
+// EngineCounters are host-side counts of how the engine serviced one Run.
+// They describe the simulator's own work, not the simulated machine, so
+// they stay outside Stats and the golden files; like Stats they are
+// deterministic for a given configuration and kernel. Every simulated
+// access is serviced exactly once, inline or by the scheduler, so
+// Inline+Scheduled == Stats.Accesses.
+type EngineCounters struct {
+	// Resumes counts kernel coroutine resumes: one to start each kernel,
+	// one after each blocking op the scheduler services, one per core per
+	// barrier release. Each is a coroutine switch pair.
+	Resumes uint64
+	// Inline counts ops serviced in Ctx under the run-ahead horizon.
+	Inline uint64
+	// Posted counts result-less ops queued on their core.
+	Posted uint64
+	// Scheduled counts ops serviced by the scheduler: posted ops and the
+	// blocking ops a kernel yielded.
+	Scheduled uint64
+}
+
+// EngineCounters returns the engine counts of the machine's Run.
+func (m *Machine) EngineCounters() EngineCounters { return m.eng }
 
 // New builds a machine for cfg. It panics on invalid configuration (a
 // programming error in experiment setup, not a runtime condition).
@@ -115,6 +166,7 @@ func New(cfg Config) *Machine {
 			id:   i,
 			chip: i / cfg.CoresPerChip,
 			rng:  newRNG(cfg.Seed*0x9E3779B97F4A7C15 + uint64(i) + 1),
+			qcap: postCap,
 		}
 	}
 	m.hier = newHierarchy(&m.cfg, &m.stats)
@@ -166,18 +218,26 @@ func (m *Machine) ReadWord32(addr uint64) uint32 { return m.hier.store.read32(ad
 // Stats returns the collected statistics. Valid after Run.
 func (m *Machine) Stats() Stats { return m.stats }
 
+// errStopped unwinds a suspended kernel whose coroutine is being stopped:
+// Ctx.yield panics with it, and the coroutine's top frame recovers it.
+var errStopped = errors.New("sim: kernel stopped")
+
 // spawn starts kernel as a coroutine on core c and runs it to its first
-// request. The kernel body executes inside the pulled iterator: Ctx.issue
-// stores the request on the core and yields, and the engine resumes the
-// core by pulling again after writing results into c.req.
+// request. The kernel body executes inside the pulled iterator: Ctx.yield
+// suspends it with a request stored on the core, and the engine resumes
+// the core by pulling again after writing results into c.req.
 func (m *Machine) spawn(c *core, kernel func(*Ctx)) {
-	var stop func()
-	c.next, stop = iter.Pull(func(yield func(struct{}) bool) {
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil && r != errStopped {
+				panic(r)
+			}
+		}()
 		c.yield = yield
 		kernel(&Ctx{m: m, c: c})
 		c.req = request{kind: opFinish}
 	})
-	_ = stop // kernels always run to completion; the iterator exhausts itself
+	m.eng.Resumes++
 	c.next()
 }
 
@@ -196,6 +256,17 @@ func (m *Machine) Run(kernel func(c *Ctx)) Stats {
 		panic("sim: Machine.Run called twice")
 	}
 	m.ran = true
+	// A kernel panic surfaces here from a resume. Stop every other
+	// kernel on the way out, or each would stay parked in its coroutine,
+	// holding the machine, for the life of the process. Finished
+	// coroutines make stop a no-op, so the normal return pays n calls.
+	defer func() {
+		for _, c := range m.cores {
+			if c.stop != nil {
+				c.stop()
+			}
+		}
+	}()
 
 	// Spawn every core's kernel coroutine, running each to its first
 	// operation.
@@ -217,16 +288,22 @@ func (m *Machine) Run(kernel func(c *Ctx)) Stats {
 const notRunnable = ^uint64(0)
 
 // runTree drives the simulation with a loser (tournament) tree over packed
-// (time<<16 | id) keys, one leaf per core. Picking the earliest core is a
-// root read; re-keying a serviced core replays log2(cores) matches; and the
-// run-ahead horizon — the earliest op among every other core — is the best
-// of the losers along the winner's path. The packed keys make every match a
-// single uint64 compare with the (time, id) tie-break built in. The picked
-// core is resumed with that horizon published in raH, so it keeps
-// servicing its own operations inline (in Ctx.exec, with no scheduler work
-// and no coroutine switch) until it would overtake another core; a
-// single-core machine runs its whole kernel inline. It returns the maximum
-// core finish time.
+// (time<<16 | id) keys, one leaf per core. A core's key is the issue time
+// of its oldest pending op: a posted op while any are queued, else the op
+// its kernel blocked on. Picking the earliest core is a root read;
+// re-keying a serviced core replays log2(cores) matches; and the run-ahead
+// horizon — the earliest op among every other core — is the best of the
+// losers along the winner's path. The packed keys make every match a single
+// uint64 compare with the (time, id) tie-break built in.
+//
+// A picked core with posted ops has its oldest one serviced and is
+// re-keyed; its kernel stays suspended. Once its queue is empty, its
+// blocking op is serviced and the kernel resumed with the horizon
+// published in raH, so it keeps servicing its own operations inline (in
+// Ctx.exec, with no scheduler work and no coroutine switch) until it would
+// overtake another core; a single-core machine runs nearly its whole
+// kernel inline. Either way every op is serviced in (issue time, core id)
+// order. It returns the maximum core finish time.
 func (m *Machine) runTree() uint64 {
 	n := len(m.cores)
 	p2 := 1
@@ -280,12 +357,22 @@ func (m *Machine) runTree() uint64 {
 	// declared once rather than zeroed per operation.
 	var pathLos [treeDepth]int32
 	var pathKeys [treeDepth]uint64
-	live := n
-	barrierWait := m.barrier[:0]
-	var end uint64
+	live, waiting := n, 0
+	var lastArrival, end uint64
 	for live > 0 {
 		i1 := int(los[0])
+		if keys[i1] == notRunnable {
+			panic("sim: deadlock — some cores finished while others wait at a barrier")
+		}
 		c := m.cores[i1]
+		if c.qn > 0 {
+			// The core's oldest posted op is the earliest op anywhere.
+			// Service it and re-key; the kernel stays suspended.
+			m.servePosted(c)
+			keys[i1] = packKey(c.time, i1)
+			update(i1)
+			continue
+		}
 		if c.req.kind == opFinish {
 			live--
 			if c.time > end {
@@ -298,13 +385,16 @@ func (m *Machine) runTree() uint64 {
 		if c.req.kind == opBarrier {
 			keys[i1] = notRunnable
 			update(i1)
-			barrierWait = append(barrierWait, c)
-			if len(barrierWait) == live {
-				m.releaseBarrier(barrierWait, func(w *core) {
+			waiting++
+			if c.time > lastArrival {
+				lastArrival = c.time
+			}
+			if waiting == live {
+				m.releaseBarrier(lastArrival, func(w *core) {
 					keys[w.id] = packKey(w.time, w.id)
 				})
 				los[0] = build(1)
-				barrierWait = barrierWait[:0]
+				waiting, lastArrival = 0, 0
 			}
 			continue
 		}
@@ -326,8 +416,12 @@ func (m *Machine) runTree() uint64 {
 			}
 		}
 		m.raH = h
-		c.time += m.hier.access(c)
-		c.next() // the kernel run-ahead services further ops inline
+		if c.req.kind != opDrain {
+			c.time += m.hier.access(c, &c.req)
+			m.eng.Scheduled++
+		}
+		m.eng.Resumes++
+		c.next() // the kernel runs on: inline below the horizon, posting above it
 		// Re-key the winner and replay its matches against the recorded
 		// path losers.
 		nk := packKey(c.time, i1)
@@ -344,11 +438,26 @@ func (m *Machine) runTree() uint64 {
 		}
 		los[0] = w
 	}
-	if len(barrierWait) > 0 {
-		panic("sim: deadlock — some cores finished while others wait at a barrier")
-	}
-	m.barrier = barrierWait[:0]
 	return end
+}
+
+// servePosted services c's oldest posted op, then advances c's clock by
+// the Work that separates that op's completion from the issue of c's next
+// pending op, so that c.time is again c's scheduler key.
+//
+//coup:hotpath
+func (m *Machine) servePosted(c *core) {
+	e := &c.q[c.qh&(postCap-1)]
+	c.time += m.hier.access(c, &e.req)
+	m.eng.Scheduled++
+	c.qh = (c.qh + 1) & (postCap - 1)
+	c.qn--
+	if c.qn > 0 {
+		c.time += c.q[c.qh&(postCap-1)].gap
+	} else {
+		c.time += c.gap
+		c.gap = 0
+	}
 }
 
 // packKey packs a core's next-op time and id into one comparable word:
@@ -363,29 +472,25 @@ func packKey(t uint64, id int) uint64 {
 	return t<<16 | uint64(id)
 }
 
-// releaseBarrier aligns all waiting cores to the barrier exit time and
-// resumes them one at a time (deterministically, in core order), each
-// yielding its next operation back to the scheduler via reschedule.
-func (m *Machine) releaseBarrier(waiting []*core, reschedule func(*core)) {
-	var maxT uint64
-	for _, c := range waiting {
-		if c.time > maxT {
-			maxT = c.time
-		}
-	}
-	exit := maxT + m.cfg.BarrierBase + m.cfg.BarrierPerLog2Core*log2ceil(m.cfg.Cores)
+// releaseBarrier aligns every core waiting at the barrier to its exit time
+// (the last arrival plus the barrier cost) and resumes them one at a time,
+// deterministically in core order, each running to its next pending op
+// before reschedule re-keys it. The waiters are exactly the cores parked
+// at opBarrier: a core parks only once its posted ops have drained, and
+// every live core has parked by the time the barrier releases.
+func (m *Machine) releaseBarrier(lastArrival uint64, reschedule func(*core)) {
+	exit := lastArrival + m.cfg.BarrierBase + m.cfg.BarrierPerLog2Core*log2ceil(m.cfg.Cores)
 	// Inline servicing is off during the release (a zero horizon fails
-	// every run-ahead check), so resumed kernels stop at their next
-	// operation and the scheduler interleaves the post-barrier ops in
+	// every run-ahead check), so resumed kernels post or block at their
+	// next operation and the scheduler interleaves the post-barrier ops in
 	// global time order.
 	m.raH = 0
-	for id := 0; id < len(m.cores); id++ {
-		for _, c := range waiting {
-			if c.id == id {
-				c.time = exit
-				c.next()
-				reschedule(c)
-			}
+	for _, c := range m.cores {
+		if c.req.kind == opBarrier {
+			c.time = exit
+			m.eng.Resumes++
+			c.next()
+			reschedule(c)
 		}
 	}
 }

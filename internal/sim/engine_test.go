@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // TestSteadyStateZeroAllocs pins the engine's allocation-free hot path: in
@@ -282,5 +284,225 @@ func TestTreeSchedulerAtBoundary(t *testing.T) {
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// soupKernel issues a random mix of every Ctx operation over a few shared
+// lines: loads, stores and atomics of both widths, CAS, every commutative
+// update, Work, Now, SpinLock, and bursts of result-less ops longer than
+// a core's posting queue, with every core meeting at a barrier per round.
+// Each core records its Now readings in nows.
+func soupKernel(base, lock, nWords uint64, nows [][]uint64) func(*Ctx) {
+	return func(c *Ctx) {
+		tid := c.Tid()
+		for round := 0; round < 3; round++ {
+			n := 40 + c.RandN(60)
+			for i := uint64(0); i < n; i++ {
+				a := base + 8*c.RandN(nWords)
+				switch c.RandN(20) {
+				case 0:
+					c.Load64(a)
+				case 1:
+					c.Load32(a + 4*c.RandN(2))
+				case 2:
+					c.Store64(a, c.Rand())
+				case 3:
+					c.Store32(a+4*c.RandN(2), uint32(c.Rand()))
+				case 4:
+					c.StoreF64(a, float64(c.RandN(100)))
+				case 5:
+					c.AtomicAdd64(a, 3)
+				case 6:
+					c.AtomicAdd32(a+4*c.RandN(2), 5)
+				case 7:
+					c.AtomicOr64(a, 1<<c.RandN(64))
+				case 8:
+					c.AtomicXchg64(a, c.Rand())
+				case 9:
+					c.CAS64(a, c.Load64(a), c.Rand())
+				case 10:
+					c.CAS32(a, c.Load32(a), uint32(c.Rand()))
+				case 11:
+					c.CommAdd64(a, c.RandN(9))
+				case 12:
+					c.CommAdd32(a+4*c.RandN(2), uint32(c.RandN(9)))
+				case 13:
+					switch c.RandN(3) {
+					case 0:
+						c.CommOr64(a, 1<<c.RandN(64))
+					case 1:
+						c.CommAnd64(a, ^(uint64(1) << c.RandN(64)))
+					default:
+						c.CommXor64(a, c.Rand())
+					}
+				case 14:
+					if c.RandN(2) == 0 {
+						c.CommAddF64(a, 1.5)
+					} else {
+						c.CommAddF32(a+4*c.RandN(2), 0.25)
+					}
+				case 15:
+					c.Work(c.RandN(40))
+				case 16:
+					nows[tid] = append(nows[tid], c.Now())
+				case 17:
+					// A burst of result-less ops: more than one queue's
+					// worth, with Work between some of them.
+					for j := uint64(0); j < postCap+1+c.RandN(2*postCap); j++ {
+						b := base + 8*c.RandN(nWords)
+						if c.RandN(3) == 0 {
+							c.Store64(b, j)
+						} else {
+							c.CommAdd64(b, 1)
+						}
+						if c.RandN(4) == 0 {
+							c.Work(c.RandN(20))
+						}
+					}
+					nows[tid] = append(nows[tid], c.Now())
+				case 18:
+					c.SpinLock(lock)
+					c.Store64(a, c.Load64(a)+1)
+					c.SpinUnlock(lock)
+				default:
+					c.LoadF64(a)
+				}
+			}
+			c.Barrier()
+			nows[tid] = append(nows[tid], c.Now())
+		}
+	}
+}
+
+// TestPostingPreservesResults pins the posting contract: queuing result-
+// less ops instead of blocking on them never changes a simulated result.
+// Each random soup runs twice per protocol — as built, and with every
+// core's posting capacity cut to zero so every op blocks — and the Stats,
+// final memory image and per-core Now readings must be identical.
+func TestPostingPreservesResults(t *testing.T) {
+	type outcome struct {
+		st   Stats
+		mem  []uint64
+		nows [][]uint64
+		eng  EngineCounters
+	}
+	run := func(p Protocol, seed uint64, posting bool) outcome {
+		cfg := smallCfg(20, p) // two chips
+		cfg.Seed = seed
+		m := New(cfg)
+		if !posting {
+			for _, c := range m.cores {
+				c.qcap = 0
+			}
+		}
+		const nWords = 48 // six lines
+		base := m.Alloc(nWords*8, 64)
+		lock := m.Alloc(64, 64)
+		nows := make([][]uint64, cfg.Cores)
+		st := m.Run(soupKernel(base, lock, nWords, nows))
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%v seed %d posting=%v: %v", p, seed, posting, err)
+		}
+		out := outcome{st: st, nows: nows, eng: m.EngineCounters()}
+		for k := uint64(0); k < nWords; k++ {
+			out.mem = append(out.mem, m.ReadWord64(base+8*k))
+		}
+		out.mem = append(out.mem, m.ReadWord64(lock))
+		return out
+	}
+	for _, p := range []Protocol{MESI, MEUSI, MSI, MUSI, RMO} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			posted, blocking := run(p, seed, true), run(p, seed, false)
+			if posted.st != blocking.st {
+				t.Errorf("%v seed %d: stats differ\nposted:   %+v\nblocking: %+v", p, seed, posted.st, blocking.st)
+			}
+			if !reflect.DeepEqual(posted.mem, blocking.mem) {
+				t.Errorf("%v seed %d: memory images differ", p, seed)
+			}
+			if !reflect.DeepEqual(posted.nows, blocking.nows) {
+				t.Errorf("%v seed %d: Now readings differ", p, seed)
+			}
+			if blocking.eng.Posted != 0 || posted.eng.Posted == 0 {
+				t.Errorf("%v seed %d: posted %d ops with posting, %d without", p, seed, posted.eng.Posted, blocking.eng.Posted)
+			}
+			if posted.eng.Resumes >= blocking.eng.Resumes {
+				t.Errorf("%v seed %d: posting resumed kernels %d times, blocking %d", p, seed, posted.eng.Resumes, blocking.eng.Resumes)
+			}
+			for _, o := range []outcome{posted, blocking} {
+				if o.eng.Inline+o.eng.Scheduled != o.st.Accesses {
+					t.Errorf("%v seed %d: %d inline + %d scheduled ops, want %d accesses", p, seed, o.eng.Inline, o.eng.Scheduled, o.st.Accesses)
+				}
+			}
+		}
+	}
+}
+
+// TestEngineCountersPinned pins the engine counts of the wide scheduler
+// kernel at 48 cores. They are deterministic, so any change to how the
+// engine services ops — a coroutine switch brought back per update, a lost
+// run-ahead — moves them.
+func TestEngineCountersPinned(t *testing.T) {
+	m := New(smallCfg(48, MEUSI))
+	shared := m.Alloc(128, 64)
+	m.Run(wideKernel(shared))
+	want := EngineCounters{Resumes: 496, Inline: 66, Posted: 5566, Scheduled: 5822}
+	if got := m.EngineCounters(); got != want {
+		t.Errorf("engine counters %+v, want %+v", got, want)
+	}
+}
+
+// TestPanickingKernelStopsCoroutines: a kernel panic propagates out of Run
+// with the kernel's own value, and Run stops every other core's coroutine
+// on the way out, so recovered panics leave no goroutine (and no machine)
+// behind. Cores are caught parked at a barrier, blocked on a load, with
+// posts queued, and not yet spawned.
+func TestPanickingKernelStopsCoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, at := range []int{0, 1, 3} {
+		m := New(smallCfg(16, MEUSI))
+		ctr := m.Alloc(64, 64)
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			m.Run(func(c *Ctx) {
+				if c.Tid() == 5 {
+					for i := 0; i < at; i++ {
+						c.Load64(ctr)
+					}
+					panic(fmt.Sprintf("kernel 5 at %d", at))
+				}
+				for i := 0; i < 3; i++ {
+					c.CommAdd64(ctr, 1)
+				}
+				if c.Tid()%2 == 0 {
+					c.Barrier()
+				}
+				c.Load64(ctr)
+				c.Barrier()
+			})
+			return nil
+		}()
+		if want := fmt.Sprintf("kernel 5 at %d", at); got != want {
+			t.Errorf("recovered %v, want %q", got, want)
+		}
+	}
+	// The engine's deadlock panic unwinds the same way: core 0 finishes
+	// after every other core has parked at a barrier it never reaches.
+	m := New(smallCfg(8, MESI))
+	func() {
+		defer func() { recover() }()
+		m.Run(func(c *Ctx) {
+			if c.Tid() == 0 {
+				c.Work(1 << 20)
+				return
+			}
+			c.Barrier()
+		})
+		t.Error("a barrier core 0 never reaches must deadlock")
+	}()
+	for i := 0; runtime.NumGoroutine() > base && i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after recovered panics, %d before", n, base)
 	}
 }

@@ -473,12 +473,12 @@ func bit(i int) uint64 { return 1 << uint(i) }
 // downgrading one of its cores' private caches.
 func (h *hierarchy) invalRTT() uint64 { return 2*h.cfg.OnChipHop + h.cfg.L2Lat }
 
-// access performs one core memory operation: functional effect plus
-// critical-path latency. It returns the operation's total latency.
+// access performs core c's memory operation r, issued at c.time:
+// functional effect plus critical-path latency. It returns the operation's
+// total latency.
 //
 //coup:hotpath
-func (h *hierarchy) access(c *core) uint64 {
-	r := &c.req
+func (h *hierarchy) access(c *core, r *request) uint64 {
 	h.now = c.time
 	h.st.Accesses++
 	var atomicOp bool // RMW, CAS and commutative updates pay AtomicOverhead
@@ -494,7 +494,7 @@ func (h *hierarchy) access(c *core) uint64 {
 		h.st.CommUpdates++
 		atomicOp = true
 		if h.remote {
-			return h.rmoUpdate(c)
+			return h.rmoUpdate(c, r)
 		}
 	}
 
@@ -1399,8 +1399,7 @@ func (h *hierarchy) memWriteBackground(line uint64) {
 // rmoUpdate executes a commutative update remotely at the line's home L4
 // bank (Fig 1b): no caching by the updater, every update crosses the
 // network, and the bank ALU is the serialization point.
-func (h *hierarchy) rmoUpdate(c *core) uint64 {
-	r := &c.req
+func (h *hierarchy) rmoUpdate(c *core, r *request) uint64 {
 	line := r.addr >> 6
 	tx := txn{now: c.time}
 	tx.adv(h.cfg.L1Lat, &tx.bd.L1)

@@ -67,6 +67,10 @@ func (m *Machine) ReadWord32(addr uint64) uint32 { return m.m.ReadWord32(addr) }
 
 // Run executes kernel once per simulated core, each as a simulated thread,
 // and returns the run's statistics. Run may be called once per Machine.
+// A kernel runs ahead, in host time, of its own stores and commutative
+// updates, so kernels must exchange data through simulated memory, or
+// through Go-side state only across a Barrier. A kernel's panic propagates
+// out of Run once every other kernel has been stopped.
 func (m *Machine) Run(kernel func(c *Ctx)) Stats {
 	st := m.m.Run(kernel)
 	return statsFrom(st, m.m.Config(), "")
