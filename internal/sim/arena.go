@@ -211,6 +211,8 @@ func (m *Machine) reset(cfg Config) {
 	m.released = false
 	m.raH = 0
 	m.commNative = cfg.Protocol.Spec().CommNative()
+	clear(m.frozen)
+	m.frozen = m.frozen[:0]
 	m.eng = EngineCounters{}
 	for i, c := range m.cores {
 		c.time = 0

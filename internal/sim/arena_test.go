@@ -209,3 +209,56 @@ func TestArenaRunAfterReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaResetUnfreezes: a recycled machine forgets what its last run
+// froze. A spec that freezes a large input and a spec that writes the
+// same addresses alternate on one pooled machine; the writes succeed and
+// match a fresh machine's run.
+func TestArenaResetUnfreezes(t *testing.T) {
+	const lines = 512
+	cfg := smallCfg(4, MEUSI)
+	frozenRun := func(a *Arena) {
+		m := NewIn(a, cfg)
+		in := m.Alloc(lines*64, 64)
+		m.Freeze(in, lines*64)
+		m.Run(func(c *Ctx) {
+			for i := 0; i < lines; i += 4 {
+				c.Load64(in + uint64(i+c.Tid())*64)
+			}
+		})
+		m.Release()
+	}
+	writeRun := func(a *Arena) (Stats, uint64) {
+		m := NewIn(a, cfg)
+		in := m.Alloc(lines*64, 64)
+		m.Freeze(in, 64) // a smaller frozen range leaves the rest writable
+		st := m.Run(func(c *Ctx) {
+			for i := 1; i < lines; i++ {
+				c.CommAdd64(in+uint64(i)*64, 1)
+				c.Store64(in+uint64(i)*64+8, uint64(i))
+			}
+		})
+		sum := m.ReadWord64(in + (lines-1)*64)
+		m.Release()
+		return st, sum
+	}
+	want, wantSum := writeRun(nil)
+	if wantSum != uint64(cfg.Cores) {
+		t.Fatalf("fresh machine: last line %d, want %d", wantSum, cfg.Cores)
+	}
+	a := NewArena()
+	for round := 0; round < 2; round++ {
+		frozenRun(a)
+		got, sum := writeRun(a)
+		if got != want || sum != wantSum {
+			t.Fatalf("round %d: recycled machine after a frozen spec: stats %+v sum %d, want %+v sum %d", round, got, sum, want, wantSum)
+		}
+	}
+	if warm, _ := a.PoolStats(); warm != 3 {
+		t.Errorf("arena served %d warm machines, want 3", warm)
+	}
+	// Freezing nothing puts a recycled machine back on the one-compare path.
+	if m := NewIn(a, cfg); len(m.frozen) != 0 {
+		t.Errorf("recycled machine keeps a %d-word frozen bitmap", len(m.frozen))
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -64,6 +65,41 @@ func BenchmarkEngineContendedCounter(b *testing.B) {
 			m.Run(func(c *Ctx) {
 				for i := 0; i < b.N; i++ {
 					c.CommAdd64(ctr, 1)
+				}
+			})
+			b.StopTimer()
+			reportEngine(b, m)
+		})
+	}
+}
+
+// BenchmarkEngineFrozenScan holds both posting paths for input that
+// nothing writes: each of 16 cores streams a frozen index array and a
+// frozen value array, whose loads post, and CommAddF64s into a shared
+// 512-entry vector, which under MESI is a load+CAS loop the engine runs.
+// Its resumes/simop stays near one per full posting queue; it rises
+// towards one per access if either path blocks again.
+func BenchmarkEngineFrozenScan(b *testing.B) {
+	for _, p := range []Protocol{MESI, MEUSI} {
+		b.Run(p.String(), func(b *testing.B) {
+			const cores, n, bins = 16, 8192, 512
+			m := New(benchCfg(cores, p))
+			idx := m.Alloc(n*4, 64)
+			val := m.Alloc(n*8, 64)
+			for i := uint64(0); i < n; i++ {
+				m.WriteWord32(idx+4*i, uint32(i*2654435761%bins))
+				m.WriteWord64(val+8*i, math.Float64bits(float64(i%7)))
+			}
+			m.Freeze(idx, n*4)
+			m.Freeze(val, n*8)
+			y := m.Alloc(bins*8, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			m.Run(func(c *Ctx) {
+				for i := 0; i < b.N; i++ {
+					k := uint64(i+c.Tid()*n/cores) % n
+					j := c.Load32(idx + 4*k)
+					c.CommAddF64(y+8*uint64(j), c.LoadF64(val+8*k))
 				}
 			})
 			b.StopTimer()

@@ -22,33 +22,38 @@
 //
 // A thread is resumed only when it needs a result. Operations that return
 // nothing — stores, commutative updates (native, including under RMO), and
-// the integer fetch-op a commutative update falls back to under MESI/MSI,
-// its result discarded — are posted: they queue on the issuing core, each
-// with the Work cycles since its predecessor, and the thread runs on. The
-// engine services them one at a time in the same (issue time, core id)
-// order as any other op, so simulated results are exactly those of
-// blocking on every op; the host just skips a coroutine switch pair per
-// update. Loads, CAS, atomics, the floating-point load+CAS loop, barriers,
-// Now and a full queue still block. The price is a kernel contract: a
-// thread may run ahead, in host time, of its own queued ops, so kernels
-// exchange data only through simulated memory, or through Go-side state
-// across a Barrier, which drains every queue. Machine.EngineCounters
-// reports how many ops went inline, posted or through the scheduler, and
-// how many resumes a run cost.
+// what a commutative update falls back to under MESI/MSI: the integer
+// fetch-op with its result discarded, or the floating-point load+CAS retry
+// loop, which the engine runs one access at a time — are posted: they
+// queue on the issuing core, each with the Work cycles since its
+// predecessor, and the thread runs on. So are loads of memory frozen with
+// Machine.Freeze: nothing writes it, so the value is known at issue and
+// only the access's timing is left to the engine. The engine services
+// posted ops one at a time in the same (issue time, core id) order as any
+// other op, so simulated results are exactly those of blocking on every
+// op; the host just skips a coroutine switch pair per op. Loads of written
+// memory, CAS, atomics, barriers, Now and a full queue still block. The
+// price is a kernel contract: a thread may run ahead, in host time, of its
+// own queued ops, so kernels exchange data only through simulated memory,
+// or through Go-side state across a Barrier, which drains every queue; and
+// kernels never write frozen memory, which panics with a
+// *FrozenWriteError. Machine.EngineCounters reports how many ops went
+// inline, posted or through the scheduler, and how many resumes a run
+// cost.
 //
 // Three structures keep the per-operation cost allocation-free: the
 // scheduler is a loser tree over packed (time<<16 | id) keys whose root
 // names the next core and whose path losers bound how far that core may
 // run ahead — operations below that horizon are serviced inline in
-// Ctx.exec with no coroutine switch at all (a single-core machine runs its
-// whole kernel that way); the cache and directory arrays store 31-bit
-// hardware-style tags structure-of-arrays in lazily allocated pages; and
-// the backing memory image is a two-level paged table with lines embedded
-// by value. The loser tree is the only scheduler: it covers every machine
-// the package can build, because the hierarchy tracks sharers in uint64
-// bitvectors — one bit per chip at the L4 directory, one per core at each
-// L3 — which caps a machine at 64 chips of 64 cores (4096). See README.md
-// for measured throughput.
+// Ctx.exec or Ctx.post with no coroutine switch at all (a single-core
+// machine runs its whole kernel that way); the cache and directory arrays
+// store 31-bit hardware-style tags structure-of-arrays in lazily allocated
+// pages; and the backing memory image is a two-level paged table with
+// lines embedded by value. The loser tree is the only scheduler: it covers
+// every machine the package can build, because the hierarchy tracks
+// sharers in uint64 bitvectors — one bit per chip at the L4 directory, one
+// per core at each L3 — which caps a machine at 64 chips of 64 cores
+// (4096). See README.md for measured throughput.
 //
 // The simulator substitutes for zsim (Sanchez & Kozyrakis, ISCA'13), which
 // is unavailable here; see DESIGN.md for the substitution argument.

@@ -14,18 +14,21 @@ import (
 //
 // Under the MESI baseline the Comm* methods transparently fall back to the
 // equivalent atomic read-modify-write (integer) or load+CAS retry loop
-// (floating point), exactly how the paper's baseline benchmark
-// implementations express the same updates. Under RMO they are shipped to
-// the line's home bank. Workloads are therefore written once and run
-// unmodified under every protocol.
+// (floating point, run by the engine), exactly how the paper's baseline
+// benchmark implementations express the same updates. Under RMO they are
+// shipped to the line's home bank. Workloads are therefore written once
+// and run unmodified under every protocol.
 //
 // Stores and commutative updates return nothing, so they are posted: the
 // kernel goes on running while the engine services them later, in the
-// same global order as any other op (see Ctx.post). A kernel may
-// therefore run ahead, in host time, of its own pending ops, and kernels
-// must exchange data only through simulated memory, or through Go-side
-// state read on the far side of a Barrier, which drains every core's
-// pending ops.
+// same global order as any other op (see Ctx.post). Loads of memory
+// frozen with Machine.Freeze post too, with the value they would return.
+// A kernel may therefore run ahead, in host time, of its own pending ops.
+// That makes a contract: kernels exchange data only through simulated
+// memory, or through Go-side state read on the far side of a Barrier,
+// which drains every core's pending ops; and kernels never write frozen
+// memory, which fails loudly with a *FrozenWriteError instead of returning
+// a stale value.
 type Ctx struct {
 	m *Machine
 	c *core
@@ -93,15 +96,26 @@ func (x *Ctx) yield() {
 	}
 }
 
-// exec services the operation already stored in c.req (writing the request
-// directly into the core avoids copying it through a parameter) and returns
-// it with its results filled in.
+// exec issues the operation already stored in c.req (writing the request
+// directly into the core avoids copying it through a parameter), whose
+// result the kernel reads, and returns it with the result filled in.
 //
 //coup:hotpath
 func (x *Ctx) exec() *request {
 	c := x.c
-	c.instrs++
 	m := x.m
+	if m.frozenAt(c.req.addr) {
+		// Nothing writes a frozen line (post fails an atomic or CAS that
+		// would), so its image already holds the value the engine will
+		// load: the kernel takes it now, and the load posts.
+		w := m.hier.store.read64(c.req.addr)
+		if c.req.width == 4 {
+			w = uint64(word32(w, c.req.addr))
+		}
+		c.req.out = w
+		x.post()
+		return &c.req
+	}
 	// Run-ahead fast path: while this core's clock is still ahead of every
 	// other core's next operation (the packed horizon raH, maintained by
 	// the scheduler and frozen while this core runs), the operation is the
@@ -117,8 +131,10 @@ func (x *Ctx) exec() *request {
 	return &c.req
 }
 
-// post issues the operation in c.req, whose result the kernel never reads.
-// Below the run-ahead horizon it is serviced inline, like any op.
+// post issues the operation in c.req, whose result the kernel never
+// reads: a write that returns nothing, or a load of frozen memory whose
+// value exec already took. Below the run-ahead horizon it is serviced
+// inline, like any op; a float-add loop steps inline while it stays below.
 // Otherwise, while the core's queue has room, it is posted: queued with
 // the Work issued since its predecessor, and the kernel runs on without a
 // coroutine switch. The engine services it when its (issue time, core id)
@@ -130,16 +146,25 @@ func (x *Ctx) exec() *request {
 //coup:hotpath
 func (x *Ctx) post() {
 	c := x.c
-	if c.qn < c.qcap && c.time<<16|uint64(uint16(c.id)) >= x.m.raH {
-		c.instrs++
+	m := x.m
+	if m.frozenAt(c.req.addr) && c.req.kind != opLoad {
+		frozenWrite(c)
+	}
+	for c.time<<16|uint64(uint16(c.id)) < m.raH {
+		m.eng.Inline++
+		if m.step(c, &c.req) {
+			return
+		}
+	}
+	if c.qn < c.qcap {
 		e := &c.q[(c.qh+c.qn)&(postCap-1)]
 		e.req, e.gap = c.req, c.gap
 		c.gap = 0
 		c.qn++
-		x.m.eng.Posted++
+		m.eng.Posted++
 		return
 	}
-	x.exec()
+	x.yield()
 }
 
 // Load64 loads a 64-bit word.
@@ -216,46 +241,27 @@ func (x *Ctx) CAS32(addr uint64, old, new uint32) bool {
 }
 
 // comm issues a commutative update, falling back per protocol. Every form
-// but the floating-point load+CAS loop discards its result, so it posts.
+// returns nothing, so it posts. Under MESI/MSI an integer update becomes
+// the matching atomic fetch-op, its result discarded, and a floating-point
+// one the load+CAS retry loop, which the engine runs (Machine.step).
 //
 //coup:hotpath
 func (x *Ctx) comm(t ops.Type, addr, v uint64, width uint8) {
-	if x.m.commNative {
-		x.c.req = request{kind: opComm, addr: addr, val: v, width: width, otype: t}
-		x.post()
-	} else {
-		// MESI baseline: the same update expressed with conventional atomics.
-		switch t {
-		case ops.AddI16, ops.AddI32, ops.AddI64:
-			x.c.req = request{kind: opRMW, addr: addr, val: v, width: width, rop: rmwAdd}
-			x.post()
-		case ops.Or64:
-			x.c.req = request{kind: opRMW, addr: addr, val: v, width: width, rop: rmwOr}
-			x.post()
-		case ops.And64:
-			x.c.req = request{kind: opRMW, addr: addr, val: v, width: width, rop: rmwAnd}
-			x.post()
-		case ops.Xor64:
-			x.c.req = request{kind: opRMW, addr: addr, val: v, width: width, rop: rmwXor}
-			x.post()
-		case ops.AddF32:
-			for {
-				old := x.Load32(addr)
-				nv := math.Float32bits(math.Float32frombits(old) + math.Float32frombits(uint32(v)))
-				if x.CAS32(addr, old, nv) {
-					return
-				}
-			}
-		case ops.AddF64:
-			for {
-				old := x.Load64(addr)
-				nv := math.Float64bits(math.Float64frombits(old) + math.Float64frombits(v))
-				if x.CAS64(addr, old, nv) {
-					return
-				}
-			}
-		}
+	r := request{kind: opRMW, addr: addr, val: v, width: width} // rmwAdd
+	switch {
+	case x.m.commNative:
+		r.kind, r.otype = opComm, t
+	case t == ops.AddF32 || t == ops.AddF64:
+		r.kind, r.otype = opFAdd, t
+	case t == ops.Or64:
+		r.rop = rmwOr
+	case t == ops.And64:
+		r.rop = rmwAnd
+	case t == ops.Xor64:
+		r.rop = rmwXor
 	}
+	x.c.req = r
+	x.post()
 }
 
 // CommAdd64 issues a commutative 64-bit integer addition.

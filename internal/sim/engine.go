@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"iter"
 	"math/bits"
+	"slices"
 
 	"repro/internal/ops"
 )
@@ -19,6 +20,7 @@ const (
 	opRMW   // atomic read-modify-write (fetch-and-op); returns the old value
 	opCAS   // compare-and-swap; may fail
 	opComm  // commutative update (COUP instruction)
+	opFAdd  // float add as a load+CAS retry loop, the MESI/MSI fallback (see Machine.step)
 	opDrain // no memory access: the kernel waits for its posted ops (Ctx.Now)
 	opBarrier
 	opFinish
@@ -46,18 +48,21 @@ type request struct {
 	otype ops.Type
 	rop   rmwOp
 
-	// Results, filled by the engine before resuming the core.
+	// Results, filled by the engine before resuming the core. An opFAdd
+	// keeps its loop state here instead: ok once its load is done, with the
+	// loaded value in cmp.
 	out uint64
 	ok  bool
 }
 
 // postCap is the capacity of a core's posted-op queue (a power of two,
-// so the ring indexes with a mask). A kernel that issues more result-less
-// ops in a row than this blocks on the next one.
+// so the ring indexes with a mask). A kernel that issues more posting ops
+// in a row than this blocks on the next one.
 const postCap = 16
 
-// posted is a queued result-less operation and the Work cycles between
-// its predecessor's completion and its own issue.
+// posted is a queued operation, whose result the kernel does not wait for,
+// and the Work cycles between its predecessor's completion and its own
+// issue.
 type posted struct {
 	req request
 	gap uint64
@@ -68,7 +73,7 @@ type posted struct {
 // with the result is a direct coroutine switch on the engine's goroutine
 // schedule — no channel operations and no Go-scheduler round trip.
 //
-// Operations that return nothing to the kernel are posted instead (see
+// Operations the kernel needs no result from are posted instead (see
 // Ctx.post): they queue in q, oldest at q[qh], and the kernel runs on.
 // While any are pending, time is the oldest one's issue time — the core's
 // scheduler key — and gap collects the Work issued after the newest one,
@@ -113,15 +118,21 @@ type Machine struct {
 
 	// raH is the run-ahead horizon: the packed (time<<16 | id) key of the
 	// earliest next operation among every core except the one currently
-	// executing. Ctx.exec services operations inline — without a coroutine
-	// switch — while the running core's own packed key stays below this
-	// horizon. The zero value makes every core post or yield its first
-	// operation. Only runTree and releaseBarrier update it.
+	// executing. Ctx.exec and Ctx.post service operations inline — without
+	// a coroutine switch — while the running core's own packed key stays
+	// below this horizon. The zero value makes every core post or yield its
+	// first operation. Only runTree and releaseBarrier update it.
 	raH uint64
 
 	// commNative caches Protocol.Spec().CommNative() so the per-operation
 	// dispatch in Ctx.comm avoids the protocol-table lock.
 	commNative bool
+
+	// frozen is the bitmap of frozen lines (Freeze), bit l%64 of word l/64
+	// for line index l. It is empty on a machine that froze nothing, so
+	// there the per-op check is one length compare. Words past its length
+	// are always zero, so Freeze can grow it within capacity.
+	frozen []uint64
 
 	eng EngineCounters
 }
@@ -137,12 +148,14 @@ type EngineCounters struct {
 	// one after each blocking op the scheduler services, one per core per
 	// barrier release. Each is a coroutine switch pair.
 	Resumes uint64
-	// Inline counts ops serviced in Ctx under the run-ahead horizon.
+	// Inline counts accesses serviced in Ctx under the run-ahead horizon.
 	Inline uint64
-	// Posted counts result-less ops queued on their core.
+	// Posted counts ops queued on their core: result-less ops and loads of
+	// frozen memory. A float-add loop counts once, however many accesses
+	// it takes.
 	Posted uint64
-	// Scheduled counts ops serviced by the scheduler: posted ops and the
-	// blocking ops a kernel yielded.
+	// Scheduled counts accesses serviced by the scheduler: those of posted
+	// ops and of the blocking ops a kernel yielded.
 	Scheduled uint64
 }
 
@@ -201,6 +214,62 @@ func (m *Machine) Alloc(size, align uint64) uint64 {
 // AllocLines reserves n cache lines and returns the base address (64-byte
 // aligned).
 func (m *Machine) AllocLines(n uint64) uint64 { return m.Alloc(n*64, 64) }
+
+// Freeze declares the allocated memory [addr, addr+size) read-only for
+// kernels, a promise that lets its loads post: every line the range
+// overlaps stays frozen for the machine's Run. A kernel load of a frozen
+// line takes its value from the memory image at issue and runs on, while
+// the engine services the access in the usual global order; that value is
+// exact because nothing writes the line. Every kernel write to a frozen
+// line — a store, atomic, CAS or commutative update, under any protocol —
+// panics with a *FrozenWriteError instead; host-side WriteWord* stay
+// unchecked. Freeze changes no simulated result. It is valid before Run
+// only.
+func (m *Machine) Freeze(addr, size uint64) {
+	if m.ran {
+		panic("sim: Machine.Freeze after Run")
+	}
+	if size == 0 {
+		return
+	}
+	if addr+size < addr || addr+size > m.allocPtr {
+		panic(fmt.Sprintf("sim: Freeze of unallocated memory [%#x, %#x)", addr, addr+size))
+	}
+	first, last := addr>>6, (addr+size-1)>>6
+	if n := int(last>>6) + 1; n > len(m.frozen) {
+		m.frozen = slices.Grow(m.frozen, n-len(m.frozen))[:n]
+	}
+	for l := first; l <= last; l++ {
+		m.frozen[l>>6] |= 1 << (l & 63)
+	}
+}
+
+// frozenAt reports whether the line holding addr is frozen. With nothing
+// frozen it is one length compare.
+func (m *Machine) frozenAt(addr uint64) bool {
+	w := addr >> 12 // line addr>>6, bitmap word line>>6
+	return w < uint64(len(m.frozen)) && m.frozen[w]>>(addr>>6&63)&1 != 0
+}
+
+// FrozenWriteError is the panic value of a kernel write to frozen memory
+// (see Machine.Freeze).
+type FrozenWriteError struct {
+	Addr uint64 // the address written
+	Core int    // the core that wrote it
+}
+
+func (e *FrozenWriteError) Error() string {
+	return fmt.Sprintf("sim: core %d wrote frozen address %#x", e.Core, e.Addr)
+}
+
+// frozenWrite panics with the *FrozenWriteError for c's request. It stays
+// out of line so the error's allocation never reaches the hot paths that
+// check for frozen writes.
+//
+//go:noinline
+func frozenWrite(c *core) {
+	panic(&FrozenWriteError{Addr: c.req.addr, Core: c.id})
+}
 
 // WriteWord64 initializes simulated memory before Run (no timing cost).
 func (m *Machine) WriteWord64(addr, v uint64) { m.hier.store.write64(addr, v) }
@@ -275,6 +344,8 @@ func (m *Machine) Run(kernel func(c *Ctx)) Stats {
 	}
 
 	m.stats.Cycles = m.runTree()
+	// Every access is one instruction; Work adds the rest.
+	m.stats.Instrs = m.stats.Accesses
 	for _, c := range m.cores {
 		m.stats.Instrs += c.instrs
 	}
@@ -300,10 +371,12 @@ const notRunnable = ^uint64(0)
 // re-keyed; its kernel stays suspended. Once its queue is empty, its
 // blocking op is serviced and the kernel resumed with the horizon
 // published in raH, so it keeps servicing its own operations inline (in
-// Ctx.exec, with no scheduler work and no coroutine switch) until it would
-// overtake another core; a single-core machine runs nearly its whole
-// kernel inline. Either way every op is serviced in (issue time, core id)
-// order. It returns the maximum core finish time.
+// Ctx.exec and Ctx.post, with no scheduler work and no coroutine switch)
+// until it would overtake another core; a single-core machine runs nearly
+// its whole kernel inline. A float-add loop, posted or blocking, advances
+// one access per pick and is re-keyed between them; a blocked kernel
+// resumes only once the loop is done. Either way every access is serviced
+// in (issue time, core id) order. It returns the maximum core finish time.
 func (m *Machine) runTree() uint64 {
 	n := len(m.cores)
 	p2 := 1
@@ -416,12 +489,15 @@ func (m *Machine) runTree() uint64 {
 			}
 		}
 		m.raH = h
+		done := true
 		if c.req.kind != opDrain {
-			c.time += m.hier.access(c, &c.req)
 			m.eng.Scheduled++
+			done = m.step(c, &c.req)
 		}
-		m.eng.Resumes++
-		c.next() // the kernel runs on: inline below the horizon, posting above it
+		if done {
+			m.eng.Resumes++
+			c.next() // the kernel runs on: inline below the horizon, posting above it
+		}
 		// Re-key the winner and replay its matches against the recorded
 		// path losers.
 		nk := packKey(c.time, i1)
@@ -448,8 +524,10 @@ func (m *Machine) runTree() uint64 {
 //coup:hotpath
 func (m *Machine) servePosted(c *core) {
 	e := &c.q[c.qh&(postCap-1)]
-	c.time += m.hier.access(c, &e.req)
 	m.eng.Scheduled++
+	if !m.step(c, &e.req) {
+		return // a float-add loop issues its next access as this one completes
+	}
 	c.qh = (c.qh + 1) & (postCap - 1)
 	c.qn--
 	if c.qn > 0 {
@@ -458,6 +536,33 @@ func (m *Machine) servePosted(c *core) {
 		c.time += c.gap
 		c.gap = 0
 	}
+}
+
+// step services one access of r, issued at c.time, and reports whether r
+// is complete. Every op is one access except the float-add loop (opFAdd):
+// a load, then a CAS of the loaded value plus the operand, where a failed
+// CAS sends the loop back to its load. Each access issues as its
+// predecessor completes, exactly as the loop runs in a kernel. All three
+// service sites — Ctx.post inline, servePosted and runTree's blocking
+// branch — step the loop through here.
+//
+//coup:hotpath
+func (m *Machine) step(c *core, r *request) bool {
+	if r.kind != opFAdd {
+		c.time += m.hier.access(c, r)
+		return true
+	}
+	a := request{kind: opLoad, addr: r.addr, width: r.width}
+	if r.ok {
+		a.kind, a.cmp, a.val = opCAS, r.cmp, ops.ApplyAt(r.otype, r.cmp, 0, r.val)
+	}
+	c.time += m.hier.access(c, &a)
+	if a.kind == opLoad {
+		r.cmp, r.ok = a.out, true
+		return false
+	}
+	r.ok = false
+	return a.ok
 }
 
 // packKey packs a core's next-op time and id into one comparable word:

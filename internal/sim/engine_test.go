@@ -287,19 +287,26 @@ func TestTreeSchedulerAtBoundary(t *testing.T) {
 	}
 }
 
+// Soup memory: soupWords words of shared lines the soup writes, and
+// soupInput words of input it only reads.
+const soupWords, soupInput = 48, 32
+
 // soupKernel issues a random mix of every Ctx operation over a few shared
 // lines: loads, stores and atomics of both widths, CAS, every commutative
-// update, Work, Now, SpinLock, and bursts of result-less ops longer than
-// a core's posting queue, with every core meeting at a barrier per round.
-// Each core records its Now readings in nows.
-func soupKernel(base, lock, nWords uint64, nows [][]uint64) func(*Ctx) {
+// update, Work, Now, SpinLock, loads of the read-only input at in (alone,
+// and in bursts of posts longer than a core's queue) whose values it
+// stores, and bursts of result-less ops longer than the queue, with every
+// core meeting at a barrier per round. Each core records its Now readings
+// in nows.
+func soupKernel(base, lock, in uint64, nows [][]uint64) func(*Ctx) {
 	return func(c *Ctx) {
 		tid := c.Tid()
 		for round := 0; round < 3; round++ {
 			n := 40 + c.RandN(60)
 			for i := uint64(0); i < n; i++ {
-				a := base + 8*c.RandN(nWords)
-				switch c.RandN(20) {
+				a := base + 8*c.RandN(soupWords)
+				f := in + 8*c.RandN(soupInput)
+				switch c.RandN(22) {
 				case 0:
 					c.Load64(a)
 				case 1:
@@ -349,7 +356,7 @@ func soupKernel(base, lock, nWords uint64, nows [][]uint64) func(*Ctx) {
 					// A burst of result-less ops: more than one queue's
 					// worth, with Work between some of them.
 					for j := uint64(0); j < postCap+1+c.RandN(2*postCap); j++ {
-						b := base + 8*c.RandN(nWords)
+						b := base + 8*c.RandN(soupWords)
 						if c.RandN(3) == 0 {
 							c.Store64(b, j)
 						} else {
@@ -364,6 +371,27 @@ func soupKernel(base, lock, nWords uint64, nows [][]uint64) func(*Ctx) {
 					c.SpinLock(lock)
 					c.Store64(a, c.Load64(a)+1)
 					c.SpinUnlock(lock)
+				case 19:
+					switch c.RandN(4) {
+					case 0:
+						c.Store64(a, c.Load64(f))
+					case 1:
+						c.Store32(a, c.Load32(f+4*c.RandN(2)))
+					case 2:
+						c.StoreF64(a, c.LoadF64(f))
+					default:
+						c.StoreF32(a+4, c.LoadF32(f+4))
+					}
+				case 20:
+					// A burst of input loads and stores of what they read.
+					var sum uint64
+					for j := uint64(0); j < postCap+1+c.RandN(postCap); j++ {
+						sum += c.Load64(in + 8*c.RandN(soupInput))
+						if c.RandN(3) == 0 {
+							c.Store64(base+8*c.RandN(soupWords), sum)
+						}
+					}
+					nows[tid] = append(nows[tid], c.Now())
 				default:
 					c.LoadF64(a)
 				}
@@ -375,10 +403,11 @@ func soupKernel(base, lock, nWords uint64, nows [][]uint64) func(*Ctx) {
 }
 
 // TestPostingPreservesResults pins the posting contract: queuing result-
-// less ops instead of blocking on them never changes a simulated result.
-// Each random soup runs twice per protocol — as built, and with every
-// core's posting capacity cut to zero so every op blocks — and the Stats,
-// final memory image and per-core Now readings must be identical.
+// less ops, and posting loads of frozen input, never changes a simulated
+// result. Each random soup runs three times per protocol — with the input
+// frozen, with nothing frozen, and with every core's posting capacity cut
+// to zero so every op blocks — and the Stats, final memory image and
+// per-core Now readings must be identical.
 func TestPostingPreservesResults(t *testing.T) {
 	type outcome struct {
 		st   Stats
@@ -386,7 +415,7 @@ func TestPostingPreservesResults(t *testing.T) {
 		nows [][]uint64
 		eng  EngineCounters
 	}
-	run := func(p Protocol, seed uint64, posting bool) outcome {
+	run := func(p Protocol, seed uint64, freeze, posting bool) outcome {
 		cfg := smallCfg(20, p) // two chips
 		cfg.Seed = seed
 		m := New(cfg)
@@ -395,16 +424,22 @@ func TestPostingPreservesResults(t *testing.T) {
 				c.qcap = 0
 			}
 		}
-		const nWords = 48 // six lines
-		base := m.Alloc(nWords*8, 64)
+		base := m.Alloc(soupWords*8, 64) // six lines
 		lock := m.Alloc(64, 64)
+		in := m.Alloc(soupInput*8, 64) // four lines
+		for k := uint64(0); k < soupInput; k++ {
+			m.WriteWord64(in+8*k, (k+1)*0x9E3779B97F4A7C15)
+		}
+		if freeze {
+			m.Freeze(in, soupInput*8)
+		}
 		nows := make([][]uint64, cfg.Cores)
-		st := m.Run(soupKernel(base, lock, nWords, nows))
+		st := m.Run(soupKernel(base, lock, in, nows))
 		if err := m.CheckInvariants(); err != nil {
-			t.Fatalf("%v seed %d posting=%v: %v", p, seed, posting, err)
+			t.Fatalf("%v seed %d freeze=%v posting=%v: %v", p, seed, freeze, posting, err)
 		}
 		out := outcome{st: st, nows: nows, eng: m.EngineCounters()}
-		for k := uint64(0); k < nWords; k++ {
+		for k := uint64(0); k < soupWords; k++ {
 			out.mem = append(out.mem, m.ReadWord64(base+8*k))
 		}
 		out.mem = append(out.mem, m.ReadWord64(lock))
@@ -412,23 +447,29 @@ func TestPostingPreservesResults(t *testing.T) {
 	}
 	for _, p := range []Protocol{MESI, MEUSI, MSI, MUSI, RMO} {
 		for seed := uint64(1); seed <= 4; seed++ {
-			posted, blocking := run(p, seed, true), run(p, seed, false)
-			if posted.st != blocking.st {
-				t.Errorf("%v seed %d: stats differ\nposted:   %+v\nblocking: %+v", p, seed, posted.st, blocking.st)
-			}
-			if !reflect.DeepEqual(posted.mem, blocking.mem) {
-				t.Errorf("%v seed %d: memory images differ", p, seed)
-			}
-			if !reflect.DeepEqual(posted.nows, blocking.nows) {
-				t.Errorf("%v seed %d: Now readings differ", p, seed)
+			frozen, posted, blocking := run(p, seed, true, true), run(p, seed, false, true), run(p, seed, false, false)
+			for _, o := range []struct {
+				name string
+				outcome
+			}{{"frozen", frozen}, {"posted", posted}} {
+				if o.st != blocking.st {
+					t.Errorf("%v seed %d: stats differ\n%s:   %+v\nblocking: %+v", p, seed, o.name, o.st, blocking.st)
+				}
+				if !reflect.DeepEqual(o.mem, blocking.mem) {
+					t.Errorf("%v seed %d: %s and blocking memory images differ", p, seed, o.name)
+				}
+				if !reflect.DeepEqual(o.nows, blocking.nows) {
+					t.Errorf("%v seed %d: %s and blocking Now readings differ", p, seed, o.name)
+				}
 			}
 			if blocking.eng.Posted != 0 || posted.eng.Posted == 0 {
 				t.Errorf("%v seed %d: posted %d ops with posting, %d without", p, seed, posted.eng.Posted, blocking.eng.Posted)
 			}
-			if posted.eng.Resumes >= blocking.eng.Resumes {
-				t.Errorf("%v seed %d: posting resumed kernels %d times, blocking %d", p, seed, posted.eng.Resumes, blocking.eng.Resumes)
+			if frozen.eng.Resumes >= posted.eng.Resumes || posted.eng.Resumes >= blocking.eng.Resumes {
+				t.Errorf("%v seed %d: resumed kernels %d times frozen, %d posting, %d blocking",
+					p, seed, frozen.eng.Resumes, posted.eng.Resumes, blocking.eng.Resumes)
 			}
-			for _, o := range []outcome{posted, blocking} {
+			for _, o := range []outcome{frozen, posted, blocking} {
 				if o.eng.Inline+o.eng.Scheduled != o.st.Accesses {
 					t.Errorf("%v seed %d: %d inline + %d scheduled ops, want %d accesses", p, seed, o.eng.Inline, o.eng.Scheduled, o.st.Accesses)
 				}
@@ -504,5 +545,94 @@ func TestPanickingKernelStopsCoroutines(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("%d goroutines after recovered panics, %d before", n, base)
+	}
+}
+
+// TestFrozenWritesFail: every kind of kernel write to a frozen line panics
+// out of Run with a *FrozenWriteError naming the address and the core,
+// whether the protocol runs commutative updates natively, as MESI's
+// atomics and float-add loops, or remotely; the other cores' coroutines
+// are stopped on the way out. Freeze itself refuses to run late or past
+// the allocation.
+func TestFrozenWritesFail(t *testing.T) {
+	base := runtime.NumGoroutine()
+	writes := []struct {
+		name  string
+		write func(c *Ctx, a uint64)
+	}{
+		{"Store64", func(c *Ctx, a uint64) { c.Store64(a, 1) }},
+		{"Store32", func(c *Ctx, a uint64) { c.Store32(a, 1) }},
+		{"StoreF64", func(c *Ctx, a uint64) { c.StoreF64(a, 1) }},
+		{"AtomicAdd64", func(c *Ctx, a uint64) { c.AtomicAdd64(a, 1) }},
+		{"AtomicAdd32", func(c *Ctx, a uint64) { c.AtomicAdd32(a, 1) }},
+		{"AtomicOr64", func(c *Ctx, a uint64) { c.AtomicOr64(a, 1) }},
+		{"AtomicXchg64", func(c *Ctx, a uint64) { c.AtomicXchg64(a, 1) }},
+		{"CAS64", func(c *Ctx, a uint64) { c.CAS64(a, 0, 1) }},
+		{"CAS32", func(c *Ctx, a uint64) { c.CAS32(a, 7, 1) }}, // fails its compare, still a write
+		{"CommAdd64", func(c *Ctx, a uint64) { c.CommAdd64(a, 1) }},
+		{"CommAdd32", func(c *Ctx, a uint64) { c.CommAdd32(a, 1) }},
+		{"CommAddF64", func(c *Ctx, a uint64) { c.CommAddF64(a, 1) }},
+		{"CommAddF32", func(c *Ctx, a uint64) { c.CommAddF32(a, 1) }},
+		{"CommOr64", func(c *Ctx, a uint64) { c.CommOr64(a, 1) }},
+		{"CommAnd64", func(c *Ctx, a uint64) { c.CommAnd64(a, 1) }},
+		{"CommXor64", func(c *Ctx, a uint64) { c.CommXor64(a, 1) }},
+		{"SpinLock", func(c *Ctx, a uint64) { c.SpinLock(a) }},
+		{"SpinUnlock", func(c *Ctx, a uint64) { c.SpinUnlock(a) }},
+	}
+	for _, p := range []Protocol{MEUSI, MESI, RMO} {
+		for _, w := range writes {
+			m := New(smallCfg(8, p))
+			ctr := m.Alloc(64, 64)
+			in := m.Alloc(4*64, 64)
+			m.Freeze(in+64, 2*64) // lines 1 and 2 of four
+			addr := in + 2*64 + 8
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				m.Run(func(c *Ctx) {
+					c.Load64(addr) // loads of frozen lines are fine
+					for i := 0; i < 3; i++ {
+						c.CommAdd64(ctr, 1)
+						c.Store64(in, 1) // lines around the frozen range stay writable
+						c.Store64(in+3*64, 1)
+					}
+					if c.Tid() == 3 {
+						w.write(c, addr)
+					}
+					c.Barrier()
+					c.Load64(ctr)
+				})
+				return nil
+			}()
+			fw, ok := got.(*FrozenWriteError)
+			if !ok || fw.Addr != addr || fw.Core != 3 {
+				t.Errorf("%v %s: recovered %v, want *FrozenWriteError{Addr: %#x, Core: 3}", p, w.name, got, addr)
+			}
+		}
+	}
+	if msg := (&FrozenWriteError{Addr: 0x100040, Core: 3}).Error(); msg != "sim: core 3 wrote frozen address 0x100040" {
+		t.Errorf("Error() = %q", msg)
+	}
+	for _, late := range []bool{false, true} {
+		m := New(smallCfg(2, MESI))
+		a := m.Alloc(64, 64)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Freeze (after Run %v) did not panic", late)
+				}
+			}()
+			if late {
+				m.Run(func(*Ctx) {})
+				m.Freeze(a, 64)
+			} else {
+				m.Freeze(a, 128) // past the allocation
+			}
+		}()
+	}
+	for i := 0; runtime.NumGoroutine() > base && i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after frozen-write panics, %d before", n, base)
 	}
 }

@@ -69,6 +69,9 @@ func (b *BFS) Setup(m *sim.Machine) {
 	for i, v := range b.g.Dst {
 		m.WriteWord32(b.dstAddr+uint64(i)*4, uint32(v))
 	}
+	// The graph is input no kernel writes, so its loads post.
+	m.Freeze(b.offAddr, uint64(n+1)*4)
+	m.Freeze(b.dstAddr, uint64(b.g.M())*4+8)
 	words := uint64(n+63) / 64
 	b.visitAddr = m.Alloc(words*8, 64)
 	b.distAddr = m.Alloc(uint64(n)*4, 64)

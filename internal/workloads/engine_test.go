@@ -7,12 +7,17 @@ import (
 )
 
 // TestEngineResumes bounds how often the engine resumes a kernel coroutine
-// per simulated access on the repo benchmark's contended specs and its
-// histogram, and pins one spec's engine counts exactly. Stores and
-// commutative updates post without a resume, so only the ops that return
-// a value — refcount's zero-check loads, the histogram's input loads —
-// should cost one.
+// per simulated access on the repo benchmark's sim-contended and
+// sim-footprint specs, and pins two specs' engine counts exactly. Stores,
+// commutative updates (the MESI float-add loop included) and loads of
+// frozen inputs post without a resume, so only loads of written data —
+// refcount's zero-checks, bfs's visited bitmap, pgrank's ranks — and full
+// posting queues should cost one.
 func TestEngineResumes(t *testing.T) {
+	hist := Params{Size: 60000, Bins: 32768}
+	pgrank := Params{Scale: 13, EdgeFactor: 12, Iters: 2}
+	spmv := Params{Size: 8000, NNZPerCol: 24}
+	bfs := Params{Scale: 13}
 	for _, tc := range []struct {
 		name   string
 		cores  int
@@ -20,14 +25,26 @@ func TestEngineResumes(t *testing.T) {
 		params Params
 		max    float64 // resumes per access
 		pin    *sim.EngineCounters
+		large  bool // skipped under -short
 	}{
 		{"refcount", 128, sim.MEUSI, Params{Counters: 16, Size: 100}, 0.35,
-			&sim.EngineCounters{Resumes: 6005, Inline: 36, Posted: 12764, Scheduled: 18641}},
-		{"refcount", 128, sim.MESI, Params{Counters: 16, Size: 100}, 0.35, nil},
-		{"counter", 64, sim.MEUSI, Params{Size: 300}, 0.35, nil},
-		{"counter", 64, sim.MESI, Params{Size: 300}, 0.35, nil},
-		{"hist", 64, sim.MEUSI, Params{Size: 60000, Bins: 32768}, 0.21, nil},
+			&sim.EngineCounters{Resumes: 6005, Inline: 36, Posted: 12764, Scheduled: 18641}, false},
+		{"refcount", 128, sim.MESI, Params{Counters: 16, Size: 100}, 0.35, nil, false},
+		{"counter", 64, sim.MEUSI, Params{Size: 300}, 0.35, nil, false},
+		{"counter", 64, sim.MESI, Params{Size: 300}, 0.35, nil, false},
+		{"hist", 64, sim.MEUSI, hist, 0.07, nil, false},
+		{"hist", 64, sim.MESI, hist, 0.07, nil, true},
+		{"pgrank", 32, sim.MEUSI, pgrank, 0.10, nil, true},
+		{"pgrank", 32, sim.MESI, pgrank, 0.10, nil, true},
+		{"spmv", 32, sim.MEUSI, spmv, 0.07, nil, true},
+		{"spmv", 32, sim.MESI, spmv, 0.07,
+			&sim.EngineCounters{Resumes: 33197, Inline: 1234, Posted: 530904, Scheduled: 744386}, false},
+		{"bfs", 32, sim.MEUSI, bfs, 0.45, nil, true},
+		{"bfs", 32, sim.MESI, bfs, 0.45, nil, true},
 	} {
+		if tc.large && testing.Short() {
+			continue
+		}
 		in, _ := ByName(tc.name)
 		w, err := in.New(tc.params)
 		if err != nil {

@@ -79,6 +79,8 @@ func (h *Hist) Setup(m *sim.Machine) {
 		}
 		m.WriteWord64(h.inputAddr+uint64(i)*2, w)
 	}
+	// The pixels are input no kernel writes, so their loads post.
+	m.Freeze(h.inputAddr, uint64(h.Pixels)*2)
 	h.histAddr = m.Alloc(padLines(uint64(h.Bins)*4), 64)
 
 	cfg := m.Config()

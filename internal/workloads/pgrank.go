@@ -57,6 +57,10 @@ func (p *PgRank) Setup(m *sim.Machine) {
 	for i, v := range p.g.OutDeg {
 		m.WriteWord32(p.degAddr+uint64(i)*4, uint32(v))
 	}
+	// The graph is input no kernel writes, so its loads post.
+	m.Freeze(p.offAddr, uint64(n+1)*4)
+	m.Freeze(p.dstAddr, uint64(p.g.M())*4+8)
+	m.Freeze(p.degAddr, uint64(n)*4)
 	p.curAddr = m.Alloc(uint64(n)*8, 64)
 	p.nextAddr = m.Alloc(uint64(n)*8, 64)
 	for i := 0; i < n; i++ {

@@ -57,6 +57,11 @@ func (s *SpMV) Setup(m *sim.Machine) {
 	for j := 0; j < s.N; j++ {
 		m.WriteWord64(s.xAddr+uint64(j)*8, math.Float64bits(1+r.Float64()))
 	}
+	// The matrix and x are inputs no kernel writes, so their loads post.
+	m.Freeze(s.colPtrAddr, uint64(s.N+1)*4)
+	m.Freeze(s.rowIdxAddr, uint64(nnz)*4)
+	m.Freeze(s.valAddr, uint64(nnz)*8)
+	m.Freeze(s.xAddr, uint64(s.N)*8)
 	s.yAddr = m.Alloc(uint64(s.N)*8, 64)
 }
 
@@ -72,14 +77,10 @@ func (s *SpMV) Kernel(c *sim.Ctx) {
 			i := c.Load32(s.rowIdxAddr + uint64(k)*4)
 			v := c.LoadF64(s.valAddr + uint64(k)*8)
 			c.Work(3) // index arithmetic + FP multiply
-			c.CommAddF64(s.yAddr+uint64(i)*8, v*mustF64(xj))
+			c.CommAddF64(s.yAddr+uint64(i)*8, v*xj)
 		}
 	}
 }
-
-// mustF64 converts the loaded x value; Kernel keeps xj as float64 already,
-// this adapter documents the raw-bits boundary.
-func mustF64(v float64) float64 { return v }
 
 // Validate implements Workload. Floating-point adds reorder across
 // protocols, so compare with a relative tolerance (the paper makes the same

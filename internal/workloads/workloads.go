@@ -46,11 +46,22 @@ func Run(w Workload, cfg sim.Config) (sim.Stats, error) { return RunIn(nil, w, c
 // arena builds a fresh machine, exactly like Run. The machine returns to
 // the pool only after it passed validation and the coherence invariants;
 // a failed (or panicked) run's machine is dropped, so a suspect machine
-// never re-enters the pool.
-func RunIn(arena *sim.Arena, w Workload, cfg sim.Config) (sim.Stats, error) {
+// never re-enters the pool. A kernel write to memory its Setup froze
+// (sim.Machine.Freeze) returns the *sim.FrozenWriteError, wrapped; any
+// other panic propagates.
+func RunIn(arena *sim.Arena, w Workload, cfg sim.Config) (st sim.Stats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			fw, ok := r.(*sim.FrozenWriteError)
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("%s: %w", w.Name(), fw)
+		}
+	}()
 	m := sim.NewIn(arena, cfg)
 	w.Setup(m)
-	st := m.Run(w.Kernel)
+	st = m.Run(w.Kernel)
 	if err := w.Validate(m); err != nil {
 		return st, fmt.Errorf("%s: %w", w.Name(), err)
 	}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/sim"
@@ -250,5 +251,47 @@ func TestWorkloadsCrossChip(t *testing.T) {
 		if _, err := Run(w, testCfg(32, sim.MEUSI)); err != nil {
 			t.Errorf("%s on 32 cores: %v", w.Name(), err)
 		}
+	}
+}
+
+// frozenWriter freezes the histogram's input, then its kernel writes the
+// input instead of the bins, or panics with a plain value when other is
+// set.
+type frozenWriter struct {
+	*Hist
+	other bool
+}
+
+func (w frozenWriter) Kernel(c *sim.Ctx) {
+	if c.Tid() == 2 {
+		if w.other {
+			panic("not a frozen write")
+		}
+		c.CommAdd64(w.inputAddr+64, 1)
+	}
+	w.Hist.Kernel(c)
+}
+
+// TestRunInFrozenWrite: RunIn returns a kernel's frozen write as a wrapped
+// *sim.FrozenWriteError and keeps the failed machine out of its arena,
+// while any other panic propagates.
+func TestRunInFrozenWrite(t *testing.T) {
+	a := sim.NewArena()
+	w := frozenWriter{Hist: NewHist(4000, 64, HistShared, 1)}
+	_, err := RunIn(a, w, testCfg(4, sim.MEUSI))
+	var fw *sim.FrozenWriteError
+	if !errors.As(err, &fw) || fw.Addr != w.inputAddr+64 || fw.Core != 2 {
+		t.Fatalf("err = %v, want a *sim.FrozenWriteError by core 2", err)
+	}
+	if a.Pooled() != 0 {
+		t.Errorf("arena pooled %d machines after a frozen write, want 0", a.Pooled())
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		RunIn(a, frozenWriter{Hist: NewHist(4000, 64, HistShared, 1), other: true}, testCfg(4, sim.MEUSI))
+		return nil
+	}()
+	if got != "not a frozen write" {
+		t.Errorf("recovered %v, want the kernel's own panic", got)
 	}
 }

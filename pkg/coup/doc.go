@@ -29,7 +29,11 @@
 //   - Machine: the simulated multi-socket system of Table 1 / Fig 9,
 //     built with functional options: NewMachine(WithCores(64),
 //     WithProtocol("MEUSI"), ...). Alloc simulated memory, Run a kernel,
-//     read the final image back.
+//     read the final image back. Freeze marks input that kernels only
+//     read: its loads then cost the host no coroutine switch, results do
+//     not change, and a kernel write to it fails with a
+//     *FrozenWriteError (returned by Run, panicked by Machine.Run). The
+//     built-in workloads freeze their inputs this way.
 //
 //   - Stats: one run's measurements — cycles, the Fig 11 AMAT breakdown,
 //     protocol events (reductions, invalidations, U grants) and the

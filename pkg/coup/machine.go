@@ -10,6 +10,12 @@ import (
 // receive one Ctx per simulated core.
 type Ctx = sim.Ctx
 
+// FrozenWriteError reports a kernel write to memory frozen with
+// Machine.Freeze (or by a workload's Setup): the address and the writing
+// core. Run and RunWorkload return it wrapped, for errors.As; Machine.Run
+// panics with it.
+type FrozenWriteError = sim.FrozenWriteError
+
 // Machine is a configured simulated system: the multi-socket,
 // four-level-hierarchy machine of Table 1 / Fig 9. Build one with
 // NewMachine, set up simulated memory with Alloc/WriteWord64, then Run a
@@ -58,6 +64,14 @@ func (m *Machine) WriteWord64(addr, v uint64) { m.m.WriteWord64(addr, v) }
 // WriteWord32 initializes a 32-bit simulated memory word before Run.
 func (m *Machine) WriteWord32(addr uint64, v uint32) { m.m.WriteWord32(addr, v) }
 
+// Freeze declares [addr, addr+size), which must be allocated, read-only
+// for kernels. Loads of a frozen line then cost the host no coroutine
+// switch: the kernel takes the value at issue and runs on, while the
+// simulated access keeps its place in the global order, so results do not
+// change. A kernel write to a frozen line, of any kind, makes Run panic
+// with a *FrozenWriteError. Valid before Run only.
+func (m *Machine) Freeze(addr, size uint64) { m.m.Freeze(addr, size) }
+
 // ReadWord64 inspects simulated memory. After Run the machine is drained,
 // so the value reflects all buffered commutative updates.
 func (m *Machine) ReadWord64(addr uint64) uint64 { return m.m.ReadWord64(addr) }
@@ -67,10 +81,12 @@ func (m *Machine) ReadWord32(addr uint64) uint32 { return m.m.ReadWord32(addr) }
 
 // Run executes kernel once per simulated core, each as a simulated thread,
 // and returns the run's statistics. Run may be called once per Machine.
-// A kernel runs ahead, in host time, of its own stores and commutative
-// updates, so kernels must exchange data through simulated memory, or
-// through Go-side state only across a Barrier. A kernel's panic propagates
-// out of Run once every other kernel has been stopped.
+// A kernel runs ahead, in host time, of its own stores, commutative
+// updates and loads of frozen memory, so kernels must exchange data
+// through simulated memory, or through Go-side state only across a
+// Barrier, and must not write frozen memory. A kernel's panic — a
+// *FrozenWriteError included — propagates out of Run once every other
+// kernel has been stopped.
 func (m *Machine) Run(kernel func(c *Ctx)) Stats {
 	st := m.m.Run(kernel)
 	return statsFrom(st, m.m.Config(), "")

@@ -94,11 +94,39 @@ func TestParseShard(t *testing.T) {
 	if err != nil || k != 3 || n != 4 {
 		t.Errorf("ParseShard(4/4) = (%d, %d, %v), want (3, 4, nil)", k, n, err)
 	}
-	for _, bad := range []string{"", "3", "0/4", "5/4", "a/b", "1/0", "-1/4", "1/4/2"} {
+	for _, bad := range badShards {
 		if _, _, err := ParseShard(bad); !errors.Is(err, ErrInvalidShard) {
 			t.Errorf("ParseShard(%q): err=%v, want ErrInvalidShard", bad, err)
 		}
 	}
+}
+
+var badShards = []string{"", "3", "0/4", "5/4", "a/b", "1/0", "-1/4", "1/4/2"}
+
+// FuzzParseShard holds the shard flag syntax to its contract on any
+// input: no panic; an accepted "k/n" is a valid zero-based shard that
+// round-trips through the 1-based syntax; every rejection wraps
+// ErrInvalidShard.
+func FuzzParseShard(f *testing.F) {
+	for _, s := range append([]string{"1/4", "4/4", " 2 / 3 ", "+1/2", "9223372036854775807/9223372036854775807"}, badShards...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		k, n, err := ParseShard(s)
+		if err != nil {
+			if !errors.Is(err, ErrInvalidShard) {
+				t.Fatalf("ParseShard(%q): err=%v, want ErrInvalidShard", s, err)
+			}
+			return
+		}
+		if k < 0 || k >= n {
+			t.Fatalf("ParseShard(%q) = (%d, %d), want 0 <= k < n", s, k, n)
+		}
+		back := fmt.Sprintf("%d/%d", k+1, n)
+		if k2, n2, err := ParseShard(back); err != nil || k2 != k || n2 != n {
+			t.Fatalf("ParseShard(%q) = (%d, %d, %v), want (%d, %d) as from %q", back, k2, n2, err, k, n, s)
+		}
+	})
 }
 
 // TestSpecKeyContent pins the content-hash contract: keys depend on what

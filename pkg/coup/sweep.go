@@ -285,7 +285,11 @@ func Sweep(specs []RunSpec, opts ...SweepOption) ([]SweepResult, error) {
 func runSpec(arena *sim.Arena, s RunSpec) (res SweepResult) {
 	defer func() {
 		if r := recover(); r != nil {
-			res.Err = fmt.Errorf("coup: sweep run panicked: %v", r)
+			if err, ok := r.(error); ok {
+				res.Err = fmt.Errorf("coup: sweep run panicked: %w", err)
+			} else {
+				res.Err = fmt.Errorf("coup: sweep run panicked: %v", r)
+			}
 			res.Panicked = true
 		}
 	}()
