@@ -1,6 +1,6 @@
 // Command coupbench regenerates the paper's tables and figures on the
 // simulated system. Each experiment id corresponds to one figure/table in
-// the evaluation (Sec 5); see DESIGN.md's per-experiment index.
+// the evaluation (Sec 5); -list prints every id with a description.
 //
 // Usage:
 //

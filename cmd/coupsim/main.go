@@ -1,8 +1,9 @@
 // Command coupsim runs one workload on one simulated machine configuration
 // and prints the run's cycle count, AMAT breakdown, protocol events and
 // traffic — the quickest way to poke at the simulator. Workloads and
-// protocols are resolved by name (case-insensitively) through the pkg/coup
-// registries, so anything registered — built-in or not — is runnable.
+// protocols are resolved by name (case-insensitively) through pkg/coup:
+// any of the five protocols, and any registered workload — built-in or
+// not.
 //
 // Usage:
 //
@@ -31,7 +32,7 @@ import (
 func main() {
 	var (
 		name     = flag.String("workload", "hist", "registered workload name (see -list)")
-		protocol = flag.String("protocol", "MEUSI", "registered protocol name (see -list)")
+		protocol = flag.String("protocol", "MEUSI", "protocol name (see -list)")
 		cores    = flag.Int("cores", 64, "simulated cores")
 		size     = flag.Int("size", 0, "workload size knob (0 = workload default; see -list for meaning)")
 		bins     = flag.Int("bins", 0, "histogram bins (hist family; 0 = default)")
@@ -40,7 +41,7 @@ func main() {
 		reps     = flag.Int("reps", 1, "seeded repetitions (mean ± CI95 when > 1)")
 		parallel = flag.Int("parallel", 0, "concurrent repetitions (0 = GOMAXPROCS); never changes results")
 		asJSON   = flag.Bool("json", false, "emit stats as JSON")
-		list     = flag.Bool("list", false, "list registered protocols and workloads, then exit")
+		list     = flag.Bool("list", false, "list protocols and registered workloads, then exit")
 	)
 	flag.StringVar(protocol, "proto", *protocol, "alias for -protocol")
 	flag.Parse()

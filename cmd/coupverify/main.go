@@ -22,7 +22,7 @@ import (
 
 // kinds maps model-checker protocol names to their transition tables. The
 // checker models the two detailed protocols the paper verifies (Sec 4.3);
-// this is distinct from the simulator's protocol registry.
+// this is distinct from the simulator's protocol table.
 var kinds = map[string]proto.Kind{
 	"mesi":  proto.MESI,
 	"meusi": proto.MEUSI,

@@ -1,9 +1,9 @@
 // Package exp is the experiment harness: one runner per table and figure
 // in the paper's evaluation (Sec 5), each regenerating the corresponding
 // rows/series on the simulated system. Absolute cycle counts differ from
-// the paper's testbed (see DESIGN.md); the harness exists to reproduce the
-// *shape* of every result: who wins, by what factor, and where crossovers
-// fall. EXPERIMENTS.md records paper-vs-measured for each row.
+// the paper's testbed (the simulator stands in for zsim; see package sim);
+// the harness exists to reproduce the *shape* of every result: who wins,
+// by what factor, and where crossovers fall.
 package exp
 
 import (

@@ -176,9 +176,9 @@ func table2(p Params) []*stats.Table {
 	return []*stats.Table{t}
 }
 
-// ablation covers the Fig 1 comparison and the design ablations DESIGN.md
-// calls out: remote memory operations vs COUP, and flat vs hierarchical
-// reductions.
+// ablation covers the Fig 1 comparison and two design ablations: remote
+// memory operations vs COUP, and flat vs hierarchical reductions
+// (Sec 3.2).
 func ablation(p Params) []*stats.Table {
 	updates := p.scaleInt(2000)
 	mk := workload("refcount", coup.WorkloadParams{Counters: 8, Size: updates, HighCount: true, Seed: 3})

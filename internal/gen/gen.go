@@ -5,7 +5,7 @@
 // fluidanimate's simlarge particle grid. Each generator matches the
 // qualitative structure the corresponding benchmark depends on (value
 // skew, nonzero overlap, degree distribution, frontier shape), which is
-// what determines coherence behaviour; see DESIGN.md's substitution table.
+// what determines coherence behaviour.
 package gen
 
 // RNG is a small deterministic splitmix64 generator, independent of

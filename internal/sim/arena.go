@@ -29,31 +29,20 @@ package sim
 // An Arena is NOT safe for concurrent use. The intended pattern — used by
 // pkg/coup's sweep engine — is one Arena per worker goroutine, living for
 // the duration of the sweep. Dropping the Arena releases everything it
-// holds to the garbage collector; SetCap bounds what it holds while alive.
+// holds to the garbage collector.
 type Arena struct {
-	free map[machineShape][]*Machine
-	// LRU cap state: pooled counts machines currently held across all
-	// shapes, capMachines bounds it (0 = unlimited), and lastUse records
-	// each shape's most recent NewIn/Release on a logical clock so
-	// eviction can pick the least-recently-used shape.
-	capMachines int
-	pooled      int
-	clock       uint64
-	lastUse     map[machineShape]uint64
+	free   map[machineShape][]*Machine
+	pooled int // machines currently held across all shapes
 	// Pool effectiveness counters, read via PoolStats. Plain words: an
 	// Arena is single-worker by contract, so these need no atomics; the
 	// sweep layer reduces per-worker deltas into shared metrics.
-	warm    uint64 // NewIn calls served from the pool
-	cold    uint64 // NewIn calls that built a fresh machine
-	evicted uint64 // pooled machines dropped by the LRU cap
+	warm uint64 // NewIn calls served from the pool
+	cold uint64 // NewIn calls that built a fresh machine
 }
 
 // NewArena returns an empty machine arena.
 func NewArena() *Arena {
-	return &Arena{
-		free:    map[machineShape][]*Machine{},
-		lastUse: map[machineShape]uint64{},
-	}
+	return &Arena{free: map[machineShape][]*Machine{}}
 }
 
 // PoolStats reports how many NewIn calls this arena served from its pool
@@ -61,69 +50,8 @@ func NewArena() *Arena {
 // arena's lifetime.
 func (a *Arena) PoolStats() (warm, cold uint64) { return a.warm, a.cold }
 
-// Evictions reports how many pooled machines the LRU cap has dropped.
-// Monotonic; always zero on an uncapped arena.
-func (a *Arena) Evictions() uint64 { return a.evicted }
-
 // Pooled reports how many released machines the arena currently holds.
 func (a *Arena) Pooled() int { return a.pooled }
-
-// SetCap bounds the arena's resident pool at n machines across all
-// geometries (n <= 0 removes the bound, the default). When a Release
-// would exceed the cap, the arena drops a machine from the
-// least-recently-used shape — wide multi-geometry sweeps keep their hot
-// shapes warm without holding every shape they ever built resident. A
-// lowered cap evicts immediately. Capping never changes simulation
-// results, only the warm-hit rate.
-func (a *Arena) SetCap(n int) {
-	if n < 0 {
-		n = 0
-	}
-	a.capMachines = n
-	if n > 0 {
-		for a.pooled > n {
-			a.evictLRU()
-		}
-	}
-}
-
-// touch stamps shape as the arena's most recently used.
-func (a *Arena) touch(shape machineShape) {
-	a.clock++
-	a.lastUse[shape] = a.clock
-}
-
-// evictLRU drops one pooled machine from the least-recently-used shape
-// that has any. Within a shape the oldest release goes first (the list
-// is a stack, so the front is the coldest scratch).
-func (a *Arena) evictLRU() {
-	var victim machineShape
-	found := false
-	var oldest uint64
-	//coup:unordered-ok min over unique lastUse stamps (clock strictly increments per touch), so the victim is order-independent
-	for shape, list := range a.free {
-		if len(list) == 0 {
-			continue
-		}
-		if t := a.lastUse[shape]; !found || t < oldest {
-			victim, oldest, found = shape, t, true
-		}
-	}
-	if !found {
-		return
-	}
-	list := a.free[victim]
-	copy(list, list[1:])
-	list[len(list)-1] = nil
-	if len(list) == 1 {
-		delete(a.free, victim)
-		delete(a.lastUse, victim)
-	} else {
-		a.free[victim] = list[:len(list)-1]
-	}
-	a.pooled--
-	a.evicted++
-}
 
 // machineShape is the geometry key under which an Arena pools machines:
 // every Config field that determines allocation sizes. Two configs with
@@ -157,7 +85,6 @@ func NewIn(a *Arena, cfg Config) *Machine {
 		return New(cfg)
 	}
 	shape := shapeOf(&cfg)
-	a.touch(shape)
 	if list := a.free[shape]; len(list) > 0 {
 		a.warm++
 		a.pooled--
@@ -189,12 +116,6 @@ func (m *Machine) Release() {
 	a := m.arena
 	a.free[m.shape] = append(a.free[m.shape], m)
 	a.pooled++
-	a.touch(m.shape)
-	if a.capMachines > 0 {
-		for a.pooled > a.capMachines {
-			a.evictLRU()
-		}
-	}
 }
 
 // reset returns a pooled machine to the state New(cfg) would produce,
@@ -210,7 +131,7 @@ func (m *Machine) reset(cfg Config) {
 	m.ran = false
 	m.released = false
 	m.raH = 0
-	m.commNative = cfg.Protocol.Spec().CommNative()
+	m.commNative = cfg.Protocol.commNative()
 	clear(m.frozen)
 	m.frozen = m.frozen[:0]
 	m.eng = EngineCounters{}
@@ -231,8 +152,7 @@ func (m *Machine) reset(cfg Config) {
 // all simulation state, keeping every allocation.
 func (h *hierarchy) reset(cfg *Config, st *Stats) {
 	h.cfg, h.st = cfg, st
-	h.hasU = cfg.Protocol.HasU()
-	h.hasE = cfg.Protocol.Kind().HasE()
+	h.hasE = cfg.Protocol.hasE()
 	h.remote = cfg.Protocol.Remote()
 	h.jrng = newRNG(cfg.Seed ^ 0xC0FFEE)
 	h.now = 0

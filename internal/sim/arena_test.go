@@ -110,91 +110,6 @@ func TestArenaReleaseSemantics(t *testing.T) {
 	m.Release()
 }
 
-// TestArenaCapLRU pins the capped pool's eviction policy: with a cap of
-// n machines, the pool never holds more than n, and the shape dropped is
-// the one least recently used — recently touched shapes stay warm.
-func TestArenaCapLRU(t *testing.T) {
-	shapes := []Config{
-		DefaultConfig(2, MESI),
-		DefaultConfig(4, MESI),
-		DefaultConfig(8, MESI),
-	}
-	a := NewArena()
-	a.SetCap(2)
-	// Release one machine of each shape in order: shape 0, 1, 2. The third
-	// Release exceeds the cap and must evict shape 0 (LRU).
-	for _, cfg := range shapes {
-		NewIn(a, cfg).Release()
-	}
-	if got := a.Pooled(); got != 2 {
-		t.Fatalf("pooled=%d after 3 releases with cap 2, want 2", got)
-	}
-	if got := a.Evictions(); got != 1 {
-		t.Fatalf("evictions=%d, want 1", got)
-	}
-	warm0, cold0 := a.PoolStats()
-	// Shape 0 was evicted: taking it again is a cold build. Shapes 1 and 2
-	// survived: warm.
-	NewIn(a, shapes[1]).Release()
-	NewIn(a, shapes[2]).Release()
-	NewIn(a, shapes[0]).Release()
-	warm, cold := a.PoolStats()
-	if warm-warm0 != 2 || cold-cold0 != 1 {
-		t.Errorf("after evicting shape 0: warm+=%d cold+=%d, want warm+=2 cold+=1", warm-warm0, cold-cold0)
-	}
-	// That last round touched 1, 2, then 0 — so the over-cap release of
-	// shape 0 must have evicted shape 1, now the LRU.
-	if got := a.Evictions(); got != 2 {
-		t.Fatalf("evictions=%d, want 2", got)
-	}
-	NewIn(a, shapes[2]).Release() // warm (stayed resident)
-	NewIn(a, shapes[0]).Release() // warm (most recently released)
-	warm2, cold2 := a.PoolStats()
-	if warm2-warm != 2 || cold2 != cold {
-		t.Errorf("hot shapes after LRU eviction: warm+=%d cold+=%d, want warm+=2 cold+=0", warm2-warm, cold2-cold)
-	}
-
-	// Lowering the cap evicts immediately; removing it stops evicting.
-	a.SetCap(1)
-	if got := a.Pooled(); got != 1 {
-		t.Errorf("pooled=%d after SetCap(1), want 1", got)
-	}
-	a.SetCap(0)
-	for _, cfg := range shapes {
-		NewIn(a, cfg).Release()
-	}
-	if got := a.Pooled(); got != 3 {
-		t.Errorf("pooled=%d with cap removed, want 3", got)
-	}
-}
-
-// TestArenaCapIdenticalResults pins that capping changes only residency,
-// never results: a multi-shape sweep through a cap-1 arena (every second
-// take is a cold rebuild) matches the uncapped stats byte for byte.
-func TestArenaCapIdenticalResults(t *testing.T) {
-	fresh := map[int]Stats{}
-	for i, cfg := range arenaConfigs() {
-		fresh[i] = runArenaKernel(t, nil, cfg)
-	}
-	a := NewArena()
-	a.SetCap(1)
-	for pass := 0; pass < 2; pass++ {
-		for i, cfg := range arenaConfigs() {
-			got := runArenaKernel(t, a, cfg)
-			if got != fresh[i] {
-				t.Fatalf("pass %d cfg %d (%v, %d cores, seed %d): capped-arena stats differ from fresh\ncapped: %+v\nfresh:  %+v",
-					pass, i, cfg.Protocol, cfg.Cores, cfg.Seed, got, fresh[i])
-			}
-		}
-	}
-	if a.Pooled() > 1 {
-		t.Errorf("pooled=%d exceeds cap 1", a.Pooled())
-	}
-	if a.Evictions() == 0 {
-		t.Error("multi-shape sweep through cap-1 arena never evicted")
-	}
-}
-
 // TestArenaRunAfterReuse exercises the reused scheduler scratch: a pooled
 // machine must run the barrier paths correctly on its second life. The
 // 272-core machine sizes the loser tree's treeKeys/treeLos scratch at 512

@@ -56,24 +56,21 @@
 // (4096). See README.md for measured throughput.
 //
 // The simulator substitutes for zsim (Sanchez & Kozyrakis, ISCA'13), which
-// is unavailable here; see DESIGN.md for the substitution argument.
+// the paper used. It models the Table 1 memory system in detail and a core
+// only as a stream of memory operations, with other instructions charged
+// through Ctx.Work, so absolute cycle counts differ from the paper's and
+// the figures compare protocols with each other.
 package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
-
-	coh "repro/internal/core"
 )
 
-// Protocol selects the memory-system behaviour of a simulated machine. It
-// is an index into an open protocol table: the five paper protocols are
-// pre-registered, and new variants (different stable-state tables, remote
-// execution, future N-state generalizations of Sec 3.4) plug in through
-// RegisterProtocol without touching the engine, which only ever consults
-// the behaviour axes of a ProtocolSpec.
+// Protocol selects the memory-system behaviour of a simulated machine: one
+// of the five protocols in the fixed table below. The engine never
+// compares protocols by id; it reads only their behaviour axes.
 type Protocol uint8
 
 const (
@@ -92,139 +89,68 @@ const (
 	// MUSI is MSI plus the update-only state (Fig 4): COUP without the
 	// E-state optimization of Fig 6.
 	MUSI
+
+	numProtocols
 )
 
-// ProtocolSpec describes a protocol variant along the behaviour axes the
-// engine understands: which stable-state table private caches and
-// directories run (internal/core), and whether commutative updates are
-// shipped to the line's home L4 bank instead of being cached locally.
-type ProtocolSpec struct {
-	// Name is the registry key (unique, case-insensitively).
-	Name string
-	// Desc is a one-line description for listings.
-	Desc string
-	// Kind selects the stable-state table (MSI, MESI, MUSI or MEUSI).
-	// Kinds with the U state give commutative updates the private-cache
-	// fast path of Fig 4/Fig 6.
-	Kind coh.Kind
-	// Remote ships commutative updates to the line's home L4 bank (Fig 1b)
-	// instead of executing them in the core. Requires a U-less Kind.
-	Remote bool
+// protocols is the protocol table, indexed by Protocol. It holds the three
+// axes the engine reads: hasE grants a lone reader the exclusive-clean E
+// state (and, with hasU, a lone updater M rather than U); hasU gives
+// commutative updates COUP's update-only state; remote ships them to the
+// line's home L4 bank instead of caching them.
+var protocols = [numProtocols]struct {
+	name, desc         string
+	hasE, hasU, remote bool
+}{
+	MESI:  {name: "MESI", desc: "baseline; commutative updates run as atomics (Sec 2)", hasE: true},
+	MEUSI: {name: "MEUSI", desc: "COUP on MESI: update-only state with E optimization (Fig 6)", hasE: true, hasU: true},
+	RMO:   {name: "RMO", desc: "remote memory operations at the home L4 bank (Fig 1b)", hasE: true, remote: true},
+	MSI:   {name: "MSI", desc: "E-less baseline (Sec 3.1 starting point)"},
+	MUSI:  {name: "MUSI", desc: "COUP on MSI: update-only state without E (Fig 4)", hasU: true},
 }
 
-// HasU reports whether the spec supports COUP's update-only state.
-func (s ProtocolSpec) HasU() bool { return s.Kind.HasU() }
-
-// CommNative reports whether commutative-update instructions are executed
-// as such rather than falling back to conventional atomics.
-func (s ProtocolSpec) CommNative() bool { return s.HasU() || s.Remote }
-
-var (
-	protocolMu sync.RWMutex
-	// protocolTable is indexed by Protocol; the first five entries mirror
-	// the MESI..MUSI constants above.
-	protocolTable = []ProtocolSpec{
-		MESI:  {Name: "MESI", Desc: "baseline; commutative updates run as atomics (Sec 2)", Kind: coh.MESI},
-		MEUSI: {Name: "MEUSI", Desc: "COUP on MESI: update-only state with E optimization (Fig 6)", Kind: coh.MEUSI},
-		RMO:   {Name: "RMO", Desc: "remote memory operations at the home L4 bank (Fig 1b)", Kind: coh.MESI, Remote: true},
-		MSI:   {Name: "MSI", Desc: "E-less baseline (Sec 3.1 starting point)", Kind: coh.MSI},
-		MUSI:  {Name: "MUSI", Desc: "COUP on MSI: update-only state without E (Fig 4)", Kind: coh.MUSI},
-	}
-)
-
-// RegisterProtocol adds a protocol variant to the table and returns its
-// Protocol id. It fails on an empty or duplicate name (case-insensitive)
-// and on inconsistent axes (Remote with a U-state Kind). Registration must
-// complete before machines using the new protocol are built; it is safe
-// for concurrent use.
-func RegisterProtocol(s ProtocolSpec) (Protocol, error) {
-	if s.Name == "" {
-		return 0, fmt.Errorf("sim: protocol name must be non-empty")
-	}
-	if s.Remote && s.Kind.HasU() {
-		return 0, fmt.Errorf("sim: protocol %q: Remote requires a U-less Kind, got %v", s.Name, s.Kind)
-	}
-	protocolMu.Lock()
-	defer protocolMu.Unlock()
-	for _, have := range protocolTable {
-		if strings.EqualFold(have.Name, s.Name) {
-			return 0, fmt.Errorf("sim: protocol %q already registered", s.Name)
-		}
-	}
-	if len(protocolTable) > int(^uint8(0)) {
-		return 0, fmt.Errorf("sim: protocol table full")
-	}
-	protocolTable = append(protocolTable, s)
-	return Protocol(len(protocolTable) - 1), nil
-}
-
-// ProtocolByName looks up a registered protocol case-insensitively.
+// ProtocolByName looks up a protocol case-insensitively.
 func ProtocolByName(name string) (Protocol, bool) {
-	protocolMu.RLock()
-	defer protocolMu.RUnlock()
-	for i, s := range protocolTable {
-		if strings.EqualFold(s.Name, name) {
+	for i, s := range protocols {
+		if strings.EqualFold(s.name, name) {
 			return Protocol(i), true
 		}
 	}
 	return 0, false
 }
 
-// ProtocolIDs returns the id of every registered protocol, sorted by name.
+// ProtocolIDs returns the id of every protocol, sorted by name.
 func ProtocolIDs() []Protocol {
-	type entry struct {
-		id   Protocol
-		name string
+	ids := make([]Protocol, numProtocols)
+	for i := range ids {
+		ids[i] = Protocol(i)
 	}
-	protocolMu.RLock()
-	entries := make([]entry, len(protocolTable))
-	for i, s := range protocolTable {
-		entries[i] = entry{id: Protocol(i), name: s.Name}
-	}
-	protocolMu.RUnlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
-	ids := make([]Protocol, len(entries))
-	for i, e := range entries {
-		ids[i] = e.id
-	}
+	slices.SortFunc(ids, func(a, b Protocol) int { return strings.Compare(a.String(), b.String()) })
 	return ids
 }
 
-// Protocols returns the specs of every registered protocol, sorted by name.
-func Protocols() []ProtocolSpec {
-	protocolMu.RLock()
-	out := append([]ProtocolSpec(nil), protocolTable...)
-	protocolMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Spec returns the protocol's registered behaviour description. Unknown
-// ids return a zero-valued spec (which validates as a broken config).
-func (p Protocol) Spec() ProtocolSpec {
-	protocolMu.RLock()
-	defer protocolMu.RUnlock()
-	if int(p) >= len(protocolTable) {
-		return ProtocolSpec{}
-	}
-	return protocolTable[p]
-}
-
 func (p Protocol) String() string {
-	if s := p.Spec(); s.Name != "" {
-		return s.Name
+	if p < numProtocols {
+		return protocols[p].name
 	}
 	return fmt.Sprintf("Protocol(%d)", uint8(p))
 }
 
-// Kind maps the protocol to its stable-state table kind.
-func (p Protocol) Kind() coh.Kind { return p.Spec().Kind }
+// Description is a one-line summary naming the paper figure or section
+// the protocol comes from.
+func (p Protocol) Description() string { return protocols[p].desc }
 
 // HasU reports whether the protocol supports COUP's update-only state.
-func (p Protocol) HasU() bool { return p.Spec().HasU() }
+func (p Protocol) HasU() bool { return protocols[p].hasU }
 
 // Remote reports whether commutative updates execute at the home L4 bank.
-func (p Protocol) Remote() bool { return p.Spec().Remote }
+func (p Protocol) Remote() bool { return protocols[p].remote }
+
+func (p Protocol) hasE() bool { return protocols[p].hasE }
+
+// commNative reports whether commutative-update instructions execute as
+// such rather than falling back to conventional atomics.
+func (p Protocol) commNative() bool { return p.HasU() || p.Remote() }
 
 // Config describes a simulated machine. The zero value is not usable; start
 // from DefaultConfig.
@@ -349,8 +275,8 @@ const maxCores = sharerBits * sharerBits
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
-	if c.Protocol.Spec().Name == "" {
-		return fmt.Errorf("sim: unregistered protocol id %d", uint8(c.Protocol))
+	if c.Protocol >= numProtocols {
+		return fmt.Errorf("sim: unknown protocol id %d", uint8(c.Protocol))
 	}
 	if c.Cores < 1 {
 		return fmt.Errorf("sim: Cores must be >= 1, got %d", c.Cores)

@@ -124,8 +124,8 @@ type Machine struct {
 	// first operation. Only runTree and releaseBarrier update it.
 	raH uint64
 
-	// commNative caches Protocol.Spec().CommNative() so the per-operation
-	// dispatch in Ctx.comm avoids the protocol-table lock.
+	// commNative caches the protocol's commNative axis (hasU || remote),
+	// which the per-operation dispatch in Ctx.comm reads.
 	commNative bool
 
 	// frozen is the bitmap of frozen lines (Freeze), bit l%64 of word l/64
@@ -171,7 +171,7 @@ func New(cfg Config) *Machine {
 	m := &Machine{
 		cfg:        cfg,
 		allocPtr:   1 << 20, // leave page zero unmapped
-		commNative: cfg.Protocol.Spec().CommNative(),
+		commNative: cfg.Protocol.commNative(),
 	}
 	m.cores = make([]*core, cfg.Cores)
 	for i := range m.cores {

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 
-	coh "repro/internal/core"
 	"repro/internal/ops"
 )
 
@@ -84,13 +83,38 @@ func (b *backing) write32(addr uint64, v uint32) {
 	}
 }
 
+// lineState is a stable coherence state: of a line in a core's private
+// cache, or (dirLine.cstate) of a chip's grant from the global directory.
+type lineState uint8
+
+const (
+	stateI lineState = iota // invalid
+	stateS                  // shared, read-only
+	stateU                  // update-only under one commutative type (COUP)
+	stateE                  // exclusive clean
+	stateM                  // modified
+)
+
+func (s lineState) String() string {
+	if s <= stateM {
+		return "ISUEM"[s : s+1]
+	}
+	return fmt.Sprintf("lineState(%d)", uint8(s))
+}
+
+// CanRead reports whether a line in s satisfies a load locally.
+func (s lineState) CanRead() bool { return s == stateS || s == stateE || s == stateM }
+
+// Exclusive reports whether s implies no other cache holds a valid copy.
+func (s lineState) Exclusive() bool { return s == stateE || s == stateM }
+
 // privLine is the coherence payload of a private (L2) cache line. dirWay
 // remembers which way of the L3 set held the line's directory entry when
 // the line was filled — a best-effort hint (validated by tag on use, see
 // array.peekAt) that lets the eviction path find the entry without a
 // 16-way scan. It fits the struct's existing padding, costing nothing.
 type privLine struct {
-	state  coh.State
+	state  lineState
 	otype  ops.Type // operation type when state == U
 	dirWay uint8
 	buf    *ops.Line // partial updates when state == U
@@ -105,7 +129,7 @@ type dirLine struct {
 	owner   int16  // child holding E/M, or -1
 	otype   ops.Type
 	dirty   bool
-	cstate  coh.State
+	cstate  lineState
 }
 
 func (d *dirLine) hasChildren() bool { return d.sharers != 0 || d.owner >= 0 }
@@ -394,7 +418,6 @@ type hierarchy struct {
 	l4     *l4cache
 	jrng   rng
 	nChips int
-	hasU   bool
 	hasE   bool
 	remote bool
 
@@ -411,8 +434,7 @@ func newHierarchy(cfg *Config, st *Stats) *hierarchy {
 		st:     st,
 		store:  newBacking(),
 		nChips: n,
-		hasU:   cfg.Protocol.HasU(),
-		hasE:   cfg.Protocol.Kind().HasE(),
+		hasE:   cfg.Protocol.hasE(),
 		remote: cfg.Protocol.Remote(),
 		jrng:   newRNG(cfg.Seed ^ 0xC0FFEE),
 	}
@@ -527,7 +549,7 @@ func (h *hierarchy) access(c *core, r *request) uint64 {
 			}
 		}
 		h.st.Breakdown.L1 += l1bd
-		if r.kind == opComm && l2s.state == coh.U {
+		if r.kind == opComm && l2s.state == stateU {
 			// COUP's hot loop — buffer and coalesce locally (Sec 3.1.2),
 			// inlined here to spare the applyPriv dispatch.
 			w := (r.addr >> 3) & 7
@@ -546,7 +568,7 @@ func (h *hierarchy) access(c *core, r *request) uint64 {
 	// L3-directory drop rides l3Access's own probe (dropSelf) instead of a
 	// separate tag scan here.
 	if l2s != nil {
-		if l2s.state == coh.U {
+		if l2s.state == stateU {
 			h.foldBufferAt(pc, line, l2s)
 		}
 		pc.l2.invalidateAt(line, l2h)
@@ -587,7 +609,7 @@ func (h *hierarchy) privSufficient(p *privLine, r *request) bool {
 	case opStore, opRMW, opCAS:
 		return p.state.Exclusive()
 	case opComm:
-		return p.state.Exclusive() || (p.state == coh.U && p.otype == r.otype)
+		return p.state.Exclusive() || (p.state == stateU && p.otype == r.otype)
 	}
 	return false
 }
@@ -614,7 +636,7 @@ func setWord32(w *uint64, addr uint64, v uint32) {
 // once; read-modify-write kinds then work on the word in place instead of
 // walking the page table per half-access.
 func (h *hierarchy) applyPriv(c *core, p *privLine, r *request) {
-	if r.kind == opComm && p.state == coh.U {
+	if r.kind == opComm && p.state == stateU {
 		// Buffer and coalesce locally (Sec 3.1.2).
 		w := (r.addr >> 3) & 7
 		p.buf[w] = ops.ApplyAt(r.otype, p.buf[w], uint(r.addr&7), r.val)
@@ -630,8 +652,8 @@ func (h *hierarchy) applyPriv(c *core, p *privLine, r *request) {
 			r.out = *w
 		}
 	case opStore:
-		if p.state == coh.E {
-			p.state = coh.M
+		if p.state == stateE {
+			p.state = stateM
 		}
 		if r.width == 4 {
 			setWord32(w, r.addr, uint32(r.val))
@@ -639,8 +661,8 @@ func (h *hierarchy) applyPriv(c *core, p *privLine, r *request) {
 			*w = r.val
 		}
 	case opRMW:
-		if p.state == coh.E {
-			p.state = coh.M
+		if p.state == stateE {
+			p.state = stateM
 		}
 		var old uint64
 		if r.width == 4 {
@@ -668,8 +690,8 @@ func (h *hierarchy) applyPriv(c *core, p *privLine, r *request) {
 		}
 		r.out = old
 	case opCAS:
-		if p.state == coh.E {
-			p.state = coh.M
+		if p.state == stateE {
+			p.state = stateM
 		}
 		var old uint64
 		if r.width == 4 {
@@ -688,8 +710,8 @@ func (h *hierarchy) applyPriv(c *core, p *privLine, r *request) {
 		}
 	case opComm:
 		// Exclusive states apply in place.
-		if p.state == coh.E {
-			p.state = coh.M
+		if p.state == stateE {
+			p.state = stateM
 		}
 		*w = ops.ApplyAt(r.otype, *w, uint(r.addr&7), r.val)
 	}
@@ -701,7 +723,7 @@ func (h *hierarchy) applyPriv(c *core, p *privLine, r *request) {
 // probe in access: on a clean miss it still stages the victim way and the
 // fill commits scan-free; after a same-set mutation (e.g. the requester
 // dropped its own insufficient copy) commit falls back to a fresh insert.
-func (h *hierarchy) fillPriv(c *core, line uint64, grant coh.State, t ops.Type, fh slotRef, dirWay uint8) *privLine {
+func (h *hierarchy) fillPriv(c *core, line uint64, grant lineState, t ops.Type, fh slotRef, dirWay uint8) *privLine {
 	pc := h.priv[c.id]
 	s, vtag, vp, evicted, _ := pc.l2.commit(line, fh)
 	if evicted {
@@ -709,7 +731,7 @@ func (h *hierarchy) fillPriv(c *core, line uint64, grant coh.State, t ops.Type, 
 		pc.l1.invalidate(vtag)
 	}
 	*s = privLine{state: grant, dirWay: dirWay}
-	if grant == coh.U {
+	if grant == stateU {
 		s.buf = pc.newBuf(t)
 		s.otype = t
 	}
@@ -729,24 +751,24 @@ func (h *hierarchy) evictPrivLine(c *core, line uint64, p *privLine) {
 		panic(fmt.Sprintf("sim: inclusion violated — L2 line %#x missing from L3", line))
 	}
 	switch p.state {
-	case coh.U:
+	case stateU:
 		h.foldBufferAt(h.priv[c.id], line, p)
 		h.st.PartialReductions++
 		h.onChip(dataBytes) // partial update travels with the eviction
 		ch.bank(line).redBusy += h.cfg.ReduceCyclesPerLine
 		e.sharers &^= bit(ci)
-	case coh.M:
+	case stateM:
 		h.onChip(dataBytes)
 		e.dirty = true
 		if e.owner == int16(ci) {
 			e.owner = invalidOwner
 		}
-	case coh.E:
+	case stateE:
 		h.onChip(ctrlBytes)
 		if e.owner == int16(ci) {
 			e.owner = invalidOwner
 		}
-	case coh.S:
+	case stateS:
 		h.onChip(ctrlBytes)
 		e.sharers &^= bit(ci)
 	}
@@ -784,7 +806,7 @@ func (h *hierarchy) offChip(bytes uint64) {
 // just dropped its own insufficient private copy: the matching
 // directory-entry cleanup happens on the entry found by this function's
 // probe, instead of a separate tag scan in access.
-func (h *hierarchy) l3Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn, dropSelf bool) (coh.State, uint8) {
+func (h *hierarchy) l3Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn, dropSelf bool) (lineState, uint8) {
 	ch := h.chips[c.chip]
 	b := ch.bank(line)
 	ci := c.id % h.cfg.CoresPerChip
@@ -846,26 +868,26 @@ func (h *hierarchy) l3Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn
 func (h *hierarchy) chipSufficient(d *dirLine, rq shReq, t ops.Type) bool {
 	switch rq {
 	case shGetS:
-		return d.cstate == coh.S || d.cstate.Exclusive()
+		return d.cstate == stateS || d.cstate.Exclusive()
 	case shGetX:
 		return d.cstate.Exclusive()
 	case shGetU:
 		if d.cstate.Exclusive() {
 			return true
 		}
-		return d.cstate == coh.U && d.otype == t
+		return d.cstate == stateU && d.otype == t
 	}
 	return false
 }
 
 // resolveInChip resolves the in-chip directory actions once the chip itself
 // holds sufficient permission, and returns the state granted to the core.
-func (h *hierarchy) resolveInChip(c *core, ch *l3cache, b *bank, d *dirLine, line uint64, rq shReq, t ops.Type, tx *txn, ci int) coh.State {
+func (h *hierarchy) resolveInChip(c *core, ch *l3cache, b *bank, d *dirLine, line uint64, rq shReq, t ops.Type, tx *txn, ci int) lineState {
 	switch rq {
 	case shGetS:
 		if d.owner >= 0 {
 			// Downgrade the in-chip owner; it keeps a read-only copy.
-			h.downgradeCore(ch.chip, int(d.owner), line, coh.S, ops.Read)
+			h.downgradeCore(ch.chip, int(d.owner), line, stateS, ops.Read)
 			tx.adv(h.invalRTT(), &tx.bd.L3)
 			d.sharers |= bit(int(d.owner))
 			d.owner = invalidOwner
@@ -884,9 +906,9 @@ func (h *hierarchy) resolveInChip(c *core, ch *l3cache, b *bank, d *dirLine, lin
 			// Sole copy anywhere: exclusive-clean grant.
 			d.sharers = 0
 			d.owner = int16(ci)
-			return coh.E
+			return stateE
 		}
-		return coh.S
+		return stateS
 
 	case shGetX:
 		if d.owner >= 0 {
@@ -904,16 +926,16 @@ func (h *hierarchy) resolveInChip(c *core, ch *l3cache, b *bank, d *dirLine, lin
 		}
 		d.owner = int16(ci)
 		d.sharers = 0
-		d.cstate = coh.M
+		d.cstate = stateM
 		d.dirty = true
-		return coh.M
+		return stateM
 
 	case shGetU:
 		if d.owner >= 0 {
 			// Fig 5b: downgrade the owner M→U; it stays a sharer with an
 			// identity buffer, and its value is written back (to the backing
 			// image here).
-			h.downgradeCore(ch.chip, int(d.owner), line, coh.U, t)
+			h.downgradeCore(ch.chip, int(d.owner), line, stateU, t)
 			tx.adv(h.invalRTT(), &tx.bd.L3)
 			d.sharers |= bit(int(d.owner))
 			d.owner = invalidOwner
@@ -934,18 +956,18 @@ func (h *hierarchy) resolveInChip(c *core, ch *l3cache, b *bank, d *dirLine, lin
 			// Fig 6: update request on an unshared line is granted in M.
 			d.owner = int16(ci)
 			d.dirty = true
-			return coh.M
+			return stateM
 		}
 		d.sharers |= bit(ci)
 		d.otype = t
 		h.st.UGrants++
-		return coh.U
+		return stateU
 	}
 	panic("unreachable")
 }
 
 // downgradeCore demotes a core's private copy from M/E to S or U.
-func (h *hierarchy) downgradeCore(chip, ci int, line uint64, to coh.State, t ops.Type) {
+func (h *hierarchy) downgradeCore(chip, ci int, line uint64, to lineState, t ops.Type) {
 	coreID := chip*h.cfg.CoresPerChip + ci
 	pc := h.priv[coreID]
 	s := pc.l2.peek(line)
@@ -953,13 +975,13 @@ func (h *hierarchy) downgradeCore(chip, ci int, line uint64, to coh.State, t ops
 		panic(fmt.Sprintf("sim: directory thinks core %d owns %#x but L2 misses", coreID, line))
 	}
 	h.st.Downgrades++
-	if s.state == coh.M {
+	if s.state == stateM {
 		h.onChip(dataBytes) // dirty value written back
 	} else {
 		h.onChip(ctrlBytes)
 	}
 	s.state = to
-	if to == coh.U {
+	if to == stateU {
 		s.buf = pc.newBuf(t)
 		s.otype = t
 	} else {
@@ -974,7 +996,7 @@ func (h *hierarchy) downgradeCore(chip, ci int, line uint64, to coh.State, t ops
 // and invalidateChip) avoid a pre-peek of the same L2 set. The slot handle
 // from the single peek also feeds the invalidation, so the victim L2 is
 // walked once rather than twice.
-func (h *hierarchy) invalidateCore(chip, ci int, line uint64) coh.State {
+func (h *hierarchy) invalidateCore(chip, ci int, line uint64) lineState {
 	coreID := chip*h.cfg.CoresPerChip + ci
 	pc := h.priv[coreID]
 	s, sh := pc.l2.peekSlot(line)
@@ -984,10 +1006,10 @@ func (h *hierarchy) invalidateCore(chip, ci int, line uint64) coh.State {
 	h.st.Invalidations++
 	was := s.state
 	switch was {
-	case coh.U:
+	case stateU:
 		h.foldBufferAt(pc, line, s)
 		h.onChip(dataBytes)
-	case coh.M:
+	case stateM:
 		h.onChip(dataBytes)
 	default:
 		h.onChip(ctrlBytes)
@@ -1045,7 +1067,7 @@ func (h *hierarchy) evictL3Line(ch *l3cache, line uint64, d *dirLine) {
 	}
 	nU := 0
 	for rem := d.sharers; rem != 0; rem &= rem - 1 {
-		if h.invalidateCore(ch.chip, bits.TrailingZeros64(rem), line) == coh.U {
+		if h.invalidateCore(ch.chip, bits.TrailingZeros64(rem), line) == stateU {
 			nU++
 		}
 	}
@@ -1063,7 +1085,7 @@ func (h *hierarchy) evictL3Line(ch *l3cache, line uint64, d *dirLine) {
 		ge.dirty = true
 	}
 	ge.sharers &^= bit(ch.chip)
-	if d.dirty || d.cstate == coh.U {
+	if d.dirty || d.cstate == stateU {
 		h.offChip(dataBytes)
 		ge.dirty = true
 	} else {
@@ -1075,7 +1097,7 @@ func (h *hierarchy) evictL3Line(ch *l3cache, line uint64, d *dirLine) {
 // directory, performing cross-chip invalidations, downgrades and global
 // reductions as needed. It returns the chip state granted (S, U, or M for
 // exclusive).
-func (h *hierarchy) l4Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn) coh.State {
+func (h *hierarchy) l4Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn) lineState {
 	b := h.l4.bank(line)
 	p := c.chip
 
@@ -1119,12 +1141,12 @@ func (h *hierarchy) l4Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn
 
 // resolveGlobal applies the cross-chip directory actions for chip p's
 // request and returns the granted chip state.
-func (h *hierarchy) resolveGlobal(p int, d *dirLine, line uint64, rq shReq, t ops.Type, tx *txn) coh.State {
+func (h *hierarchy) resolveGlobal(p int, d *dirLine, line uint64, rq shReq, t ops.Type, tx *txn) lineState {
 	hasE := h.hasE
 	switch rq {
 	case shGetS:
 		if d.owner >= 0 && d.owner != int16(p) {
-			h.downgradeChip(int(d.owner), line, coh.S, ops.Read, tx)
+			h.downgradeChip(int(d.owner), line, stateS, ops.Read, tx)
 			d.sharers |= bit(int(d.owner))
 			d.owner = invalidOwner
 			d.dirty = true
@@ -1142,9 +1164,9 @@ func (h *hierarchy) resolveGlobal(p int, d *dirLine, line uint64, rq shReq, t op
 		if d.sharers == bit(p) && hasE {
 			d.sharers = 0
 			d.owner = int16(p)
-			return coh.M // chip-exclusive
+			return stateM // chip-exclusive
 		}
-		return coh.S
+		return stateS
 
 	case shGetX:
 		if d.owner >= 0 && d.owner != int16(p) {
@@ -1162,12 +1184,12 @@ func (h *hierarchy) resolveGlobal(p int, d *dirLine, line uint64, rq shReq, t op
 		d.owner = int16(p)
 		d.sharers = 0
 		d.dirty = true
-		return coh.M
+		return stateM
 
 	case shGetU:
 		if d.owner >= 0 && d.owner != int16(p) {
 			// Downgrade the owning chip to update-only; it keeps U copies.
-			h.downgradeChip(int(d.owner), line, coh.U, t, tx)
+			h.downgradeChip(int(d.owner), line, stateU, t, tx)
 			d.sharers |= bit(int(d.owner))
 			d.owner = invalidOwner
 			d.dirty = true
@@ -1191,11 +1213,11 @@ func (h *hierarchy) resolveGlobal(p int, d *dirLine, line uint64, rq shReq, t op
 			d.owner = int16(p)
 			d.sharers = 0
 			d.dirty = true
-			return coh.M
+			return stateM
 		}
 		d.sharers |= bit(p)
 		d.otype = t
-		return coh.U
+		return stateU
 	}
 	panic("unreachable")
 }
@@ -1204,7 +1226,7 @@ func (h *hierarchy) resolveGlobal(p int, d *dirLine, line uint64, rq shReq, t op
 // any) is downgraded the same way; internal copies incompatible with the
 // new chip state are reduced (U copies before a read grant) or invalidated
 // (S copies before an update grant). The chip keeps its L3 entry.
-func (h *hierarchy) downgradeChip(q int, line uint64, to coh.State, t ops.Type, tx *txn) {
+func (h *hierarchy) downgradeChip(q int, line uint64, to lineState, t ops.Type, tx *txn) {
 	ch := h.chips[q]
 	e := ch.arr.peek(line)
 	if e == nil {
@@ -1212,7 +1234,7 @@ func (h *hierarchy) downgradeChip(q int, line uint64, to coh.State, t ops.Type, 
 	}
 	d := e
 	newType := ops.Read
-	if to == coh.U {
+	if to == stateU {
 		newType = t
 	}
 	cost := 2 * h.cfg.LinkLat
@@ -1258,7 +1280,7 @@ func (h *hierarchy) invalidateChip(q int, line uint64, tx *txn) uint64 {
 	}
 	nU := 0
 	for rem := e.sharers; rem != 0; rem &= rem - 1 {
-		if h.invalidateCore(q, bits.TrailingZeros64(rem), line) == coh.U {
+		if h.invalidateCore(q, bits.TrailingZeros64(rem), line) == stateU {
 			nU++
 		}
 	}
@@ -1270,7 +1292,7 @@ func (h *hierarchy) invalidateChip(q int, line uint64, tx *txn) uint64 {
 		// cores' partials before one response crosses the link (Sec 3.2).
 		cost += h.cfg.ReduceLatency + uint64(nU)*h.cfg.ReduceCyclesPerLine
 	}
-	dirty := e.dirty || e.cstate == coh.U || nU > 0
+	dirty := e.dirty || e.cstate == stateU || nU > 0
 	ch.arr.invalidate(line)
 	h.st.Invalidations++
 	if dirty {
@@ -1470,7 +1492,7 @@ func (h *hierarchy) rmoUpdate(c *core, r *request) uint64 {
 func (h *hierarchy) drain() {
 	for _, pc := range h.priv {
 		pc.l2.forEach(func(tag uint64, p *privLine) {
-			if p.state == coh.U && p.buf != nil {
+			if p.state == stateU && p.buf != nil {
 				h.foldBufferAt(pc, tag, p)
 				// Keep the line resident in U with a fresh identity buffer so
 				// structural invariants still hold after draining.
@@ -1499,15 +1521,15 @@ func (h *hierarchy) checkInvariants() error {
 				return
 			}
 			switch p.state {
-			case coh.M, coh.E:
+			case stateM, stateE:
 				if e.owner != int16(ci) {
 					err = fmt.Errorf("core %d holds %#x in %v but dir owner=%d", cid, tag, p.state, e.owner)
 				}
-			case coh.S:
+			case stateS:
 				if e.sharers&bit(ci) == 0 || e.otype.IsUpdate() {
 					err = fmt.Errorf("core %d holds %#x in S but dir sharers=%#x type=%v", cid, tag, e.sharers, e.otype)
 				}
-			case coh.U:
+			case stateU:
 				if e.sharers&bit(ci) == 0 || e.otype != p.otype {
 					err = fmt.Errorf("core %d holds %#x in U(%v) but dir sharers=%#x type=%v", cid, tag, p.otype, e.sharers, e.otype)
 				}
@@ -1534,11 +1556,11 @@ func (h *hierarchy) checkInvariants() error {
 				return
 			}
 			switch d.cstate {
-			case coh.M, coh.E:
+			case stateM, stateE:
 				if ge.owner != int16(q) {
 					err = fmt.Errorf("chip %d exclusive on %#x but L4 owner=%d", q, tag, ge.owner)
 				}
-			case coh.S, coh.U:
+			case stateS, stateU:
 				if ge.sharers&bit(q) == 0 {
 					err = fmt.Errorf("chip %d shares %#x but L4 sharers=%#x", q, tag, ge.sharers)
 				}

@@ -3,20 +3,19 @@
 // Updates to Shared Data in Cache-Coherent Systems", MICRO 2015). It
 // exposes the execution-driven simulator, the paper's protocols and
 // benchmarks, and the experiment entry points behind a stable facade so
-// that new protocols and workloads plug in by name without touching the
-// engine.
+// that protocols and workloads are selected by name, and new workloads
+// plug in without touching the engine.
 //
 // # Concepts and where they come from in the paper
 //
-//   - Protocol: a coherence protocol variant, selected by name. The five
-//     built-ins are the paper's: MESI (the Sec 2 baseline, commutative
-//     updates run as atomics), MSI (the E-less starting point of Sec 3.1),
-//     MUSI (MSI plus COUP's update-only U state, Fig 4), MEUSI (the full
-//     COUP protocol with the exclusive-clean optimization, Fig 6), and RMO
+//   - Protocol: a coherence protocol, selected by name. The five are the
+//     paper's: MESI (the Sec 2 baseline, commutative updates run as
+//     atomics), MSI (the E-less starting point of Sec 3.1), MUSI (MSI
+//     plus COUP's update-only U state, Fig 4), MEUSI (the full COUP
+//     protocol with the exclusive-clean optimization, Fig 6), and RMO
 //     (remote memory operations executed at the line's home L4 bank,
-//     Fig 1b). RegisterProtocol adds new variants — e.g. the N-state
-//     generalizations sketched in Sec 3.4 — by declaring their behaviour
-//     axes; the engine consults only those axes.
+//     Fig 1b). They form a fixed table; the engine reads only its three
+//     behaviour axes (E state, U state, remote updates).
 //
 //   - Workload: one benchmark instance. The built-ins are the Table 2
 //     applications (hist, spmv, pgrank, bfs, fluid) and the Sec 5.4
@@ -54,13 +53,11 @@
 //     the specs that worker executes, zeroed on reuse. Repeated small
 //     simulations (the fig13 refcount grids) therefore run allocation-free
 //     at steady state, ~2.7x faster than with per-spec construction.
-//     Arenas never change results (pinned byte-identical by
-//     TestSweepArenaGolden); WithMachineArena(false) trades the speed back
-//     for minimal peak memory, and WithArenaCap(n) bounds each arena to n
-//     pooled machines with LRU eviction for wide multi-geometry grids.
-//     Callers issuing many sweeps can hoist the validated configuration
-//     with NewSweeper and reuse one Sweeper — its arenas stay warm across
-//     Run calls. Invalid parallelism is a typed error,
+//     Arenas never change results: TestSweepArenaGolden pins a sweep
+//     byte-identical to a per-spec Run, which builds a fresh machine each
+//     time. Callers issuing many sweeps can hoist the validated
+//     configuration with NewSweeper and reuse one Sweeper — its arenas
+//     stay warm across Run calls. Invalid parallelism is a typed error,
 //     ErrInvalidParallelism.
 //
 //   - Job: the multi-process layer over Sweep. Because every spec is

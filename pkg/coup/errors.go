@@ -11,14 +11,13 @@ import (
 // name, which option, what is registered).
 var (
 	// ErrUnknownProtocol is returned by protocol lookups for names no
-	// registered protocol answers to.
+	// protocol answers to.
 	ErrUnknownProtocol = errors.New("unknown protocol")
 	// ErrUnknownWorkload is returned by workload lookups for names no
 	// registered workload answers to.
 	ErrUnknownWorkload = errors.New("unknown workload")
-	// ErrDuplicateName is returned when registering a protocol or workload
-	// under a name that is already taken (names are compared
-	// case-insensitively).
+	// ErrDuplicateName is returned when registering a workload under a
+	// name that is already taken (names are compared case-insensitively).
 	ErrDuplicateName = errors.New("name already registered")
 	// ErrInvalidOption is returned by NewMachine and Run when an option's
 	// value is out of range (zero cores, non-power-of-two bank counts, ...).

@@ -65,7 +65,7 @@ func powerOfTwo(key string, n int) error {
 	return nil
 }
 
-// WithProtocol selects the coherence protocol by registry name
+// WithProtocol selects the coherence protocol by name
 // (case-insensitive). The default is "MEUSI", the full COUP protocol.
 func WithProtocol(name string) Option {
 	return func(b *builder) error {
@@ -73,7 +73,7 @@ func WithProtocol(name string) Option {
 		if !ok {
 			return unknownNameError(ErrUnknownProtocol, name, ProtocolNames())
 		}
-		if err := b.set("protocol", id.Spec().Name); err != nil {
+		if err := b.set("protocol", id.String()); err != nil {
 			return err
 		}
 		b.cfg.Protocol = id

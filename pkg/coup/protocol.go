@@ -1,17 +1,11 @@
 package coup
 
-import (
-	"fmt"
+import "repro/internal/sim"
 
-	coh "repro/internal/core"
-	"repro/internal/sim"
-)
-
-// Protocol is one coherence protocol selectable by name. The five paper
-// protocols (MSI, MESI, MUSI, MEUSI, RMO) self-register from the simulator
-// core; RegisterProtocol adds variants.
+// Protocol is one coherence protocol selectable by name: one of the five
+// the simulator implements (MSI, MESI, MUSI, MEUSI, RMO).
 type Protocol interface {
-	// Name is the registry key, e.g. "MEUSI".
+	// Name is the lookup key, e.g. "MEUSI".
 	Name() string
 	// Description is a one-line summary naming the paper figure/section
 	// the protocol comes from.
@@ -24,89 +18,15 @@ type Protocol interface {
 	RemoteUpdates() bool
 }
 
-// simProtocol adapts a registered simulator protocol id to the Protocol
-// interface.
+// simProtocol adapts a simulator protocol id to the Protocol interface.
 type simProtocol struct{ id sim.Protocol }
 
-func (p simProtocol) Name() string         { return p.id.Spec().Name }
-func (p simProtocol) Description() string  { return p.id.Spec().Desc }
+func (p simProtocol) Name() string         { return p.id.String() }
+func (p simProtocol) Description() string  { return p.id.Description() }
 func (p simProtocol) HasUpdateState() bool { return p.id.HasU() }
 func (p simProtocol) RemoteUpdates() bool  { return p.id.Remote() }
 
-// BaseStates names the stable-state table a protocol variant runs, i.e.
-// which of the paper's transition tables private caches and directories
-// follow.
-type BaseStates string
-
-const (
-	// BaseMSI is the three-state table (Sec 3.1's starting point).
-	BaseMSI BaseStates = "MSI"
-	// BaseMESI adds the exclusive-clean E state.
-	BaseMESI BaseStates = "MESI"
-	// BaseMUSI is MSI plus COUP's update-only U state (Fig 4).
-	BaseMUSI BaseStates = "MUSI"
-	// BaseMEUSI is MESI plus the update-only state (Fig 6, full COUP).
-	BaseMEUSI BaseStates = "MEUSI"
-)
-
-func (b BaseStates) kind() (coh.Kind, error) {
-	switch b {
-	case BaseMSI:
-		return coh.MSI, nil
-	case BaseMESI, "":
-		return coh.MESI, nil
-	case BaseMUSI:
-		return coh.MUSI, nil
-	case BaseMEUSI:
-		return coh.MEUSI, nil
-	}
-	return 0, fmt.Errorf("coup: unknown base-state table %q (have: MSI, MESI, MUSI, MEUSI)", string(b))
-}
-
-// ProtocolSpec declares a protocol variant along the behaviour axes the
-// engine understands. Register one with RegisterProtocol; the returned
-// Protocol is immediately selectable by name everywhere (WithProtocol,
-// command-line flags, ...).
-type ProtocolSpec struct {
-	// Name is the registry key; required, unique case-insensitively.
-	Name string
-	// Description is a one-line summary for listings.
-	Description string
-	// Base selects the stable-state table. Empty defaults to BaseMESI.
-	Base BaseStates
-	// Remote ships commutative updates to the line's home L4 bank instead
-	// of caching them; requires a U-less Base (MSI or MESI).
-	Remote bool
-}
-
-// RegisterProtocol adds a protocol variant to the registry. It returns
-// ErrDuplicateName (wrapped) if the name is taken, and a plain error for
-// inconsistent specs. Registration is safe for concurrent use but must
-// complete before machines using the protocol are built.
-func RegisterProtocol(s ProtocolSpec) (Protocol, error) {
-	kind, err := s.Base.kind()
-	if err != nil {
-		return nil, err
-	}
-	id, err := sim.RegisterProtocol(sim.ProtocolSpec{
-		Name:   s.Name,
-		Desc:   s.Description,
-		Kind:   kind,
-		Remote: s.Remote,
-	})
-	if err != nil {
-		// Classify after the fact so concurrent registrations of the same
-		// name still surface the documented sentinel: the registry only
-		// grows, so if the name resolves now, a duplicate is why we lost.
-		if _, taken := sim.ProtocolByName(s.Name); taken {
-			return nil, fmt.Errorf("coup: protocol %q: %w", s.Name, ErrDuplicateName)
-		}
-		return nil, fmt.Errorf("coup: %w", err)
-	}
-	return simProtocol{id: id}, nil
-}
-
-// Protocols returns every registered protocol, sorted by name.
+// Protocols returns every protocol, sorted by name.
 func Protocols() []Protocol {
 	ids := sim.ProtocolIDs()
 	out := make([]Protocol, len(ids))
@@ -116,19 +36,19 @@ func Protocols() []Protocol {
 	return out
 }
 
-// ProtocolNames returns the sorted names of every registered protocol.
+// ProtocolNames returns the sorted names of every protocol.
 func ProtocolNames() []string {
-	specs := sim.Protocols()
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
+	ids := sim.ProtocolIDs()
+	names := make([]string, len(ids))
+	for i, id := range ids {
+		names[i] = id.String()
 	}
 	return names
 }
 
 // LookupProtocol resolves a protocol by name, case-insensitively. Unknown
 // names return an error wrapping ErrUnknownProtocol that lists the
-// registered names.
+// protocol names.
 func LookupProtocol(name string) (Protocol, error) {
 	id, ok := sim.ProtocolByName(name)
 	if !ok {

@@ -1,7 +1,10 @@
 package coup
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -164,4 +167,60 @@ func TestReadResultStore(t *testing.T) {
 	if before.Size() != after.Size() {
 		t.Error("read-only load modified the file")
 	}
+}
+
+// FuzzReplayStore holds the journal replay to its crash-tolerance
+// contract on arbitrary bytes: it never panics; a bad header is a typed
+// ErrStoreMismatch; a good replay stops at a line boundary inside the
+// data; and replaying just the bytes it accepted gives the same header,
+// records and offset, so the truncation OpenResultStore applies loses
+// nothing.
+func FuzzReplayStore(f *testing.F) {
+	var journal []byte
+	for _, v := range []any{
+		testHeader(),
+		testRecord("a", 100),
+		testRecord("b", 200),
+		StoreRecord{Key: "c", Err: "validation failed", Stats: Stats{Cycles: 7}},
+		StoreRecord{Key: "d", Err: "coup: sweep run panicked: boom", Panicked: true},
+	} {
+		line, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		journal = append(append(journal, line...), '\n')
+	}
+	f.Add(journal)
+	for _, tail := range []string{
+		`{"key":"torn","st`,
+		`{"key":"torn","st` + "\n",
+		"\x00\x01garbage",
+		`{"key":"torn`,
+	} {
+		f.Add(append(bytes.Clone(journal), tail...))
+	}
+	f.Add([]byte{})
+	f.Add([]byte("{}"))
+	f.Add([]byte("not a header\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, recs, good, err := replayStore(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrStoreMismatch) {
+				t.Fatalf("replay error %v does not wrap ErrStoreMismatch", err)
+			}
+			return
+		}
+		if good <= 0 || good > int64(len(data)) || data[good-1] != '\n' {
+			t.Fatalf("replay accepted %d of %d bytes, not ending at a line boundary", good, len(data))
+		}
+		h2, recs2, good2, err := replayStore(bytes.NewReader(data[:good]))
+		if err != nil {
+			t.Fatalf("replaying the accepted %d bytes: %v", good, err)
+		}
+		if h2 != h || good2 != good || !maps.Equal(recs2, recs) {
+			t.Fatalf("replaying the accepted bytes changed the result: header %+v vs %+v, offset %d vs %d, %d vs %d records",
+				h2, h, good2, good, len(recs2), len(recs))
+		}
+	})
 }

@@ -100,10 +100,10 @@ func SpecKey(s RunSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// Hash the protocol by registry name, not numeric id: ids depend on
-	// registration order for plugged-in protocols, names do not.
+	// Hash the protocol by name, not numeric id, so keys do not depend on
+	// the protocol table's order.
 	cfg := b.cfg
-	proto := cfg.Protocol.Spec().Name
+	proto := cfg.Protocol.String()
 	cfg.Protocol = 0
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%s|%+v|%+v", info.Name, proto, cfg, b.wp)

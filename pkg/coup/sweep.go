@@ -47,8 +47,6 @@ type SweepResult struct {
 // sweepConfig carries sweep-level knobs.
 type sweepConfig struct {
 	parallelism int
-	arena       bool
-	arenaCap    int
 	metrics     *obs.Registry
 }
 
@@ -65,38 +63,6 @@ func WithParallelism(n int) SweepOption {
 			return fmt.Errorf("coup: %w: parallelism must be >= 1, got %d", ErrInvalidParallelism, n)
 		}
 		c.parallelism = n
-		return nil
-	}
-}
-
-// WithMachineArena toggles the per-worker machine arenas (default on).
-// With arenas on, each worker recycles machine-sized scratch — cache and
-// directory arrays, backing-store pages, bank tables — across the specs
-// it executes, making repeated small simulations allocation-free at
-// steady state. Arenas never change results (sweep tables are
-// byte-identical either way, which TestSweepArenaGolden pins); turn them
-// off only to trade that speed for the lowest possible peak memory.
-func WithMachineArena(on bool) SweepOption {
-	return func(c *sweepConfig) error {
-		c.arena = on
-		return nil
-	}
-}
-
-// WithArenaCap bounds each worker's machine arena at n resident machines
-// (n >= 1), evicting the least-recently-used geometry when a release
-// would exceed it. Wide multi-geometry sweeps — many core counts × cache
-// shapes — otherwise keep one pooled machine per shape per worker
-// resident for the sweep's lifetime; a cap trades warm-hit rate for
-// bounded peak memory. Capping never changes results (the arena rebuilds
-// evicted shapes cold), only speed. Requires arenas on (the default);
-// n < 1 is an error (ErrInvalidOption).
-func WithArenaCap(n int) SweepOption {
-	return func(c *sweepConfig) error {
-		if n < 1 {
-			return fmt.Errorf("coup: %w: arena cap must be >= 1, got %d", ErrInvalidOption, n)
-		}
-		c.arenaCap = n
 		return nil
 	}
 }
@@ -120,12 +86,16 @@ func WithSweepMetrics(reg *obs.Registry) SweepOption {
 // worker count and builds the per-worker machine arenas once; every Run
 // then fans its specs out over that fixed pool, so repeated sweeps (a
 // benchmark loop, an experiment series) keep their recycled machines
-// across calls instead of re-deriving configuration per sweep. A Sweeper
+// across calls instead of re-deriving configuration per sweep. Each
+// worker's arena recycles machine-sized scratch — cache and directory
+// arrays, backing-store pages, bank tables — across the specs it
+// executes, making repeated small simulations allocation-free at steady
+// state; arenas never change results (TestSweepArenaGolden). A Sweeper
 // is safe for sequential reuse, not for concurrent Run calls (the
 // per-worker arenas are single-threaded by design).
 type Sweeper struct {
 	parallelism int
-	arenas      []*sim.Arena // one per worker slot; nil when arenas are off
+	arenas      []*sim.Arena // one per worker slot
 
 	// Progress metrics; all nil unless WithSweepMetrics was given.
 	specsDone  *obs.Counter
@@ -143,7 +113,7 @@ type arenaSync struct{ warm, cold uint64 }
 // (e.g. WithParallelism(0)) surface here, typed, rather than inside every
 // sweep call.
 func NewSweeper(opts ...SweepOption) (*Sweeper, error) {
-	cfg := sweepConfig{parallelism: runtime.GOMAXPROCS(0), arena: true}
+	cfg := sweepConfig{parallelism: runtime.GOMAXPROCS(0)}
 	for _, opt := range opts {
 		if opt == nil {
 			continue
@@ -152,16 +122,9 @@ func NewSweeper(opts ...SweepOption) (*Sweeper, error) {
 			return nil, err
 		}
 	}
-	s := &Sweeper{parallelism: cfg.parallelism}
-	if cfg.arenaCap > 0 && !cfg.arena {
-		return nil, fmt.Errorf("coup: %w: WithArenaCap requires machine arenas on", ErrInvalidOption)
-	}
-	if cfg.arena {
-		s.arenas = make([]*sim.Arena, cfg.parallelism)
-		for i := range s.arenas {
-			s.arenas[i] = sim.NewArena()
-			s.arenas[i].SetCap(cfg.arenaCap)
-		}
+	s := &Sweeper{parallelism: cfg.parallelism, arenas: make([]*sim.Arena, cfg.parallelism)}
+	for i := range s.arenas {
+		s.arenas[i] = sim.NewArena()
 	}
 	if m := cfg.metrics; m != nil {
 		s.specsDone = m.Counter("coup_sweep_specs_total", "Sweep specs finished.")
@@ -202,9 +165,8 @@ func (s *Sweeper) RunEach(specs []RunSpec, done func(i int, r SweepResult)) []Sw
 		workers = len(specs)
 	}
 	if workers <= 1 {
-		a := s.arena(0)
 		for i := range specs {
-			finish(i, s.runCounted(0, a, specs[i]))
+			finish(i, s.runCounted(0, specs[i]))
 		}
 		return out
 	}
@@ -214,9 +176,8 @@ func (s *Sweeper) RunEach(specs []RunSpec, done func(i int, r SweepResult)) []Sw
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			a := s.arena(w)
 			for i := range idx {
-				finish(i, s.runCounted(w, a, specs[i]))
+				finish(i, s.runCounted(w, specs[i]))
 			}
 		}(w)
 	}
@@ -228,19 +189,11 @@ func (s *Sweeper) RunEach(specs []RunSpec, done func(i int, r SweepResult)) []Sw
 	return out
 }
 
-// arena returns worker w's machine arena, or nil when arenas are off.
-func (s *Sweeper) arena(w int) *sim.Arena {
-	if s.arenas == nil {
-		return nil
-	}
-	return s.arenas[w]
-}
-
-// runCounted executes one spec and, when progress metrics are on,
-// publishes its completion: busy time, the spec count, and the worker
-// arena's pool-stat deltas since its last publish. Each write is an obs
-// update-only add on the worker's own shard, so progress costs the sweep
-// nothing measurable and a concurrent reader sees live totals.
+// runCounted executes one spec on worker w's arena and, when progress
+// metrics are on, publishes its completion: busy time, the spec count,
+// and the arena's pool-stat deltas since its last publish. Each write is
+// an obs update-only add on the worker's own shard, so progress costs the
+// sweep nothing measurable and a concurrent reader sees live totals.
 //
 // "Done" deliberately includes failures: a spec that errored — or
 // panicked and was recovered — counts in coup_sweep_specs_total exactly
@@ -248,7 +201,8 @@ func (s *Sweeper) arena(w int) *sim.Arena {
 // (done-with-error). The counter, the store and the merge coverage
 // report therefore always agree on how many specs finished;
 // TestSweepPanickedSpecIsDone pins this.
-func (s *Sweeper) runCounted(w int, a *sim.Arena, spec RunSpec) SweepResult {
+func (s *Sweeper) runCounted(w int, spec RunSpec) SweepResult {
+	a := s.arenas[w]
 	if s.specsDone == nil {
 		return runSpec(a, spec)
 	}
@@ -256,13 +210,11 @@ func (s *Sweeper) runCounted(w int, a *sim.Arena, spec RunSpec) SweepResult {
 	res := runSpec(a, spec)
 	s.busyNs.Add(time.Since(t0).Nanoseconds())
 	s.specsDone.Inc()
-	if a != nil {
-		warm, cold := a.PoolStats()
-		last := &s.arenaSyncs[w]
-		s.arenaWarm.Add(int64(warm - last.warm))
-		s.arenaCold.Add(int64(cold - last.cold))
-		last.warm, last.cold = warm, cold
-	}
+	warm, cold := a.PoolStats()
+	last := &s.arenaSyncs[w]
+	s.arenaWarm.Add(int64(warm - last.warm))
+	s.arenaCold.Add(int64(cold - last.cold))
+	last.warm, last.cold = warm, cold
 	return res
 }
 
@@ -281,7 +233,7 @@ func Sweep(specs []RunSpec, opts ...SweepOption) ([]SweepResult, error) {
 
 // runSpec executes one spec, converting panics (workload factories and
 // kernels are allowed to panic on setup bugs) into errors. Machines come
-// from arena when non-nil.
+// from arena.
 func runSpec(arena *sim.Arena, s RunSpec) (res SweepResult) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -24,41 +24,30 @@ func benchSpecs(cores, n int) []RunSpec {
 }
 
 // BenchmarkSweepSteadyState measures the sweep engine's per-spec cost on
-// repeated small machines: per-worker arenas on, capped (arena=capped
-// bounds each arena to one pooled machine, exercising the LRU-eviction
-// bookkeeping while the single shape here still always hits warm), and
-// off. ns/op is one whole sweep (12 specs); allocs/op shows the arena
-// removing the machine-sized share. CI tracks all three in
-// BENCH_baseline.
+// repeated small machines, with each worker's arena warm. ns/op is one
+// whole sweep (12 specs); allocs/op shows the arena removing the
+// machine-sized share. CI tracks it in BENCH_baseline under its
+// arena=true name.
 func BenchmarkSweepSteadyState(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		opts []SweepOption
-	}{
-		{"arena=true", []SweepOption{WithMachineArena(true)}},
-		{"arena=capped", []SweepOption{WithMachineArena(true), WithArenaCap(1)}},
-		{"arena=false", []SweepOption{WithMachineArena(false)}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			specs := benchSpecs(16, 12)
-			s, err := NewSweeper(append([]SweepOption{WithParallelism(1)}, bc.opts...)...)
-			if err != nil {
-				b.Fatal(err)
+	b.Run("arena=true", func(b *testing.B) {
+		specs := benchSpecs(16, 12)
+		s, err := NewSweeper(WithParallelism(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		warm := s.Run(specs) // warm pools, surface spec errors
+		for i, r := range warm {
+			if r.Err != nil {
+				b.Fatalf("spec %d: %v", i, r.Err)
 			}
-			warm := s.Run(specs) // warm pools, surface spec errors
-			for i, r := range warm {
-				if r.Err != nil {
-					b.Fatalf("spec %d: %v", i, r.Err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Run(specs)
-			}
-			b.StopTimer()
-			specsPerSec := float64(b.N) * float64(len(specs)) / b.Elapsed().Seconds()
-			b.ReportMetric(specsPerSec, "specs/s")
-		})
-	}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Run(specs)
+		}
+		b.StopTimer()
+		specsPerSec := float64(b.N) * float64(len(specs)) / b.Elapsed().Seconds()
+		b.ReportMetric(specsPerSec, "specs/s")
+	})
 }

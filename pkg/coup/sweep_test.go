@@ -188,22 +188,21 @@ func sweepGoldenSpecs() []RunSpec {
 }
 
 // TestSweepArenaGolden is the sweep-level golden test: the full result
-// table must be byte-identical at parallelism 1 vs 8 and with machine
-// arenas on vs off. Neither scheduling nor scratch reuse may leak into
-// results.
+// table must be byte-identical at parallelism 1 and 8 to a per-spec Run,
+// which builds a fresh machine each time. Neither scheduling nor scratch
+// reuse may leak into results.
 func TestSweepArenaGolden(t *testing.T) {
 	specs := sweepGoldenSpecs()
-	base, err := Sweep(specs, WithParallelism(1), WithMachineArena(false))
-	if err != nil {
-		t.Fatal(err)
+	base := make([]SweepResult, len(specs))
+	for i, s := range specs {
+		base[i].Stats, base[i].Err = Run(s.Workload, s.Options...)
 	}
 	variants := []struct {
 		name string
 		opts []SweepOption
 	}{
-		{"parallel1+arena", []SweepOption{WithParallelism(1)}},
-		{"parallel8+arena", []SweepOption{WithParallelism(8)}},
-		{"parallel8+noarena", []SweepOption{WithParallelism(8), WithMachineArena(false)}},
+		{"parallel1", []SweepOption{WithParallelism(1)}},
+		{"parallel8", []SweepOption{WithParallelism(8)}},
 		{"default", nil},
 	}
 	for _, v := range variants {
@@ -216,7 +215,7 @@ func TestSweepArenaGolden(t *testing.T) {
 				t.Fatalf("%s spec %d: errs %v / %v", v.name, i, base[i].Err, got[i].Err)
 			}
 			if got[i] != base[i] {
-				t.Errorf("%s: spec %d differs from serial no-arena baseline:\nbase %+v\ngot  %+v",
+				t.Errorf("%s: spec %d differs from per-spec Run:\nbase %+v\ngot  %+v",
 					v.name, i, base[i], got[i])
 			}
 		}
