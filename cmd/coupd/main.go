@@ -11,7 +11,6 @@
 // batches land (bounded by -drain-timeout), then the listener closes.
 // Load it with cmd/coupload; read it with:
 //
-//	curl localhost:7077/v1/stats
 //	curl localhost:7077/v1/snapshot/<name>
 //	curl localhost:7077/metrics          # Prometheus text exposition
 //
@@ -93,7 +92,7 @@ func main() {
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	fmt.Printf("coupd: serving on %s (POST /v1/batch, GET /v1/snapshot[/{name}], GET /v1/stats, GET /metrics)\n", *addr)
+	fmt.Printf("coupd: serving on %s (POST /v1/batch, GET /v1/snapshot[/{name}], GET /metrics)\n", *addr)
 	if *withPprof {
 		fmt.Printf("coupd: pprof on %s/debug/pprof/\n", *addr)
 	}

@@ -1,15 +1,14 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"runtime"
 
 	"repro/internal/stats"
 	"repro/internal/swbench"
 	"repro/pkg/coupd"
+	"repro/pkg/obs"
 )
 
 func init() {
@@ -97,31 +96,20 @@ func figsvc(p Params) []*stats.Table {
 		mkTable("Fig SVC-b: contended counters (8 cells) — in-process vs coupd over HTTP", swbench.KindCounter),
 	}
 
-	// Dogfood column: the server's own /v1/stats, kept in pkg/commute
+	// Dogfood column: the server's own telemetry, kept in pkg/commute
 	// structures, after absorbing the load above.
-	if st, err := fetchStats(ts.URL); err == nil {
-		t := &stats.Table{
-			Title:   "Fig SVC-c: coupd self-telemetry after the load (served from its own commute structures)",
-			Headers: []string{"metric", "value"},
-		}
-		t.AddRow("batches accepted", fmt.Sprint(st.Batches))
-		t.AddRow("updates applied", fmt.Sprint(st.Updates))
-		t.AddRow("batches rejected (429)", fmt.Sprint(st.Rejected))
-		t.AddRow("snapshot requests", fmt.Sprint(st.Snapshots))
-		t.AddRow("reduce ns min/mean/max", fmt.Sprintf("%d / %s / %d", st.ReduceNsMin, stats.F(st.ReduceNsMean), st.ReduceNsMax))
-		t.AddRow("structures", fmt.Sprint(st.Structures))
-		tables = append(tables, t)
+	m := srv.Metrics()
+	var reduce obs.HistSnapshot
+	m.Histogram("coupd_reduce_ns", "", 0).Snapshot(&reduce)
+	t := &stats.Table{
+		Title:   "Fig SVC-c: coupd self-telemetry after the load (served from its own commute structures)",
+		Headers: []string{"metric", "value"},
 	}
-	return tables
-}
-
-func fetchStats(base string) (coupd.Stats, error) {
-	var st coupd.Stats
-	resp, err := http.Get(base + "/v1/stats")
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	return st, err
+	t.AddRow("batches accepted", fmt.Sprint(m.Counter("coupd_batches_total", "").Value()))
+	t.AddRow("updates applied", fmt.Sprint(m.Counter("coupd_updates_total", "").Value()))
+	t.AddRow("batches rejected (429)", fmt.Sprint(m.Counter("coupd_rejected_total", "").Value()))
+	t.AddRow("snapshot requests", fmt.Sprint(m.Counter("coupd_snapshots_total", "").Value()))
+	t.AddRow("reduce ns min/mean/max", fmt.Sprintf("%d / %s / %d", reduce.Min, stats.F(reduce.Mean()), reduce.Max))
+	t.AddRow("structures", fmt.Sprint(m.Gauge("coupd_structures", "", nil).Value()))
+	return append(tables, t)
 }

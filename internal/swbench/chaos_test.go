@@ -216,21 +216,17 @@ func TestChaosEquivalence(t *testing.T) {
 		t.Error("drain never interrupted the storm: every planned batch was acked")
 	}
 
-	var st coupd.Stats
-	sresp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	json.NewDecoder(sresp.Body).Decode(&st)
-	sresp.Body.Close()
-	if st.Replays == 0 {
+	m := srv.Metrics()
+	replays, panics := m.Counter("coupd_replays_total", "").Value(), m.Counter("coupd_panics_total", "").Value()
+	if replays == 0 {
 		t.Error("no replays recorded — the fault mix never forced a retry of a delivered batch?")
 	}
-	if st.Panics == 0 {
+	if panics == 0 {
 		t.Error("no recovered panics — the apply hook never fired?")
 	}
-	t.Logf("server stats: sessions=%d dedup_hits=%d replays=%d panics=%d updates=%d",
-		st.Sessions, st.DedupHits, st.Replays, st.Panics, st.Updates)
+	t.Logf("server telemetry: sessions=%d dedup_hits=%d replays=%d panics=%d updates=%d",
+		m.Gauge("coupd_sessions", "", nil).Value(), m.Counter("coupd_dedup_hits_total", "").Value(),
+		replays, panics, m.Counter("coupd_updates_total", "").Value())
 }
 
 // TestHTTPDriverChaosEquivalence runs the stock swbench closed loop —

@@ -3,6 +3,8 @@ package coupd
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
@@ -128,8 +130,7 @@ var parityCases = []struct {
 	{"DEL is a plain byte", "{\"client\":\"a\x7f\"}", true},
 
 	// Near-canonical records: each starts in the layout canonicalRecord
-	// reads, then leaves it, so the general scanner must take over from
-	// the record's first byte.
+	// reads, then leaves it, so encoding/json must decode the whole body.
 	{"canonical cut after name key", `{"updates":[{"name":`, false},
 	{"canonical cut in name", `{"updates":[{"name":"a`, false},
 	{"canonical cut after kind key", `{"updates":[{"name":"a","kind":`, false},
@@ -175,6 +176,20 @@ var parityCases = []struct {
 		`"updates":[{"name":"b","kind":"counter","op":"inc"},{"name":"c","kind":"counter","op":"inc"}]}`, true},
 	{"canonical duplicate updates re-expose", `{"updates":[{"name":"a","kind":"counter","op":"inc"},{"name":"b","kind":"hist","op":"add","args":[1],"bins":2}],` +
 		`"updates":[{"name":"c","kind":"counter","op":"inc"}],"updates":[{"name":"d","kind":"counter","op":"inc"},{"name":"e","kind":"counter","op":"inc"}]}`, true},
+
+	// Near-canonical bodies: each starts in the layout canonicalBody
+	// reads, then leaves it, so encoding/json must decode the whole body.
+	{"canonical body seq 18 digits", `{"updates":null,"seq":999999999999999999}`, true},
+	{"canonical body seq 19 digits", `{"updates":null,"seq":1234567890123456789}`, true},
+	{"canonical body seq 20 digits", `{"updates":null,"seq":12345678901234567890}`, true},
+	{"canonical body negative zero seq", `{"updates":null,"seq":-0}`, false},
+	{"canonical body negative seq", `{"updates":null,"seq":-1}`, false},
+	{"canonical body empty updates with client and seq", `{"updates":[],"client":"c","seq":5}`, true},
+	{"canonical body trailing space", `{"updates":[{"name":"a","kind":"counter","op":"inc"}],"seq":1} `, true},
+	{"canonical body trailing garbage", `{"updates":[{"name":"a","kind":"counter","op":"inc"}],"seq":1}x`, true},
+	{"canonical body records trailing comma", `{"updates":[{"name":"a","kind":"counter","op":"inc"},]}`, false},
+	{"canonical body escaped client", `{"updates":null,"client":"a\u0062"}`, true},
+	{"canonical body empty client", `{"updates":null,"client":""}`, true},
 }
 
 // TestDecodeBatchParity pins decodeBatch to encoding/json on every edge
@@ -193,9 +208,11 @@ func TestDecodeBatchParity(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchDepth pins encoding/json's nesting limit, which the
-// codec enforces inside skipped fields too.
+// TestDecodeBatchDepth pins encoding/json's nesting limit inside an
+// unknown field.
 func TestDecodeBatchDepth(t *testing.T) {
+	const maxDepth = 10000 // encoding/json's limit for nested arrays and objects
+
 	nest := func(n int) []byte { // the top-level object plus n arrays
 		return []byte(`{"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `}`)
 	}
@@ -211,7 +228,7 @@ func TestDecodeBatchDepth(t *testing.T) {
 // growing one record's args in place must never write into another's.
 func TestDecodeBatchRecordsIsolated(t *testing.T) {
 	var d batchDecoder
-	body := []byte(`{"updates":[{"args":[1]},{"args":[2]}]}`)
+	body := []byte(`{"updates":[{"name":"a","kind":"hist","op":"add","args":[1]},{"name":"b","kind":"hist","op":"add","args":[2]}]}`)
 	req, err := d.decodeBatch(body)
 	if err != nil {
 		t.Fatal(err)
@@ -231,10 +248,12 @@ func TestDecodeBatchRecordsIsolated(t *testing.T) {
 // record of want.
 func checkCanonical(t testing.TB, body []byte, want []Update) {
 	t.Helper()
-	d := batchDecoder{data: body, pos: len(`{"updates":[`)}
+	var d batchDecoder
+	pos := len(`{"updates":[`)
 	for i, w := range want {
 		var got Update
-		if !d.canonicalRecord(&got) {
+		end := d.canonicalRecord(&got, body, pos)
+		if end < 0 {
 			t.Fatalf("record %d of %s: not read as canonical", i, body)
 		}
 		if len(w.Args) == 0 {
@@ -247,10 +266,10 @@ func checkCanonical(t testing.TB, body []byte, want []Update) {
 		if i == len(want)-1 {
 			next = ']'
 		}
-		if body[d.pos] != next {
-			t.Fatalf("record %d of %s: ends at offset %d, before %q", i, body, d.pos, body[d.pos])
+		if body[end] != next {
+			t.Fatalf("record %d of %s: ends at offset %d, before %q", i, body, end, body[end])
 		}
-		d.pos++
+		pos = end + 1
 	}
 }
 
@@ -292,39 +311,41 @@ func TestCanonicalRecord(t *testing.T) {
 	checkCanonical(t, appendBatch(nil, &req), recs)
 }
 
-// TestDecodeBatchZeroAllocs pins the steady state: once a pooled decoder
-// has seen a batch shape, reading and decoding another batch of it
-// allocates nothing — records, args and strings all come from the
-// decoder.
+// TestDecodeBatchZeroAllocs pins the steady state for canonical bodies:
+// once a pooled decoder has seen a batch shape, reading and decoding
+// another batch of it allocates nothing — records, args and strings all
+// come from the decoder.
 func TestDecodeBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	req := benchBatch("alloc-pin", 100_000_000_000)
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d batchDecoder
-	rd := bytes.NewReader(body)
-	run := func() {
-		rd.Reset(body)
-		data, err := d.readBody(rd, int64(len(body)))
+	// The sequenced and bare bench batches, and {"updates":null}.
+	for _, req := range []BatchRequest{benchBatch("alloc-pin", 100_000_000_000), benchBatch("", 0), {}} {
+		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := d.decodeBatch(data)
-		if err != nil {
-			t.Fatal(err)
+		var d batchDecoder
+		rd := bytes.NewReader(body)
+		run := func() {
+			rd.Reset(body)
+			data, err := d.readBody(rd, int64(len(body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := d.decodeBatch(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Updates) != len(req.Updates) || got.Client != req.Client || got.Seq != req.Seq {
+				t.Fatalf("decoded %d records client %q seq %d", len(got.Updates), got.Client, got.Seq)
+			}
+			d.reset()
 		}
-		if len(got.Updates) != len(req.Updates) || got.Client != req.Client || got.Seq != req.Seq {
-			t.Fatalf("decoded %d records client %q seq %d", len(got.Updates), got.Client, got.Seq)
+		run() // size the buffers and fill the intern table
+		if avg := testing.AllocsPerRun(100, run); avg != 0 {
+			t.Errorf("warm decode of %.40s… allocates %.1f/op, want 0", body, avg)
 		}
-		d.reset()
-	}
-	run() // size the buffers and fill the intern table
-	if avg := testing.AllocsPerRun(100, run); avg != 0 {
-		t.Errorf("warm decode allocates %.1f/op, want 0", avg)
 	}
 }
 
@@ -347,6 +368,14 @@ func TestDecodeBatchOversizedBody(t *testing.T) {
 	}
 }
 
+// mixedBatch touches one structure of each kind.
+var mixedBatch = BatchRequest{Updates: []Update{
+	{Name: "hits", Kind: "counter", Op: "inc"},
+	{Name: "lat", Kind: "hist", Op: "add", Args: []int64{3, 2}, Bins: 32},
+	{Name: "span", Kind: "minmax", Op: "observe", Args: []int64{1042}},
+	{Name: "refs", Kind: "refcount", Op: "inc"},
+}}
+
 // seedBodies are the batch bodies the coupd tests send, the fuzz corpus
 // seed.
 func seedBodies(tb testing.TB) [][]byte {
@@ -355,12 +384,7 @@ func seedBodies(tb testing.TB) [][]byte {
 		benchBatch("bench", 100_000_000_000),
 		seqBatch("c1", 1, inc("sq"), inc("sq"), inc("sq")),
 		seqBatch("c2", 1, inc("vta"), Update{Name: "vta", Kind: "counter", Op: "no-such-op"}, inc("vta")),
-		{Updates: []Update{
-			{Name: "hits", Kind: "counter", Op: "inc"},
-			{Name: "lat", Kind: "hist", Op: "add", Args: []int64{3, 2}, Bins: 32},
-			{Name: "span", Kind: "minmax", Op: "observe", Args: []int64{1042}},
-			{Name: "refs", Kind: "refcount", Op: "inc"},
-		}},
+		mixedBatch,
 		{Updates: []Update{
 			{Name: "b", Kind: "hist", Op: "inc", Args: []int64{1}, Bins: 4},
 			{Name: "c", Kind: "counter", Op: "add", Args: []int64{5}},
@@ -396,6 +420,80 @@ func FuzzDecodeBatch(f *testing.F) {
 		checkDecodeParity(t, reused, dirtyBody)
 		checkDecodeParity(t, reused, body)
 	})
+}
+
+// FuzzHandleBatch posts arbitrary bodies through Server.ServeHTTP, each
+// to a fresh server primed with mixedBatch. No body may draw a 500 or a
+// recovered panic; a 200 must report every record encoding/json decodes
+// as applied; and a rejected sequenced batch must leave the structures
+// that existed before it unchanged and any it created at their zero
+// value.
+func FuzzHandleBatch(f *testing.F) {
+	for _, b := range seedBodies(f) {
+		f.Add(b)
+	}
+	primer, err := json.Marshal(mixedBatch)
+	if err != nil {
+		f.Fatal(err)
+	}
+	post := func(s *Server, body []byte) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		return w
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := post(s, primer); w.Code != http.StatusOK {
+			t.Fatalf("primer: HTTP %d: %s", w.Code, w.Body)
+		}
+		before := snapshots(t, s)
+		w := post(s, body)
+		if w.Code == http.StatusInternalServerError || s.panics.Value() != 0 {
+			t.Fatalf("body %.200q: HTTP %d, %d panics: %s", body, w.Code, s.panics.Value(), w.Body)
+		}
+		var want BatchRequest
+		werr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+		if w.Code == http.StatusOK {
+			var got BatchResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || werr != nil || got.Applied != len(want.Updates) {
+				t.Fatalf("body %.200q: HTTP 200 %s (err %v), encoding/json decodes %d records (err %v)",
+					body, w.Body, err, len(want.Updates), werr)
+			}
+			return
+		}
+		if werr != nil || want.Client == "" {
+			return // a rejected bare batch may have applied a prefix
+		}
+		for name, snap := range snapshots(t, s) {
+			old, ok := before[name]
+			if !ok {
+				old = Snapshot{Name: snap.Name, Kind: snap.Kind}
+				if snap.Bins != nil {
+					old.Bins = make([]uint64, len(snap.Bins))
+				}
+			}
+			if !reflect.DeepEqual(snap, old) {
+				t.Fatalf("body %.200q: HTTP %d, yet %q went from %+v to %+v", body, w.Code, name, old, snap)
+			}
+		}
+	})
+}
+
+// snapshots reduces every structure of s, keyed by name.
+func snapshots(t *testing.T, s *Server) map[string]Snapshot {
+	t.Helper()
+	snaps := map[string]Snapshot{}
+	for _, name := range s.reg.Names() {
+		var snap Snapshot
+		if err := s.reg.Snapshot(name, &snapScratch{}, &snap); err != nil {
+			t.Fatal(err)
+		}
+		snaps[name] = snap
+	}
+	return snaps
 }
 
 // FuzzAppendBatch holds appendBatch to json.Marshal: byte-identical

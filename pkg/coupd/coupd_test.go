@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/pkg/obs"
 )
 
 func newTestServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
@@ -41,6 +43,25 @@ func postBatch(t *testing.T, url string, b BatchRequest) (*http.Response, []byte
 	return resp, out
 }
 
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// isDraining reads s's draining flag.
+func (s *Server) isDraining() bool {
+	s.drainMu.RLock()
+	defer s.drainMu.RUnlock()
+	return s.draining
+}
+
 func getJSON(t *testing.T, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -64,7 +85,7 @@ func getJSON(t *testing.T, url string, out any) int {
 // reduction must equal exactly the applied update count. Run under
 // -race this also stresses the full handler/registry/commute stack.
 func TestE2EConcurrentBatchedWriters(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	const (
 		writers = 8
 		batches = 20
@@ -148,22 +169,22 @@ func TestE2EConcurrentBatchedWriters(t *testing.T) {
 		t.Errorf("refcount reduced to %d, want %d", snap.Value, want)
 	}
 
-	var st Stats
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.Updates != 4*want {
-		t.Errorf("stats.Updates = %d, want %d", st.Updates, 4*want)
+	if got := s.updates.Value(); got != 4*want {
+		t.Errorf("coupd_updates_total = %d, want %d", got, 4*want)
 	}
-	if st.Batches != writers*batches {
-		t.Errorf("stats.Batches = %d, want %d", st.Batches, writers*batches)
+	if got := s.batches.Value(); got != writers*batches {
+		t.Errorf("coupd_batches_total = %d, want %d", got, writers*batches)
 	}
-	if st.Structures != 4 {
-		t.Errorf("stats.Structures = %d, want 4", st.Structures)
+	if got := s.reg.Len(); got != 4 {
+		t.Errorf("coupd_structures = %d, want 4", got)
 	}
-	if st.Snapshots == 0 || st.ReduceNsMax == 0 {
-		t.Errorf("read-plane telemetry empty: %+v", st)
+	var reduce obs.HistSnapshot
+	s.reduceNs.Snapshot(&reduce)
+	if s.snapshots.Value() == 0 || reduce.Max == 0 {
+		t.Errorf("read-plane telemetry empty: %d snapshots, reduce max %d ns", s.snapshots.Value(), reduce.Max)
 	}
-	if st.InFlight != 0 {
-		t.Errorf("stats.InFlight = %d after quiescence", st.InFlight)
+	if got := s.depth.Value(); got != 0 {
+		t.Errorf("coupd_in_flight = %d after quiescence", got)
 	}
 }
 
@@ -204,23 +225,10 @@ func slowBatch(t *testing.T, url string) (release func(), done <-chan *http.Resp
 // must get 429 with a Retry-After header and count as rejected; after
 // the stall clears, batches flow again.
 func TestBackpressure429(t *testing.T) {
-	_, ts := newTestServer(t, WithMaxInFlight(1))
+	s, ts := newTestServer(t, WithMaxInFlight(1))
 	release, done := slowBatch(t, ts.URL)
 	defer release()
-
-	// Wait until the stalled batch holds the slot (visible in stats).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var st Stats
-		getJSON(t, ts.URL+"/v1/stats", &st)
-		if st.InFlight == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("stalled batch never acquired the in-flight slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the stalled batch holds the in-flight slot", func() bool { return s.depth.Value() == 1 })
 
 	resp, out := postBatch(t, ts.URL, BatchRequest{Updates: []Update{{Name: "y", Kind: "counter", Op: "inc"}}})
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -242,10 +250,8 @@ func TestBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-stall batch: HTTP %d: %s", resp.StatusCode, out)
 	}
-	var st Stats
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.Rejected != 1 {
-		t.Errorf("stats.Rejected = %d, want 1", st.Rejected)
+	if got := s.rejected.Value(); got != 1 {
+		t.Errorf("coupd_rejected_total = %d, want 1", got)
 	}
 }
 
@@ -256,18 +262,7 @@ func TestGracefulDrain(t *testing.T) {
 	s, ts := newTestServer(t)
 	release, done := slowBatch(t, ts.URL)
 	defer release()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var st Stats
-		getJSON(t, ts.URL+"/v1/stats", &st)
-		if st.InFlight == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("stalled batch never acquired the in-flight slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the stalled batch holds the in-flight slot", func() bool { return s.depth.Value() == 1 })
 
 	// Drain with the batch still stalled: must time out, not return early.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -297,10 +292,8 @@ func TestGracefulDrain(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/snapshot/x", &snap); code != http.StatusOK || snap.Value != 1 {
 		t.Errorf("drained snapshot x: HTTP %d, value %d (want 200, 1)", code, snap.Value)
 	}
-	var st Stats
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if !st.Draining {
-		t.Error("stats does not report draining")
+	if !s.isDraining() {
+		t.Error("server does not report draining")
 	}
 }
 

@@ -41,8 +41,7 @@
 //	POST /v1/batch             apply a BatchRequest of Update records
 //	GET  /v1/snapshot/{name}   reduce one structure into a Snapshot
 //	GET  /v1/snapshot          reduce every structure (BulkSnapshot)
-//	GET  /v1/stats             service self-telemetry (Stats)
-//	GET  /metrics              Prometheus text exposition (pkg/obs)
+//	GET  /metrics              service self-telemetry, Prometheus text (pkg/obs)
 //
 // Structures are created on first update (create-on-first-update, like a
 // metrics library's GetOrRegister); a later update naming the same
@@ -55,27 +54,22 @@
 //
 // # The batch codec
 //
-// Batch bodies are plain JSON, the shape of BatchRequest. The server reads
-// them with a scanner that knows that schema (codec.go) instead of
-// reflection, and Session.Send writes them with a matching append-style
-// encoder; the wire format is unchanged. The decoder accepts exactly the
-// bodies encoding/json's Decoder accepts and decodes each to the same
-// value — case-insensitive keys, null fields, unknown fields, duplicate
-// keys, trailing bytes, integer range checks — and FuzzDecodeBatch holds
-// it to that. The one deliberate difference: the body is read whole, so a
-// body over MaxBatchBytes is rejected even when a complete JSON value ends
-// before the cap. A warm decode allocates nothing: records, their args
-// and interned names come from a pooled per-request decoder. Responses,
-// snapshots, /v1/stats and error bodies stay on encoding/json.
-//
-// Each record is first tried against the one layout both encoders write —
-// {"name":…,"kind":…,"op":…} with optional "args" and "bins" in that order,
-// no whitespace, strings of printable ASCII without escapes, integers of
-// at most 18 digits — and read in a single pass when it matches. Any
-// other record (curl's whitespace, other key orders or cases, escapes,
-// long numbers, a repeated "updates" key) falls back to the general
-// scanner from its first byte, so the fast path changes speed only;
-// TestCanonicalRecord and FuzzAppendBatch pin the encoder to it.
+// Batch bodies are plain JSON, the shape of BatchRequest. Session.Send
+// writes them with an append-style encoder (codec.go) whose bytes equal
+// json.Marshal's. The server reads a body in that exact layout —
+// {"updates":…} with optional "client" and "seq" after it, records as
+// {"name":…,"kind":…,"op":…} with optional "args" and "bins" in that
+// order, no whitespace, strings of printable ASCII without escapes,
+// integers of at most 18 digits, nothing after the closing brace — in a
+// single pass, and a warm read of one allocates nothing: records, their
+// args and interned names come from a pooled per-request decoder. Every
+// other body (curl's whitespace, other key orders or cases, escapes, long
+// numbers, trailing bytes) goes to encoding/json's Decoder, so acceptance
+// and values are encoding/json's by construction; FuzzDecodeBatch holds
+// the one-pass reader to it. The one deliberate difference from a
+// streaming Decoder: the body is read whole, so a body over MaxBatchBytes
+// is rejected even when a complete JSON value ends before the cap.
+// Responses, snapshots and error bodies stay on encoding/json.
 //
 // # Exactly-once replay
 //
@@ -83,7 +77,8 @@
 // well-meaning retry double-counts. The wire format therefore carries an
 // optional exactly-once plane — two BatchRequest fields:
 //
-//	client   string   stable writer identity opening a dedup session
+//	client   string   stable writer identity opening a dedup session,
+//	                  at most 256 bytes
 //	seq      uint64   1-based, strictly in-order per client; a retry
 //	                  resends the SAME seq
 //
@@ -122,8 +117,8 @@
 // and batch-size histograms, in-flight depth, runtime gauges — lives in
 // a pkg/obs registry (pkg/commute underneath), so the service's hottest
 // metadata words enjoy the same commutative treatment it sells: handlers
-// write update-only, and both GET /metrics and /v1/stats are
-// reduce-on-read views of one state. A per-P obs.Ring additionally
+// write update-only, and GET /metrics is a reduce-on-read view of that
+// state. A per-P obs.Ring additionally
 // records request span, batch-apply, and reduce events; Server.Trace
 // exposes it for capture. See the pkg/obs package docs for how these map
 // onto the paper's U-state/S-state vocabulary.

@@ -68,7 +68,7 @@ func TestMetricsMatchesStatsView(t *testing.T) {
 	postTestBatch(t, s, `{"updates":[{"kind":"counter","name":"a","op":"inc"}]}`)
 	postTestBatch(t, s, `{"updates":[{"kind":"counter","name":"a","op":"inc"},{"kind":"counter","name":"a","op":"inc"}]}`)
 
-	// The obs registry and /v1/stats are two reductions of one state.
+	// The obs registry counts what the handler applied.
 	if got := s.Metrics().Counter("coupd_batches_total", "").Value(); got != 2 {
 		t.Errorf("coupd_batches_total = %d, want 2", got)
 	}

@@ -138,11 +138,15 @@ func parseKind(s string) (Kind, error) {
 	return "", fmt.Errorf("coupd: %w %q (have: %s)", ErrUnknownKind, s, kindNames())
 }
 
+// maxNameLen bounds the strings a batch asks the server to keep: a
+// structure name, and the client id a session is stored under.
+const maxNameLen = 256
+
 // validName bounds what a structure may be called: non-empty, at most
-// 256 bytes, no '/' (names travel in URL paths).
+// maxNameLen bytes, no '/' (names travel in URL paths).
 func validName(name string) error {
-	if name == "" || len(name) > 256 || strings.ContainsRune(name, '/') {
-		return fmt.Errorf("coupd: %w: bad structure name %q (need 1-256 bytes, no '/')", ErrBadUpdate, name)
+	if name == "" || len(name) > maxNameLen || strings.ContainsRune(name, '/') {
+		return fmt.Errorf("coupd: %w: bad structure name %q (need 1-%d bytes, no '/')", ErrBadUpdate, name, maxNameLen)
 	}
 	return nil
 }

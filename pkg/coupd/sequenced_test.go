@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -35,7 +36,7 @@ func counterValue(t *testing.T, url, name string) int64 {
 // sequenced batch is answered with its original Applied and applies
 // nothing the second time.
 func TestSequencedDedupReplay(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	b := seqBatch("c1", 1, inc("sq"), inc("sq"), inc("sq"))
 
 	resp, out := postBatch(t, ts.URL, b)
@@ -58,14 +59,12 @@ func TestSequencedDedupReplay(t *testing.T) {
 		t.Errorf("counter after replay = %d, want 3 (no double apply)", v)
 	}
 
-	var st Stats
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.Sessions != 1 || st.DedupHits != 1 || st.Replays != 1 {
-		t.Errorf("stats sessions/dedup/replays = %d/%d/%d, want 1/1/1",
-			st.Sessions, st.DedupHits, st.Replays)
+	sessions, hits, replays := s.sessions.size(), s.sessions.dedupHits.Value(), s.sessions.replays.Value()
+	if sessions != 1 || hits != 1 || replays != 1 {
+		t.Errorf("sessions/dedup hits/replays = %d/%d/%d, want 1/1/1", sessions, hits, replays)
 	}
-	if st.Updates != 3 {
-		t.Errorf("stats.Updates = %d, want 3", st.Updates)
+	if got := s.updates.Value(); got != 3 {
+		t.Errorf("coupd_updates_total = %d, want 3", got)
 	}
 }
 
@@ -109,6 +108,29 @@ func TestSequencedSeqValidation(t *testing.T) {
 	}
 }
 
+// TestSequencedClientIDBound pins the client id limit: a session keeps
+// its id, so an id over 256 bytes is rejected before any session or
+// structure exists, and one of 256 bytes opens a session as usual.
+func TestSequencedClientIDBound(t *testing.T) {
+	s, ts := newTestServer(t)
+	sessions := s.Metrics().Gauge("coupd_sessions", "", nil)
+	id := strings.Repeat("c", 257)
+	resp, out := postBatch(t, ts.URL, seqBatch(id, 1, inc("cl")))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), ErrBadUpdate.Error()) {
+		t.Fatalf("257-byte client id: HTTP %d: %s, want 400 %v", resp.StatusCode, out, ErrBadUpdate)
+	}
+	if n, structures := sessions.Value(), s.reg.Len(); n != 0 || structures != 0 {
+		t.Errorf("rejected id left %d sessions and %d structures, want 0 and 0", n, structures)
+	}
+	resp, out = postBatch(t, ts.URL, seqBatch(id[:256], 1, inc("cl")))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("256-byte client id: HTTP %d: %s", resp.StatusCode, out)
+	}
+	if n := sessions.Value(); n != 1 {
+		t.Errorf("coupd_sessions = %d after an accepted id, want 1", n)
+	}
+}
+
 func TestSequencedStaleSeq409(t *testing.T) {
 	_, ts := newTestServer(t)
 	for seq := uint64(1); seq <= sessionWindow+1; seq++ {
@@ -138,7 +160,7 @@ func TestPanicRecovery(t *testing.T) {
 			panic("poisoned batch")
 		}
 	}
-	_, ts := newTestServer(t, WithMaxInFlight(1), WithApplyHook(hook))
+	s, ts := newTestServer(t, WithMaxInFlight(1), WithApplyHook(hook))
 
 	b := seqBatch("c5", 1, inc("pr"), inc("pr"))
 	resp, out := postBatch(t, ts.URL, b)
@@ -159,13 +181,11 @@ func TestPanicRecovery(t *testing.T) {
 		t.Errorf("counter after retry = %d, want 2", v)
 	}
 
-	var st Stats
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.Panics != 1 {
-		t.Errorf("stats.Panics = %d, want 1", st.Panics)
+	if got := s.panics.Value(); got != 1 {
+		t.Errorf("coupd_panics_total = %d, want 1", got)
 	}
-	if st.InFlight != 0 {
-		t.Errorf("stats.InFlight = %d after unwind, want 0", st.InFlight)
+	if got := s.depth.Value(); got != 0 {
+		t.Errorf("coupd_in_flight = %d after unwind, want 0", got)
 	}
 }
 
@@ -212,7 +232,7 @@ func TestDrainRacingRetryNeverSplits(t *testing.T) {
 	s, ts := newTestServer(t, WithMaxInFlight(1))
 	release, done := slowBatch(t, ts.URL)
 	defer release()
-	waitStats(t, ts.URL, func(st Stats) bool { return st.InFlight == 1 })
+	waitFor(t, "the stalled batch holds the in-flight slot", func() bool { return s.depth.Value() == 1 })
 
 	cl := NewClient(ts.URL,
 		WithBackoff(time.Millisecond, 4*time.Millisecond),
@@ -224,11 +244,11 @@ func TestDrainRacingRetryNeverSplits(t *testing.T) {
 		sendErr <- err
 	}()
 	// The writer is provably in its 429 retry loop once a rejection shows.
-	waitStats(t, ts.URL, func(st Stats) bool { return st.Rejected >= 1 })
+	waitFor(t, "a batch is rejected", func() bool { return s.rejected.Value() >= 1 })
 
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(context.Background()) }()
-	waitStats(t, ts.URL, func(st Stats) bool { return st.Draining })
+	waitFor(t, "the server drains", s.isDraining)
 
 	release() // let the slot-holding batch land so Drain completes
 	if resp := <-done; resp == nil || resp.StatusCode != http.StatusOK {
@@ -254,29 +274,13 @@ func TestDrainRacingRetryNeverSplits(t *testing.T) {
 	}
 }
 
-func waitStats(t *testing.T, url string, ok func(Stats) bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var st Stats
-		getJSON(t, url+"/v1/stats", &st)
-		if ok(st) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("condition never held; last stats %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestRetryAfterMsHeader pins the millisecond backpressure hint riding
 // alongside the whole-second standard header on 429s.
 func TestRetryAfterMsHeader(t *testing.T) {
-	_, ts := newTestServer(t, WithMaxInFlight(1))
+	s, ts := newTestServer(t, WithMaxInFlight(1))
 	release, done := slowBatch(t, ts.URL)
 	defer release()
-	waitStats(t, ts.URL, func(st Stats) bool { return st.InFlight == 1 })
+	waitFor(t, "the stalled batch holds the in-flight slot", func() bool { return s.depth.Value() == 1 })
 
 	resp, out := postBatch(t, ts.URL, BatchRequest{Updates: []Update{inc("ra")}})
 	if resp.StatusCode != http.StatusTooManyRequests {

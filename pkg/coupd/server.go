@@ -54,8 +54,8 @@ type Server struct {
 
 	// Self-telemetry, dogfooded through pkg/obs (itself pkg/commute
 	// underneath): the server's hottest metadata words take the same
-	// update-only fast path it serves; /v1/stats and GET /metrics are
-	// both just reduce-on-read views of the same registry.
+	// update-only fast path it serves; GET /metrics is a reduce-on-read
+	// view of the registry.
 	metrics     *obs.Registry
 	trace       *obs.Ring      // per-P span/batch/reduce event ring
 	batches     *obs.Counter   // accepted batches
@@ -193,7 +193,6 @@ func New(opts ...Option) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("GET /v1/snapshot/{name}", s.handleSnapshot)
 	s.mux.HandleFunc("GET /v1/snapshot", s.handleBulkSnapshot)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.Handle("GET /metrics", m.Handler())
 	return s, nil
 }
@@ -235,7 +234,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Drain stops accepting batches (they get 503 + ErrDraining) and waits
 // for every in-flight batch to land or ctx to expire. Snapshots and
-// stats keep serving, so an operator can read final state after the
+// metrics keep serving, so an operator can read final state after the
 // write plane is quiesced. Draining is permanent for this Server.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
@@ -378,6 +377,9 @@ const retryAfterMsValue = "2"
 func (s *Server) applySequencedBatch(req *BatchRequest) (applied int, deduped bool, err error) {
 	if req.Seq == 0 {
 		return 0, false, fmt.Errorf("coupd: %w: sequenced batch (client %q) needs seq >= 1", ErrBadUpdate, req.Client)
+	}
+	if len(req.Client) > maxNameLen { // a session keeps its id
+		return 0, false, fmt.Errorf("coupd: %w: client id of %d bytes (need at most %d)", ErrBadUpdate, len(req.Client), maxNameLen)
 	}
 	sess := s.sessions.get(req.Client, true)
 	// The session lock spans check-validate-apply-ack: two racing POSTs
@@ -548,41 +550,6 @@ func (s *Server) countReduce(d time.Duration) {
 	s.snapshots.Inc()
 	s.reduceNs.Observe(d.Nanoseconds())
 	s.trace.Record(obs.EvReduce, traceSnapshot, uint64(d.Nanoseconds()), 0)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	uptime := time.Since(s.start).Seconds()
-	var batchLen obs.HistSnapshot
-	s.batchLen.Snapshot(&batchLen)
-	st := Stats{
-		UptimeSec:    uptime,
-		Structures:   int64(s.reg.Len()),
-		Batches:      s.batches.Value(),
-		Updates:      s.updates.Value(),
-		Rejected:     s.rejected.Value(),
-		Snapshots:    s.snapshots.Value(),
-		InFlight:     s.depth.Value(),
-		MaxInFlight:  s.maxInFlight,
-		BatchLenLog2: batchLen.Buckets,
-		Sessions:     s.sessions.size(),
-		DedupHits:    s.sessions.dedupHits.Value(),
-		Replays:      s.sessions.replays.Value(),
-		Panics:       s.panics.Value(),
-	}
-	s.drainMu.RLock()
-	st.Draining = s.draining
-	s.drainMu.RUnlock()
-	if uptime > 0 {
-		st.BatchesPerSec = float64(st.Batches) / uptime
-		st.UpdatesPerSec = float64(st.Updates) / uptime
-	}
-	var reduce obs.HistSnapshot
-	s.reduceNs.Snapshot(&reduce)
-	if reduce.Count > 0 {
-		st.ReduceNsMin, st.ReduceNsMax = reduce.Min, reduce.Max
-		st.ReduceNsMean = reduce.Mean()
-	}
-	writeJSON(w, http.StatusOK, &st)
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

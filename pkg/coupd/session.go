@@ -16,8 +16,9 @@ const sessionWindow = 64
 
 // Default dedup-session bounds; override with WithDedupSessions.
 const (
-	// DefaultMaxSessions bounds the session table; at ~200 bytes per
-	// session the default table tops out around 13 MB.
+	// DefaultMaxSessions bounds the session table. A session takes ~360
+	// bytes plus its client id, which is at most 256 bytes, so the
+	// default table tops out around 40 MB.
 	DefaultMaxSessions = 65536
 	// DefaultSessionTTL evicts sessions idle this long. The TTL trades
 	// memory for the exactly-once horizon: a client that goes silent

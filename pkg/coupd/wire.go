@@ -1,7 +1,7 @@
 package coupd
 
-// Wire types: the JSON bodies the four endpoints exchange. They are
-// plain data so cmd/coupload, the swbench HTTP driver, and any other
+// Wire types: the JSON bodies of the batch and snapshot endpoints. They
+// are plain data so cmd/coupload, the swbench HTTP driver, and any other
 // client can share them with the server.
 
 // Update is one record of a batch: apply Op with Args to the structure
@@ -34,7 +34,8 @@ type Update struct {
 type BatchRequest struct {
 	Updates []Update `json:"updates"`
 	// Client names the dedup session, typically one per writer
-	// connection/goroutine. Empty means unsequenced (no dedup).
+	// connection/goroutine, in at most 256 bytes. Empty means
+	// unsequenced (no dedup).
 	Client string `json:"client,omitempty"`
 	// Seq is the 1-based batch sequence number within the session.
 	// Sequenced batches with Seq 0 are rejected as ErrBadUpdate.
@@ -82,34 +83,4 @@ type Snapshot struct {
 // name.
 type BulkSnapshot struct {
 	Structures []Snapshot `json:"structures"`
-}
-
-// Stats is the GET /v1/stats body: service self-telemetry, itself kept
-// in pkg/commute structures and reduced on read like any snapshot.
-type Stats struct {
-	UptimeSec  float64 `json:"uptime_sec"`
-	Structures int64   `json:"structures"`
-	// Batch plane.
-	Batches       int64   `json:"batches"`  // accepted batches
-	Updates       int64   `json:"updates"`  // records applied
-	Rejected      int64   `json:"rejected"` // 429s (saturation)
-	BatchesPerSec float64 `json:"batches_per_sec"`
-	UpdatesPerSec float64 `json:"updates_per_sec"`
-	// BatchLenLog2[i] counts accepted batches with 2^i <= len < 2^(i+1)
-	// (index 0 is the empty-or-single-record bucket).
-	BatchLenLog2 []uint64 `json:"batch_len_log2"`
-	// Read plane.
-	Snapshots    int64   `json:"snapshots"`      // snapshot requests served
-	ReduceNsMin  int64   `json:"reduce_ns_min"`  // fastest single reduction
-	ReduceNsMax  int64   `json:"reduce_ns_max"`  // slowest
-	ReduceNsMean float64 `json:"reduce_ns_mean"` // total/snapshots
-	// Queue plane.
-	InFlight    int64 `json:"in_flight"`     // batches being processed now
-	MaxInFlight int   `json:"max_in_flight"` // the semaphore bound
-	Draining    bool  `json:"draining"`
-	// Exactly-once plane.
-	Sessions  int64 `json:"sessions"`   // live dedup sessions
-	DedupHits int64 `json:"dedup_hits"` // duplicate batches answered without re-applying
-	Replays   int64 `json:"replays"`    // sequenced batches re-presenting a seen seq
-	Panics    int64 `json:"panics"`     // handler panics recovered to 500s
 }
