@@ -154,9 +154,10 @@ func absSlack(metric string) float64 {
 	return 0
 }
 
-// compare gates fresh results against a baseline. Benchmarks present only
-// on one side are ignored (the baseline names the tracked set); metrics
-// are gated per the rules above.
+// compare gates fresh results against a baseline. The baseline names the
+// tracked set: a tracked benchmark or metric missing from the fresh run
+// fails, and anything only the fresh run reports is ignored. Metrics are
+// gated per the rules above.
 func compare(baseline, fresh Doc, threshold float64) []verdict {
 	sameCPU := baseline.Context["cpu"] != "" && baseline.Context["cpu"] == fresh.Context["cpu"]
 	freshByName := map[string]Result{}
@@ -182,7 +183,9 @@ func compare(baseline, fresh Doc, threshold float64) []verdict {
 			ov := old.Metrics[m]
 			nv, ok := nw.Metrics[m]
 			if !ok {
-				out = append(out, verdict{name: old.Name, metric: m, old: ov, skipped: "metric missing from fresh run"})
+				// Like a missing benchmark: the metric stopped being
+				// reported, so the gate would otherwise check nothing.
+				out = append(out, verdict{name: old.Name, metric: m, old: ov, regressed: true, skipped: "tracked metric missing from fresh run"})
 				continue
 			}
 			v := verdict{name: old.Name, metric: m, old: ov, new: nv}

@@ -131,6 +131,25 @@ func TestCompareMissingBenchmarkFails(t *testing.T) {
 	}
 }
 
+// TestCompareMissingMetricFails: a tracked benchmark that still runs but
+// stopped reporting a tracked metric fails the gate too, where it used to
+// print SKIP and pass.
+func TestCompareMissingMetricFails(t *testing.T) {
+	baseline := parse(t, benchOutput)
+	fresh := parse(t, strings.ReplaceAll(benchOutput, "0.2000 resumes/simop", ""))
+	vs := compare(baseline, fresh, 0.20)
+	if got := regressions(vs); !got["BenchmarkEngineThroughput resumes/simop"] {
+		t.Errorf("tracked metric missing from fresh run must fail the gate, got %v", got)
+	}
+	var sb strings.Builder
+	if !report(&sb, vs, 0.20) {
+		t.Error("report must flag the missing metric as a failure")
+	}
+	if !strings.Contains(sb.String(), "FAIL BenchmarkEngineThroughput") {
+		t.Errorf("report output:\n%s", sb.String())
+	}
+}
+
 // TestProcSuffixStripped pins the cross-machine name contract: go test
 // appends "-<GOMAXPROCS>" on multi-core hosts and nothing on 1-core
 // hosts; both must land under one name or the gate silently skips

@@ -9,7 +9,7 @@
 //
 // On SIGINT/SIGTERM the server drains: new batches get 503, in-flight
 // batches land (bounded by -drain-timeout), then the listener closes.
-// Load it with cmd/coupload; read it with:
+// Load it with commutebench -addr http://127.0.0.1:7077; read it with:
 //
 //	curl localhost:7077/v1/snapshot/<name>
 //	curl localhost:7077/metrics          # Prometheus text exposition

@@ -30,7 +30,6 @@ type Params struct {
 	Reps     int
 	MaxCores int
 	Parallel int
-	Verbose  bool
 	// Progress, when non-nil, receives live sweep metrics (specs done,
 	// busy time, arena warm/cold counts) via coup.WithSweepMetrics.
 	// Because sweepers are cached per parallelism degree for the whole

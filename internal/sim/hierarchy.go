@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"repro/internal/ops"
 )
@@ -1574,27 +1573,19 @@ func (h *hierarchy) checkInvariants() error {
 			return err
 		}
 	}
-	// Global exclusivity: at most one chip owner per line; SWMR analogue.
-	ownerCount := map[uint64]int{}
+	// Global exclusivity, the SWMR analogue: a chip owner excludes sharer
+	// chips. Each tag occurs once in the L4 array, so this is a check per
+	// entry. Report the lowest violating tag so a broken run always
+	// produces the same error text.
+	var bad *dirLine
+	var badTag uint64
 	h.l4.arr.forEach(func(tag uint64, d *dirLine) {
-		if d.owner >= 0 {
-			ownerCount[tag]++
-			if d.sharers != 0 {
-				ownerCount[tag] += 10 // flag: owner and sharers coexist
-			}
+		if d.owner >= 0 && d.sharers != 0 && (bad == nil || tag < badTag) {
+			bad, badTag = d, tag
 		}
 	})
-	// Report the lowest violating tag so a broken run always produces the
-	// same error text, not whichever map bucket came up first.
-	tags := make([]uint64, 0, len(ownerCount))
-	for tag := range ownerCount {
-		tags = append(tags, tag)
-	}
-	slices.Sort(tags)
-	for _, tag := range tags {
-		if n := ownerCount[tag]; n > 1 {
-			return fmt.Errorf("line %#x violates global exclusivity (%d)", tag, n)
-		}
+	if bad != nil {
+		return fmt.Errorf("line %#x violates global exclusivity: owner chip %d and sharer chips %#x", badTag, bad.owner, bad.sharers)
 	}
 	return nil
 }

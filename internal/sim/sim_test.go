@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -511,6 +513,78 @@ func TestRandomSoupInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestCheckInvariantsCatchesCorruption corrupts one coherence structure
+// at a time after a run that passed — the global directory, a chip
+// directory, a private cache — on one chip and on two, and checks that
+// CheckInvariants reports the corrupted line.
+func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	cases := []struct {
+		name, want string
+		// corrupt breaks one entry of h and returns its line.
+		corrupt func(h *hierarchy) (uint64, bool)
+	}{
+		{"L4 owner with sharers", "global exclusivity", func(h *hierarchy) (uint64, bool) {
+			return corruptFirst(h.l4.arr, func(d *dirLine) bool { return d.owner >= 0 },
+				func(_ uint64, d *dirLine) { d.sharers |= 1 })
+		}},
+		{"L3 entry without L4 entry", "L4 has no entry", func(h *hierarchy) (uint64, bool) {
+			return corruptFirst(h.chips[0].arr, func(*dirLine) bool { return true },
+				func(line uint64, _ *dirLine) { h.l4.arr.invalidate(line) })
+		}},
+		{"L2 S line without L3 sharer bit", "in S but dir sharers", func(h *hierarchy) (uint64, bool) {
+			return corruptFirst(h.priv[0].l2, func(p *privLine) bool { return p.state == stateS },
+				func(line uint64, _ *privLine) { h.chips[0].arr.peek(line).sharers &^= bit(0) })
+		}},
+	}
+	for _, cores := range []int{4, 32} {
+		for _, p := range []Protocol{MESI, MEUSI} {
+			for _, tc := range cases {
+				t.Run(fmt.Sprintf("%dcores/%v/%s", cores, p, tc.name), func(t *testing.T) {
+					m := New(smallCfg(cores, p))
+					shared := m.AllocLines(8)
+					private := m.AllocLines(uint64(2 * cores))
+					m.Run(func(c *Ctx) {
+						for i := uint64(0); i < 8; i++ {
+							c.Load64(shared + 64*i)
+						}
+						for i := uint64(0); i < 2; i++ {
+							c.Store64(private+64*(2*uint64(c.Tid())+i), 1)
+						}
+					})
+					if err := m.CheckInvariants(); err != nil {
+						t.Fatalf("before corruption: %v", err)
+					}
+					line, ok := tc.corrupt(m.hier)
+					if !ok {
+						t.Fatal("the run left no entry to corrupt")
+					}
+					err := m.CheckInvariants()
+					if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(" %#x ", line)) || !strings.Contains(err.Error(), tc.want) {
+						t.Errorf("after corrupting line %#x: err = %v, want it named with %q", line, err, tc.want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// corruptFirst applies corrupt to the first entry of a, in forEach
+// order, that match accepts, and returns that entry's line.
+func corruptFirst[P any](a *array[P], match func(*P) bool, corrupt func(line uint64, p *P)) (uint64, bool) {
+	var line uint64
+	var found *P
+	a.forEach(func(tag uint64, p *P) {
+		if found == nil && match(p) {
+			line, found = tag, p
+		}
+	})
+	if found == nil {
+		return 0, false
+	}
+	corrupt(line, found)
+	return line, true
 }
 
 // TestULocalHitRate: after warm-up, repeated commutative updates from many

@@ -255,7 +255,7 @@ func TestHTTPDriverChaosEquivalence(t *testing.T) {
 		Cells:   4,
 		Seed:    seed,
 		NewDriver: HTTPDriver(ts.URL, 16, ft.Client(),
-			HTTPClientOptions(coupd.WithBackoff(500*time.Microsecond, 8*time.Millisecond))),
+			coupd.WithBackoff(500*time.Microsecond, 8*time.Millisecond)),
 	})
 	if err != nil {
 		t.Fatalf("chaos run: %v (seed %d, faultnet: %s)", err, seed, ft.Stats())

@@ -21,27 +21,6 @@ import (
 // joins a random nonce in the dedup client IDs so seqs never collide.
 var httpDriverSeq atomic.Uint64
 
-// HTTPOption tunes the HTTP driver beyond its required arguments.
-type HTTPOption func(*httpConfig)
-
-type httpConfig struct {
-	budget time.Duration
-	clOpts []coupd.ClientOption
-}
-
-// HTTPRetryBudget caps how long one batch keeps retrying before the
-// worker gives up and fails the run (default 30s — far above any
-// transient saturation or injected-fault stretch, far below a hung rig).
-func HTTPRetryBudget(d time.Duration) HTTPOption {
-	return func(c *httpConfig) { c.budget = d }
-}
-
-// HTTPClientOptions forwards extra options to the underlying
-// coupd.Client (backoff shape, jitter source — chaos tests pin these).
-func HTTPClientOptions(opts ...coupd.ClientOption) HTTPOption {
-	return func(c *httpConfig) { c.clOpts = append(c.clOpts, opts...) }
-}
-
 // HTTPDriver returns a DriverMaker that ships the traffic to a coupd
 // server at baseURL as batched POST /v1/batch requests of batch records
 // each — the closed-loop load-generator transport. Counter cells map to
@@ -60,17 +39,14 @@ func HTTPClientOptions(opts ...coupd.ClientOption) HTTPOption {
 // throttles the closed loop; faults never lose or duplicate updates.
 //
 // A nil client gets a transport sized for one keep-alive connection per
-// worker.
-func HTTPDriver(baseURL string, batch int, client *http.Client, opts ...HTTPOption) DriverMaker {
+// worker. The coupd.Client underneath gets that transport and a 30s
+// retry budget per batch — far above any transient saturation or
+// injected-fault stretch, far below a hung rig — and then opts, which
+// override both.
+func HTTPDriver(baseURL string, batch int, client *http.Client, opts ...coupd.ClientOption) DriverMaker {
 	return func(c Config, cells int) (Driver, error) {
 		if batch < 1 {
 			return nil, fmt.Errorf("swbench: http driver needs batch >= 1, got %d", batch)
-		}
-		cfg := httpConfig{budget: 30 * time.Second}
-		for _, opt := range opts {
-			if opt != nil {
-				opt(&cfg)
-			}
 		}
 		if client == nil {
 			client = &http.Client{
@@ -92,8 +68,8 @@ func HTTPDriver(baseURL string, batch int, client *http.Client, opts ...HTTPOpti
 		}
 		clOpts := append([]coupd.ClientOption{
 			coupd.WithHTTPClient(client),
-			coupd.WithRetryBudget(cfg.budget),
-		}, cfg.clOpts...)
+			coupd.WithRetryBudget(30 * time.Second),
+		}, opts...)
 		d := &httpDriver{
 			base:   strings.TrimRight(baseURL, "/"),
 			client: client,

@@ -1,8 +1,8 @@
 // Package swbench is the software-side benchmark harness shared by
-// cmd/commutebench, cmd/coupload and the "figsw"/"figsvc" experiments: it
-// drives commutative-update implementations with the same workload shapes
-// the simulator runs — contended counters and histograms under
-// Zipf-skewed traffic — and reports wall-clock throughput. Where pkg/coup
+// cmd/commutebench and the "figsw"/"figsvc" experiments: it drives
+// commutative-update implementations with the same workload shapes the
+// simulator runs — contended counters and histograms under Zipf-skewed
+// traffic — and reports wall-clock throughput. Where pkg/coup
 // measures simulated cycles, swbench measures the real machine; the two
 // sides of the repo's hardware-vs-simulation cross-validation.
 //
@@ -75,16 +75,16 @@ type Config struct {
 	ReadEvery int
 	Seed      uint64
 	// NewDriver overrides what the traffic drives. Nil selects the
-	// in-process implementation named by Impl; cmd/coupload installs the
-	// batched HTTP driver here.
+	// in-process implementation named by Impl; cmd/commutebench installs
+	// the batched HTTP driver here when it drives a coupd.
 	NewDriver DriverMaker `json:"-"`
 	// RecordLatency times every Update call into a shared obs log2
 	// histogram so the Result carries p50/p99/max alongside throughput.
 	// Off by default: the two time.Now calls per op are noise for
 	// nanosecond-scale in-process drivers, but cheap next to an RPC —
-	// cmd/coupload turns this on. For batched transports the op that
-	// triggers a flush absorbs the round-trip, so the tail quantiles
-	// surface the RPC cost the mean hides.
+	// cmd/commutebench turns this on against coupd. For batched
+	// transports the op that triggers a flush absorbs the round-trip, so
+	// the tail quantiles surface the RPC cost the mean hides.
 	RecordLatency bool
 }
 

@@ -12,7 +12,8 @@
 // rare in update-heavy phases. The cmd/commutebench CLI and the "figsw"
 // experiment in the harness cross-validate the two: measured software
 // scaling next to the simulator's MESI-vs-MEUSI curves on the same
-// workload shapes.
+// workload shapes. With -addr or -self, commutebench drives the same
+// traffic through the coupd service instead.
 //
 // # Protocol concepts, library concepts
 //

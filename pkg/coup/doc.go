@@ -63,8 +63,8 @@
 //   - Job: the multi-process layer over Sweep. Because every spec is
 //     independent and seeded, a sweep can be partitioned across
 //     processes (or machines, or CI jobs) and reassembled exactly.
-//     ShardSpecs deterministically round-robins a spec list into shard k
-//     of n; SpecKey gives each registry-named spec a durable content
+//     ShardIndices deterministically round-robins a spec list into shard
+//     k of n; SpecKey gives each registry-named spec a durable content
 //     hash (workload, protocol, cores, seed, workload params — not its
 //     spelling); a ResultStore journals one JSON record per completed
 //     spec, fsync'd, tolerating a torn final line so a killed process

@@ -29,7 +29,7 @@ var (
 	// WithParallelism(n) with n < 1. It wraps ErrInvalidOption, so callers
 	// matching the broader sentinel keep working.
 	ErrInvalidParallelism = fmt.Errorf("%w: invalid parallelism", ErrInvalidOption)
-	// ErrInvalidShard is returned by ShardSpecs/ParseShard for shard
+	// ErrInvalidShard is returned by ShardIndices/ParseShard for shard
 	// coordinates outside 0 <= k < n (or unparseable "k/n" syntax).
 	ErrInvalidShard = errors.New("invalid shard")
 	// ErrSpecUnkeyed is returned by SpecKey for a RunSpec whose identity

@@ -7,7 +7,8 @@ import (
 	"strings"
 )
 
-// ShardSpecs returns the k-th of n shards of specs under the stable
+// ShardIndices returns the indices of the specs (of the given total
+// count) that shard k of n owns, in increasing order, under the stable
 // round-robin partition: spec i belongs to shard i mod n (k is
 // zero-based, 0 <= k < n). Round-robin — rather than contiguous blocks —
 // is the contract because experiment grids enumerate related points
@@ -17,22 +18,9 @@ import (
 // The assignment is a pure function of list position: every (k, n)
 // partition of the same spec list covers it exactly once, re-enumeration
 // is stable, and the mapping never changes across releases
-// (TestShardSpecsGolden pins it). Anything downstream — result-store
+// (TestShardIndicesGolden pins it). Anything downstream — result-store
 // keys, merge coverage — may therefore assume shard membership is
 // reproducible from the spec list alone.
-func ShardSpecs(specs []RunSpec, k, n int) ([]RunSpec, error) {
-	if err := validShard(k, n); err != nil {
-		return nil, err
-	}
-	var out []RunSpec
-	for i := k; i < len(specs); i += n {
-		out = append(out, specs[i])
-	}
-	return out, nil
-}
-
-// ShardIndices is ShardSpecs on positions: the indices of specs (of the
-// given total count) that shard k of n owns, in increasing order.
 func ShardIndices(total, k, n int) ([]int, error) {
 	if err := validShard(k, n); err != nil {
 		return nil, err

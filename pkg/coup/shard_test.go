@@ -7,66 +7,59 @@ import (
 	"testing"
 )
 
-// TestShardSpecsCoverExactlyOnce is the partition law: for every n, the
-// n shards of a spec list cover it exactly once, in order, and the
+// TestShardIndicesCoverExactlyOnce is the partition law: for every n,
+// the n shards of a spec list cover it exactly once, in order, and the
 // assignment is stable under re-enumeration.
-func TestShardSpecsCoverExactlyOnce(t *testing.T) {
-	specs := make([]RunSpec, 13)
-	for i := range specs {
-		specs[i] = RunSpec{Key: fmt.Sprintf("s%d", i)}
-	}
-	for n := 1; n <= len(specs)+2; n++ {
-		counts := make(map[string]int)
+func TestShardIndicesCoverExactlyOnce(t *testing.T) {
+	const total = 13
+	for n := 1; n <= total+2; n++ {
+		counts := make([]int, total)
 		for k := 0; k < n; k++ {
-			first, err := ShardSpecs(specs, k, n)
+			first, err := ShardIndices(total, k, n)
 			if err != nil {
-				t.Fatalf("ShardSpecs(%d, %d): %v", k, n, err)
+				t.Fatalf("ShardIndices(%d, %d, %d): %v", total, k, n, err)
 			}
-			again, _ := ShardSpecs(specs, k, n)
+			again, _ := ShardIndices(total, k, n)
 			if !reflect.DeepEqual(first, again) {
 				t.Fatalf("shard %d/%d unstable under re-enumeration", k, n)
 			}
-			for _, s := range first {
-				counts[s.Key]++
+			for _, i := range first {
+				if i < 0 || i >= total {
+					t.Fatalf("shard %d/%d owns index %d of %d specs", k, n, i, total)
+				}
+				counts[i]++
 			}
 		}
-		for _, s := range specs {
-			if counts[s.Key] != 1 {
-				t.Errorf("n=%d: spec %s covered %d times, want exactly once", n, s.Key, counts[s.Key])
+		for i, c := range counts {
+			if c != 1 {
+				t.Errorf("n=%d: spec %d covered %d times, want exactly once", n, i, c)
 			}
 		}
 	}
 }
 
-// TestShardSpecsGolden pins the round-robin assignment itself, so shard
-// membership can never silently drift across releases: stores recorded
-// by one build must stay mergeable with sweeps enumerated by the next.
-func TestShardSpecsGolden(t *testing.T) {
-	specs := make([]RunSpec, 10)
-	for i := range specs {
-		specs[i] = RunSpec{Key: fmt.Sprintf("s%d", i)}
-	}
-	golden := map[string][]string{
-		"0/3": {"s0", "s3", "s6", "s9"},
-		"1/3": {"s1", "s4", "s7"},
-		"2/3": {"s2", "s5", "s8"},
-		"0/4": {"s0", "s4", "s8"},
-		"3/4": {"s3", "s7"},
-		"0/1": {"s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9"},
+// TestShardIndicesGolden pins the round-robin assignment itself, so
+// shard membership can never silently drift across releases: stores
+// recorded by one build must stay mergeable with sweeps enumerated by
+// the next.
+func TestShardIndicesGolden(t *testing.T) {
+	golden := map[string][]int{
+		"0/3": {0, 3, 6, 9},
+		"1/3": {1, 4, 7},
+		"2/3": {2, 5, 8},
+		"0/4": {0, 4, 8},
+		"3/4": {3, 7},
+		"0/1": {0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
 	}
 	for coord, want := range golden {
 		var k, n int
 		fmt.Sscanf(coord, "%d/%d", &k, &n)
-		got, err := ShardSpecs(specs, k, n)
+		got, err := ShardIndices(10, k, n)
 		if err != nil {
 			t.Fatalf("%s: %v", coord, err)
 		}
-		keys := make([]string, len(got))
-		for i, s := range got {
-			keys[i] = s.Key
-		}
-		if !reflect.DeepEqual(keys, want) {
-			t.Errorf("shard %s: got %v, want %v (round-robin assignment drifted)", coord, keys, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shard %s: got %v, want %v (round-robin assignment drifted)", coord, got, want)
 		}
 	}
 }
@@ -74,9 +67,6 @@ func TestShardSpecsGolden(t *testing.T) {
 // TestShardValidation covers the typed rejection of bad coordinates.
 func TestShardValidation(t *testing.T) {
 	for _, bad := range [][2]int{{-1, 4}, {4, 4}, {0, 0}, {1, -2}} {
-		if _, err := ShardSpecs(nil, bad[0], bad[1]); !errors.Is(err, ErrInvalidShard) {
-			t.Errorf("ShardSpecs(%d, %d): err=%v, want ErrInvalidShard", bad[0], bad[1], err)
-		}
 		if _, err := ShardIndices(10, bad[0], bad[1]); !errors.Is(err, ErrInvalidShard) {
 			t.Errorf("ShardIndices(%d, %d): err=%v, want ErrInvalidShard", bad[0], bad[1], err)
 		}

@@ -7,12 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 )
 
 // benchBatch is the batch every coupd batch benchmark sends: 256 records
-// cycling through the four kinds, the shape coupload sends. An empty
-// client makes it a bare batch.
+// cycling through the four kinds, the shape of a coupd-mixed batch in
+// the repository benchmark. An empty client makes it a bare batch.
 func benchBatch(client string, seq uint64) BatchRequest {
 	req := BatchRequest{Client: client, Seq: seq}
 	for i := 0; i < 64; i++ {
@@ -28,9 +29,9 @@ func benchBatch(client string, seq uint64) BatchRequest {
 
 // BenchmarkCoupdBatch measures the full server-side batch path — HTTP
 // routing, pooled decode, per-record registry fan-in — for a 256-record
-// mixed batch through ServeHTTP (no network), the same shape coupload
-// sends. Tracked in BENCH_baseline.json: a decode-path or fan-in
-// regression shows up as allocs/op or ns/op drift.
+// mixed batch through ServeHTTP (no network). Tracked in
+// BENCH_baseline.json: a decode-path or fan-in regression shows up as
+// allocs/op or ns/op drift.
 func BenchmarkCoupdBatch(b *testing.B) {
 	s, err := New(WithMaxInFlight(64))
 	if err != nil {
@@ -82,6 +83,13 @@ func BenchmarkCoupdBatchSequenced(b *testing.B) {
 	pos := bytes.Index(body, []byte("100000000000"))
 	if pos < 0 {
 		b.Fatal("seq placeholder not found in marshaled body")
+	}
+	// Seq starts at 1: an empty seq-1 batch opens the session, which the
+	// timed seqs then continue.
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest("POST", "/v1/batch", strings.NewReader(`{"updates":[],"client":"bench","seq":1}`)))
+	if w.Code != http.StatusOK {
+		b.Fatalf("opening seq 1: HTTP %d: %s", w.Code, w.Body)
 	}
 	var seqBuf [12]byte
 	rd := bytes.NewReader(body)

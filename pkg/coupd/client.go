@@ -107,7 +107,12 @@ func (c *Client) Session(id string) *Session {
 	return &Session{c: c, id: id}
 }
 
-// Session is one writer's exactly-once stream of batches.
+// Session is one writer's exactly-once stream of batches, for as long as
+// the server keeps its dedup session (see WithDedupSessions). After the
+// server evicts it, every later Send fails with a 409 *RemoteError
+// (ErrStaleSeq) that applied nothing, and the writer must continue under
+// a new session id. A seq-1 batch retried after eviction is the one
+// replay the server cannot detect: it applies again.
 type Session struct {
 	c   *Client
 	id  string

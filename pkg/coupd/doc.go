@@ -2,8 +2,8 @@
 // sharded structures — counters, histograms, min/max trackers, reference
 // counts — served over HTTP/JSON as named, durable-for-the-process
 // aggregation cells, so the paper's update/read asymmetry survives a
-// network boundary. The cmd/coupd binary wraps this package; cmd/coupload
-// is its closed-loop load generator.
+// network boundary. The cmd/coupd binary wraps this package; commutebench
+// -addr (or -self) is its closed-loop load generator.
 //
 // # The paper's states, one layer up
 //
@@ -88,13 +88,17 @@
 // sliding ack window, and the Applied answer for each windowed seq. A
 // re-POSTed seq inside the window is answered from the table — original
 // Applied count, Deduped=true, nothing re-applied; a seq below the window
-// gets 409 ErrStaleSeq. Sequenced batches are validate-then-apply: every
-// record is checked (and its cell created) in a dry pass first, so a 400
-// rejection applies nothing and the client may correct and resend under
-// the same seq. The Client type implements the other end — per-session
-// monotonic seqs, full-jitter retry on transport faults, 5xx and
-// truncated acks — and internal/faultnet is the seeded chaos transport
-// the contract is proven against.
+// gets 409 ErrStaleSeq. Only seq 1 opens a session: a later seq whose
+// session was evicted also gets 409 ErrStaleSeq, since the server can no
+// longer tell whether it applied, and the client continues under a new
+// id. Eviction lets one replay through: a seq-1 retry after it looks like
+// a new client's first batch and applies again. Sequenced batches are
+// validate-then-apply: every record is checked (and its cell created) in
+// a dry pass first, so a 400 rejection applies nothing and the client may
+// correct and resend under the same seq. The Client type implements the
+// other end — per-session monotonic seqs, full-jitter retry on transport
+// faults, 5xx and truncated acks — and internal/faultnet is the seeded
+// chaos transport the contract is proven against.
 //
 // # Backpressure and shutdown
 //

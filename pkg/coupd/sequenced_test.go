@@ -148,6 +148,49 @@ func TestSequencedStaleSeq409(t *testing.T) {
 	}
 }
 
+// TestSequencedEvictedSession pins the eviction half of ErrStaleSeq: a
+// retry of seq 2 after its session was evicted — by the LRU cap or by
+// the idle TTL — cannot be told apart from a batch that never applied,
+// so it gets 409, applies nothing, and opens no session.
+func TestSequencedEvictedSession(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		opts  []Option
+		evict func(t *testing.T, url string)
+	}{
+		{"lru", []Option{WithDedupSessions(1, time.Hour)}, func(t *testing.T, url string) {
+			if resp, out := postBatch(t, url, seqBatch("b", 1, inc("other"))); resp.StatusCode != http.StatusOK {
+				t.Fatalf("client b seq 1: HTTP %d: %s", resp.StatusCode, out)
+			}
+		}},
+		{"ttl", []Option{WithDedupSessions(DefaultMaxSessions, 20*time.Millisecond)}, func(*testing.T, string) {
+			time.Sleep(50 * time.Millisecond)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, tc.opts...)
+			for seq := uint64(1); seq <= 2; seq++ {
+				if resp, out := postBatch(t, ts.URL, seqBatch("a", seq, inc("ev"))); resp.StatusCode != http.StatusOK {
+					t.Fatalf("client a seq %d: HTTP %d: %s", seq, resp.StatusCode, out)
+				}
+			}
+			tc.evict(t, ts.URL)
+
+			// a's ack of seq 2 was lost; it re-posts the same batch.
+			resp, out := postBatch(t, ts.URL, seqBatch("a", 2, inc("ev")))
+			if resp.StatusCode != http.StatusConflict || !strings.Contains(string(out), ErrStaleSeq.Error()) {
+				t.Errorf("retry of seq 2 after eviction: HTTP %d: %s, want 409 %v", resp.StatusCode, out, ErrStaleSeq)
+			}
+			if v := counterValue(t, ts.URL, "ev"); v != 2 {
+				t.Errorf("counter = %d, want 2 (the retried seq 2 applied twice)", v)
+			}
+			if s.sessions.get("a", false) != nil {
+				t.Error("the rejected retry opened a new session for client a")
+			}
+		})
+	}
+}
+
 // TestPanicRecovery pins the recovery middleware: an injected panic at
 // the apply point becomes a 500 and a coupd_panics_total tick, the
 // semaphore slot is released, and — because the panic fired before any

@@ -105,10 +105,13 @@ func WithMaxInFlight(n int) Option {
 
 // WithDedupSessions bounds the exactly-once session table: at most max
 // client sessions, each evicted after ttl idle. Eviction trades memory
-// for the dedup horizon — a client idle past the TTL (or LRU-evicted
-// under a burst of more than max distinct clients) that then retries an
-// old seq gets ErrStaleSeq instead of a dedup answer — so keep the TTL
-// far above any client's retry budget. Defaults: DefaultMaxSessions,
+// for the dedup horizon. Once a client's session is evicted — idle past
+// the TTL, or LRU-evicted under a burst of more than max distinct
+// clients — each batch it sends with a seq above 1, retries included,
+// gets ErrStaleSeq and applies nothing, so the client must continue
+// under a new client id. A retry of seq 1 after eviction cannot be told
+// apart from a new client's first batch, so it applies again. Keep the
+// TTL far above any client's retry budget. Defaults: DefaultMaxSessions,
 // DefaultSessionTTL.
 func WithDedupSessions(max int, ttl time.Duration) Option {
 	return func(s *Server) error {
@@ -381,7 +384,15 @@ func (s *Server) applySequencedBatch(req *BatchRequest) (applied int, deduped bo
 	if len(req.Client) > maxNameLen { // a session keeps its id
 		return 0, false, fmt.Errorf("coupd: %w: client id of %d bytes (need at most %d)", ErrBadUpdate, len(req.Client), maxNameLen)
 	}
-	sess := s.sessions.get(req.Client, true)
+	// Only seq 1 opens a session. A later seq with no live session
+	// belongs to one that was evicted: its batch may already have
+	// applied, so it gets 409 rather than a fresh session that would
+	// apply it again.
+	sess := s.sessions.get(req.Client, req.Seq == 1)
+	if sess == nil {
+		return 0, false, fmt.Errorf("coupd: %w: client %q seq %d has no live session (evicted, or never opened at seq 1); continue under a new client id",
+			ErrStaleSeq, req.Client, req.Seq)
+	}
 	// The session lock spans check-validate-apply-ack: two racing POSTs
 	// of one (client, seq) — a client retrying into its own still-running
 	// first attempt — serialize here, and the loser sees the ack.

@@ -1,8 +1,8 @@
 package coupd
 
 // Wire types: the JSON bodies of the batch and snapshot endpoints. They
-// are plain data so cmd/coupload, the swbench HTTP driver, and any other
-// client can share them with the server.
+// are plain data so the swbench HTTP driver, the repository benchmark,
+// and any other client can share them with the server.
 
 // Update is one record of a batch: apply Op with Args to the structure
 // Name of kind Kind, creating the structure on first touch. Args is a
@@ -30,7 +30,10 @@ type Update struct {
 // retried after correction. Seq starts at 1 and each client sends its
 // batches in seq order (retries resend the same seq with the same
 // records); a seq that has fallen out of the ack window is answered
-// 409 + ErrStaleSeq.
+// 409 + ErrStaleSeq. Only seq 1 opens a session: a later seq whose
+// session the server has evicted (see WithDedupSessions) is answered
+// 409 + ErrStaleSeq too, and the client continues under a new Client. A
+// seq-1 retry after eviction opens a fresh session and applies again.
 type BatchRequest struct {
 	Updates []Update `json:"updates"`
 	// Client names the dedup session, typically one per writer

@@ -17,9 +17,9 @@
 //     Registry.WriteMetrics — is the S-state transition: a
 //     reduce-on-read fold over the shards, paid only when someone
 //     actually looks.
-//   - MinMax is the degenerate idempotent case: an observation that
-//     does not improve the running extreme completes as a pure load (a
-//     silent U hit).
+//   - A Histogram's exact Min and Max live in a commute.MinMax, the
+//     degenerate idempotent case: an observation that does not improve
+//     the running extreme completes as a pure load (a silent U hit).
 //
 // Because an always-on metrics layer updates far more often than it is
 // scraped, this asymmetry is exactly the right trade — which is why the
@@ -29,7 +29,7 @@
 // # Registry and exposition
 //
 // A Registry maps names to metric families (Counter, UpDownCounter,
-// Gauge, MinMax, log2-bucket Histogram) with GetOrCreate semantics.
+// Gauge, log2-bucket Histogram) with GetOrCreate semantics.
 // WriteMetrics emits the Prometheus text exposition format (0.0.4) in
 // sorted-name order, so identical registry state produces byte-identical
 // pages; Handler mounts that at GET /metrics. Runtime gauges (GC

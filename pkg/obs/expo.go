@@ -58,14 +58,6 @@ func appendSampleInt(b []byte, name string, v int64) []byte {
 	return b
 }
 
-func appendSampleUint(b []byte, name string, v uint64) []byte {
-	b = append(b, name...)
-	b = append(b, ' ')
-	b = appendUint(b, v)
-	b = append(b, '\n')
-	return b
-}
-
 // WriteMetrics reduces every registered metric and writes the full
 // exposition page to w. Output is deterministic for identical registry
 // state: families appear in sorted-name order and every figure is a

@@ -72,50 +72,3 @@ func (g *Gauge) writeExpo(b []byte) []byte {
 	b = appendSampleInt(b, g.name, g.fn())
 	return b
 }
-
-// MinMax tracks running extremes plus an observation count over
-// commute.MinMax. It is exposed as three gauge families — name_count,
-// name_max, name_min — since Prometheus has no native extremes type.
-type MinMax struct {
-	name string
-	help string
-	m    *commute.MinMax
-}
-
-func newMinMax(name, help string) *MinMax {
-	return &MinMax{name: name, help: help, m: commute.MustMinMax()}
-}
-
-// Observe folds v into the calling goroutine's shard.
-//
-//coup:hotpath
-func (m *MinMax) Observe(v int64) { m.m.Observe(v) }
-
-// N reduces the observation count.
-func (m *MinMax) N() uint64 { return m.m.N() }
-
-// Min reduces the shards' minima; ok is false when nothing has been
-// observed.
-func (m *MinMax) Min() (int64, bool) { return m.m.Min() }
-
-// Max reduces the shards' maxima; ok is false when nothing has been
-// observed.
-func (m *MinMax) Max() (int64, bool) { return m.m.Max() }
-
-func (m *MinMax) expoName() string { return m.name }
-func (m *MinMax) expoHelp() string { return m.help }
-
-func (m *MinMax) writeExpo(b []byte) []byte {
-	min, ok := m.m.Min()
-	max, _ := m.m.Max()
-	if !ok {
-		min, max = 0, 0
-	}
-	b = appendHeader(b, m.name+"_count", m.help+" (observations)", "gauge")
-	b = appendSampleUint(b, m.name+"_count", m.m.N())
-	b = appendHeader(b, m.name+"_max", m.help+" (maximum)", "gauge")
-	b = appendSampleInt(b, m.name+"_max", max)
-	b = appendHeader(b, m.name+"_min", m.help+" (minimum)", "gauge")
-	b = appendSampleInt(b, m.name+"_min", min)
-	return b
-}

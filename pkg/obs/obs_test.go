@@ -16,9 +16,6 @@ func fill(r *Registry) {
 	d.Add(3)
 	d.Dec()
 	r.Gauge("test_structures", "Live structures.", func() int64 { return 7 })
-	m := r.MinMax("test_extremes", "Observed extremes.")
-	m.Observe(-5)
-	m.Observe(19)
 	h := r.Histogram("test_latency_ns", "Latency in nanoseconds.", 8)
 	for _, v := range []int64{1, 2, 3, 900, 70} {
 		h.Observe(v)
@@ -88,9 +85,6 @@ func TestExpositionContents(t *testing.T) {
 		"# TYPE test_ops_total counter\ntest_ops_total 42\n",
 		"# TYPE test_in_flight gauge\ntest_in_flight 2\n",
 		"# TYPE test_structures gauge\ntest_structures 7\n",
-		"test_extremes_count 2\n",
-		"test_extremes_max 19\n",
-		"test_extremes_min -5\n",
 		"# TYPE test_latency_ns histogram\n",
 		`test_latency_ns_bucket{le="1"} 1` + "\n",
 		`test_latency_ns_bucket{le="3"} 3` + "\n",
@@ -204,7 +198,6 @@ func TestHotPathAllocs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("allocs_c_total", "")
 	h := r.Histogram("allocs_h", "", 16)
-	m := r.MinMax("allocs_m", "")
 	ring := NewRing(64)
 
 	if n := testing.AllocsPerRun(100, func() { c.Inc() }); n != 0 {
@@ -215,9 +208,6 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { h.Observe(1234) }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %v/op on the warm path", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { m.Observe(55) }); n != 0 {
-		t.Errorf("MinMax.Observe allocates %v/op on the warm path", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { ring.Record(EvBatchApply, 1, 2, 3) }); n != 0 {
 		t.Errorf("Ring.Record allocates %v/op on the warm path", n)
@@ -247,26 +237,24 @@ func TestRuntimeMetrics(t *testing.T) {
 	}
 }
 
-// TestConcurrentWritesAndScrapes exercises every metric kind plus the
-// exposition path under -race.
+// TestConcurrentWritesAndScrapes exercises the sharded write paths plus
+// the exposition path under -race.
 func TestConcurrentWritesAndScrapes(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("race_total", "")
 	h := r.Histogram("race_hist", "", 16)
-	m := r.MinMax("race_mm", "")
 	const workers, perWorker = 8, 2000
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				h.Observe(int64(i))
-				m.Observe(int64(w*perWorker + i))
 			}
-		}(w)
+		}()
 	}
 	for i := 0; i < 10; i++ {
 		var buf bytes.Buffer
@@ -283,8 +271,5 @@ func TestConcurrentWritesAndScrapes(t *testing.T) {
 	h.Snapshot(&s)
 	if s.Count != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", s.Count, workers*perWorker)
-	}
-	if min, ok := m.Min(); !ok || min != 0 {
-		t.Errorf("minmax min = %d (ok=%v), want 0", min, ok)
 	}
 }

@@ -26,10 +26,6 @@ func NewRegistry() *Registry {
 	return &Registry{metrics: map[string]metric{}}
 }
 
-// Default is the process-wide registry, for packages that want shared
-// metrics without threading a *Registry through their constructors.
-var Default = NewRegistry()
-
 // metric is one registered family: anything that can describe itself and
 // write its exposition block.
 type metric interface {
@@ -111,18 +107,6 @@ func (r *Registry) Gauge(name, help string, fn func() int64) *Gauge {
 		panic(fmt.Sprintf("obs: metric %q already registered as a different kind", name))
 	}
 	return g
-}
-
-// MinMax returns the registered min/max tracker name, creating it on
-// first use. It is exposed as three gauge families: name_count, name_max,
-// name_min.
-func (r *Registry) MinMax(name, help string) *MinMax {
-	m := r.register(name, func() metric { return newMinMax(name, help) })
-	mm, ok := m.(*MinMax)
-	if !ok {
-		panic(fmt.Sprintf("obs: metric %q already registered as a different kind", name))
-	}
-	return mm
 }
 
 // Histogram returns the registered log2-bucket histogram name, creating
