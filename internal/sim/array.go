@@ -100,22 +100,6 @@ func (a *array[P]) allocPage(pi uint64) {
 	a.pages[pi] = arrayPage[P]{tags: make([]uint32, n), lru: make([]uint64, n), pay: make([]P, n)}
 }
 
-// lookup returns the payload of the way holding line, updating LRU, or nil
-// on a miss.
-func (a *array[P]) lookup(line uint64) *P {
-	pg, base := a.setAt(line)
-	key := uint32(line>>a.setBits) | validBit
-	tags := pg.tags[base : base+uint64(a.ways)]
-	for w := range tags {
-		if tags[w] == key {
-			a.tick++
-			pg.lru[base+uint64(w)] = a.tick
-			return &pg.pay[base+uint64(w)]
-		}
-	}
-	return nil
-}
-
 // peek returns the payload of the way holding line without touching LRU
 // state.
 func (a *array[P]) peek(line uint64) *P {
@@ -217,14 +201,14 @@ func slotWay(h slotRef) uint8 { return uint8(h >> 8) }
 // safe everywhere a hint is.
 const wayUnknown = ^uint8(0)
 
-// probe scans line's set once, fusing lookup with the victim choice insert
-// would otherwise rescan for. On a hit it behaves exactly like lookup (LRU
-// touch) and returns the payload plus a handle to the hit way; on a miss
+// probe scans line's set once, fusing the hit test with the victim choice
+// insert would otherwise rescan for. On a hit it touches the way's LRU
+// stamp and returns the payload plus a handle to the hit way; on a miss
 // it returns nil plus a handle staging the insertion — the way a fresh
 // insert would choose — which commit turns into the actual insert without
 // rescanning the tags. The hit path pays only a first-empty-way test over
-// lookup; LRU stamps are consulted only for a miss in a full set, where
-// insert would have read them anyway.
+// a plain tag scan; LRU stamps are consulted only for a miss in a full
+// set, where insert would have read them anyway.
 func (a *array[P]) probe(line uint64) (*P, slotRef) {
 	pg, base := a.setAt(line)
 	key := uint32(line>>a.setBits) | validBit
@@ -360,9 +344,6 @@ func (a *array[P]) reset() {
 	}
 	a.tick = 0
 }
-
-// contains reports presence without touching LRU.
-func (a *array[P]) contains(line uint64) bool { return a.peek(line) != nil }
 
 // forEach visits every valid way, in set-major order. Used by drain and by
 // invariant checks.

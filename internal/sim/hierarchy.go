@@ -173,19 +173,6 @@ func newBusyTable() busyTable {
 	}
 }
 
-// get returns the busy-until cycle recorded for line, or 0 if none.
-func (t *busyTable) get(line uint64) uint64 {
-	k := line + 1
-	for i := mixLine(line) & t.mask; ; i = (i + 1) & t.mask {
-		switch t.keys[i] {
-		case k:
-			return t.vals[i]
-		case 0:
-			return 0
-		}
-	}
-}
-
 // busySlot is getSlot's handle: the slot where line was found, valid while
 // the table's generation is unchanged.
 type busySlot struct {
@@ -194,10 +181,11 @@ type busySlot struct {
 	present bool
 }
 
-// getSlot is get returning a handle that putAt can use to update the same
-// entry without a second probe. Each bank transaction reads a line's
-// busy-until on entry and writes the same line's on exit; fusing the pair
-// halves the table probes on the miss path.
+// getSlot returns the busy-until cycle recorded for line (0 if none) and
+// a handle that putAt can use to update the same entry without a second
+// probe. Each bank transaction reads a line's busy-until on entry and
+// writes the same line's on exit; fusing the pair halves the table
+// probes on the miss path.
 func (t *busyTable) getSlot(line uint64) (uint64, busySlot) {
 	k := line + 1
 	for i := mixLine(line) & t.mask; ; i = (i + 1) & t.mask {
@@ -1449,10 +1437,10 @@ func (h *hierarchy) rmoUpdate(c *core, r *request) uint64 {
 	tx.adv(h.cfg.L4Lat, &tx.bd.L4)
 	h.offChip(ctrlBytes + 8) // address + operand
 
-	ge := h.l4.arr.lookup(line)
+	ge, gh := h.l4.arr.probe(line)
 	if ge == nil {
 		h.memAccess(line, &tx)
-		s, vtag, vp, evicted, _ := h.l4.arr.insert(line)
+		s, vtag, vp, evicted, _ := h.l4.arr.commit(line, gh)
 		if evicted {
 			h.evictL4Line(vtag, &vp)
 		}

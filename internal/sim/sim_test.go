@@ -640,7 +640,7 @@ func TestArrayLRU(t *testing.T) {
 	*s0 = 10
 	s2, _, _, _, _ := a.insert(2)
 	*s2 = 20
-	a.lookup(0) // touch 0: now 2 is LRU
+	a.probe(0) // touch 0: now 2 is LRU
 	_, vt, vp, ev, _ := a.insert(4)
 	if !ev || vt != 2 || vp != 20 {
 		t.Errorf("eviction: ev=%v tag=%d p=%d, want line 2", ev, vt, vp)
@@ -652,8 +652,8 @@ func TestArrayLRU(t *testing.T) {
 	if a.peek(0) != nil {
 		t.Error("invalidate failed")
 	}
-	if a.contains(4) != true {
-		t.Error("contains failed")
+	if a.peek(4) == nil {
+		t.Error("line 4 lost by invalidating line 0")
 	}
 }
 

@@ -38,9 +38,10 @@ var httpDriverSeq atomic.Uint64
 // server's session table instead of double-applying. Saturation
 // throttles the closed loop; faults never lose or duplicate updates.
 //
-// A nil client gets a transport sized for one keep-alive connection per
-// worker. The coupd.Client underneath gets that transport and a 30s
-// retry budget per batch — far above any transient saturation or
+// A nil client gets, on every call of the maker, a fresh transport sized
+// for that call's Threads: one keep-alive connection per worker plus
+// two. The coupd.Client underneath gets that transport and a 30s retry
+// budget per batch — far above any transient saturation or
 // injected-fault stretch, far below a hung rig — and then opts, which
 // override both.
 func HTTPDriver(baseURL string, batch int, client *http.Client, opts ...coupd.ClientOption) DriverMaker {
@@ -48,8 +49,9 @@ func HTTPDriver(baseURL string, batch int, client *http.Client, opts ...coupd.Cl
 		if batch < 1 {
 			return nil, fmt.Errorf("swbench: http driver needs batch >= 1, got %d", batch)
 		}
-		if client == nil {
-			client = &http.Client{
+		hc := client
+		if hc == nil {
+			hc = &http.Client{
 				Transport: &http.Transport{
 					MaxIdleConns:        c.Threads + 2,
 					MaxIdleConnsPerHost: c.Threads + 2,
@@ -67,12 +69,12 @@ func HTTPDriver(baseURL string, batch int, client *http.Client, opts ...coupd.Cl
 			return nil, fmt.Errorf("swbench: client nonce: %w", err)
 		}
 		clOpts := append([]coupd.ClientOption{
-			coupd.WithHTTPClient(client),
+			coupd.WithHTTPClient(hc),
 			coupd.WithRetryBudget(30 * time.Second),
 		}, opts...)
 		d := &httpDriver{
 			base:   strings.TrimRight(baseURL, "/"),
-			client: client,
+			client: hc,
 			cl:     coupd.NewClient(strings.TrimRight(baseURL, "/"), clOpts...),
 			idBase: fmt.Sprintf("swb-%s-%d", hex.EncodeToString(nonce[:]), httpDriverSeq.Add(1)),
 			batch:  batch,

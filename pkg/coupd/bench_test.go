@@ -28,8 +28,8 @@ func benchBatch(client string, seq uint64) BatchRequest {
 }
 
 // BenchmarkCoupdBatch measures the full server-side batch path — HTTP
-// routing, pooled decode, per-record registry fan-in — for a 256-record
-// mixed batch through ServeHTTP (no network). Tracked in
+// routing, pooled decode, validate-then-apply registry fan-in — for a
+// 256-record mixed batch through ServeHTTP (no network). Tracked in
 // BENCH_baseline.json: a decode-path or fan-in regression shows up as
 // allocs/op or ns/op drift.
 func BenchmarkCoupdBatch(b *testing.B) {
@@ -63,10 +63,10 @@ func BenchmarkCoupdBatch(b *testing.B) {
 
 // BenchmarkCoupdBatchSequenced is BenchmarkCoupdBatch with the
 // exactly-once plane on: the same 256-record mixed batch, now carrying
-// client+seq through the dedup session table and the validate-then-apply
-// double pass. The delta against BenchmarkCoupdBatch prices the
-// exactly-once upgrade; tracked in BENCH_baseline.json like its bare
-// sibling. The seq is patched into the pre-marshaled body in place, so
+// client+seq through the dedup session table. Both take the same
+// validate-then-apply path, so the delta against BenchmarkCoupdBatch
+// prices the session check and ack; tracked in BENCH_baseline.json like
+// its bare sibling. The seq is patched into the pre-marshaled body in place, so
 // the loop measures the server, not the encoder.
 func BenchmarkCoupdBatchSequenced(b *testing.B) {
 	s, err := New(WithMaxInFlight(64))

@@ -357,30 +357,41 @@ func TestRegistryTypedErrors(t *testing.T) {
 	}
 }
 
-// TestBatchPartialApplication pins non-atomic batch semantics: records
-// apply in order up to the first bad one, and the 400 reports both.
-func TestBatchPartialApplication(t *testing.T) {
-	_, ts := newTestServer(t)
-	resp, out := postBatch(t, ts.URL, BatchRequest{Updates: []Update{
-		{Name: "p", Kind: "counter", Op: "inc"},
-		{Name: "p", Kind: "counter", Op: "inc"},
+// TestBareBatchValidateThenApply pins the write contract for a bare
+// (unsequenced) batch: a bad record rejects the whole batch with a 400
+// naming it, nothing applies or is counted, and the corrected batch,
+// resent whole, applies exactly once.
+func TestBareBatchValidateThenApply(t *testing.T) {
+	s, ts := newTestServer(t)
+	updates := s.Metrics().Counter("coupd_updates_total", "")
+	batches := s.Metrics().Counter("coupd_batches_total", "")
+	req := BatchRequest{Updates: []Update{
+		inc("p"), inc("p"),
 		{Name: "p", Kind: "counter", Op: "warp"}, // bad
-		{Name: "p", Kind: "counter", Op: "inc"},  // never applied
-	}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("HTTP %d: %s", resp.StatusCode, out)
+		inc("p"),
+	}}
+	resp, out := postBatch(t, ts.URL, req)
+	var body map[string]json.RawMessage
+	if err := json.Unmarshal(out, &body); err != nil || resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(body["error"]), "record 2") || len(body) != 1 {
+		t.Fatalf("bad batch: HTTP %d: %s (err %v), want 400 with only an error naming record 2", resp.StatusCode, out, err)
 	}
-	var er ErrorResponse
-	if err := json.Unmarshal(out, &er); err != nil {
-		t.Fatal(err)
+	if v := counterValue(t, ts.URL, "p"); v != 0 {
+		t.Errorf("counter p = %d after the rejected batch, want 0", v)
 	}
-	if er.Applied != 2 || !strings.Contains(er.Error, "record 2") {
-		t.Errorf("partial batch reported %+v", er)
+	if n, b := updates.Value(), batches.Value(); n != 0 || b != 0 {
+		t.Errorf("rejected batch counted: coupd_updates_total %d, coupd_batches_total %d, want 0 and 0", n, b)
 	}
-	var snap Snapshot
-	getJSON(t, ts.URL+"/v1/snapshot/p", &snap)
-	if snap.Value != 2 {
-		t.Errorf("counter p = %d, want 2", snap.Value)
+
+	req.Updates[2] = inc("p")
+	if resp, out = postBatch(t, ts.URL, req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("corrected resend: HTTP %d: %s", resp.StatusCode, out)
+	}
+	if v := counterValue(t, ts.URL, "p"); v != 4 {
+		t.Errorf("counter p = %d after the corrected resend, want 4", v)
+	}
+	if n, b := updates.Value(), batches.Value(); n != 4 || b != 1 {
+		t.Errorf("coupd_updates_total %d, coupd_batches_total %d after the corrected resend, want 4 and 1", n, b)
 	}
 }
 

@@ -46,11 +46,12 @@
 // Structures are created on first update (create-on-first-update, like a
 // metrics library's GetOrRegister); a later update naming the same
 // structure with a different kind is rejected with ErrKindMismatch.
-// Batches apply in order. An unsequenced batch (no client field) is not
-// atomic: on the first bad record the server stops, reports the count
-// applied so far, and returns 400. A sequenced batch is validated before
-// anything applies, so a rejected batch applies nothing (see below). The
-// typed sentinels in errors.go name every failure class.
+// Every batch, sequenced or not, is validate-then-apply: every record is
+// checked (and its structure created) in a dry pass first, and only a
+// batch whose every record passes is applied and counted. A bad record
+// draws a 400 naming it, and nothing applies, so the corrected batch is
+// resent whole. The typed sentinels in errors.go name every failure
+// class.
 //
 // # The batch codec
 //
@@ -92,13 +93,12 @@
 // session was evicted also gets 409 ErrStaleSeq, since the server can no
 // longer tell whether it applied, and the client continues under a new
 // id. Eviction lets one replay through: a seq-1 retry after it looks like
-// a new client's first batch and applies again. Sequenced batches are
-// validate-then-apply: every record is checked (and its cell created) in
-// a dry pass first, so a 400 rejection applies nothing and the client may
-// correct and resend under the same seq. The Client type implements the
-// other end — per-session monotonic seqs, full-jitter retry on transport
-// faults, 5xx and truncated acks — and internal/faultnet is the seeded
-// chaos transport the contract is proven against.
+// a new client's first batch and applies again. A 400 rejection applies
+// nothing, so the client may correct the batch and resend it under the
+// same seq. The Client type implements the other end — per-session
+// monotonic seqs, full-jitter retry on transport faults, 5xx and
+// truncated acks — and internal/faultnet is the seeded chaos transport
+// the contract is proven against.
 //
 // # Backpressure and shutdown
 //
@@ -122,8 +122,6 @@
 // a pkg/obs registry (pkg/commute underneath), so the service's hottest
 // metadata words enjoy the same commutative treatment it sells: handlers
 // write update-only, and GET /metrics is a reduce-on-read view of that
-// state. A per-P obs.Ring additionally
-// records request span, batch-apply, and reduce events; Server.Trace
-// exposes it for capture. See the pkg/obs package docs for how these map
-// onto the paper's U-state/S-state vocabulary.
+// state. See the pkg/obs package docs for how these map onto the paper's
+// U-state/S-state vocabulary.
 package coupd

@@ -1,13 +1,10 @@
 package coupd
 
 import (
-	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/pkg/obs"
 )
 
 // postTestBatch sends one small batch through the full handler path.
@@ -74,60 +71,5 @@ func TestMetricsMatchesStatsView(t *testing.T) {
 	}
 	if got := s.Metrics().Counter("coupd_updates_total", "").Value(); got != 3 {
 		t.Errorf("coupd_updates_total = %d, want 3", got)
-	}
-}
-
-func TestRequestTraceSpans(t *testing.T) {
-	s, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	postTestBatch(t, s, `{"updates":[{"kind":"counter","name":"x","op":"inc"}]}`)
-	rr := httptest.NewRecorder()
-	s.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/snapshot/x", nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("snapshot returned %d", rr.Code)
-	}
-
-	events := s.Trace().Dump()
-	var batchBegin, batchEnd, apply, reduce, snapBegin, snapEnd int
-	for _, e := range events {
-		switch {
-		case e.Kind == obs.EvSpanBegin && e.ID == traceBatch:
-			batchBegin++
-		case e.Kind == obs.EvSpanEnd && e.ID == traceBatch:
-			batchEnd++
-		case e.Kind == obs.EvBatchApply:
-			apply++
-			if e.Arg1 != 1 {
-				t.Errorf("batch apply recorded %d updates, want 1", e.Arg1)
-			}
-		case e.Kind == obs.EvReduce:
-			reduce++
-		case e.Kind == obs.EvSpanBegin && e.ID == traceSnapshot:
-			snapBegin++
-		case e.Kind == obs.EvSpanEnd && e.ID == traceSnapshot:
-			snapEnd++
-		}
-	}
-	if batchBegin != 1 || batchEnd != 1 || apply != 1 {
-		t.Errorf("batch span events = %d/%d/%d begin/end/apply, want 1/1/1", batchBegin, batchEnd, apply)
-	}
-	if snapBegin != 1 || snapEnd != 1 || reduce != 1 {
-		t.Errorf("snapshot span events = %d/%d/%d begin/end/reduce, want 1/1/1", snapBegin, snapEnd, reduce)
-	}
-
-	// The span ring round-trips through the binary trace format.
-	var buf bytes.Buffer
-	wrote, err := s.Trace().DumpTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := obs.ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(wrote) {
-		t.Errorf("trace round-trip %d -> %d events", len(wrote), len(back))
 	}
 }

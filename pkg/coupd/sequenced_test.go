@@ -81,8 +81,8 @@ func TestSequencedValidateThenApply(t *testing.T) {
 		t.Fatalf("bad batch: HTTP %d: %s", resp.StatusCode, out)
 	}
 	var er ErrorResponse
-	if err := json.Unmarshal(out, &er); err != nil || er.Applied != 0 {
-		t.Fatalf("bad batch body %s (err %v), want applied 0", out, err)
+	if err := json.Unmarshal(out, &er); err != nil || !strings.Contains(er.Error, "record 1") {
+		t.Fatalf("bad batch body %s (err %v), want an error naming record 1", out, err)
 	}
 	if v := counterValue(t, ts.URL, "vta"); v != 0 {
 		t.Fatalf("counter after rejected batch = %d, want 0 (validate-then-apply)", v)
@@ -98,8 +98,7 @@ func TestSequencedValidateThenApply(t *testing.T) {
 	}
 }
 
-// Contrast case: bare (unsequenced) batches keep the historical
-// partial-application semantics, sequenced ones don't.
+// TestSequencedSeqValidation pins that a sequenced batch needs seq >= 1.
 func TestSequencedSeqValidation(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, out := postBatch(t, ts.URL, seqBatch("c3", 0, inc("z")))

@@ -57,7 +57,6 @@ type Server struct {
 	// update-only fast path it serves; GET /metrics is a reduce-on-read
 	// view of the registry.
 	metrics     *obs.Registry
-	trace       *obs.Ring      // per-P span/batch/reduce event ring
 	batches     *obs.Counter   // accepted batches
 	updates     *obs.Counter   // records applied
 	rejected    *obs.Counter   // 429s
@@ -71,22 +70,12 @@ type Server struct {
 	snapScratch sync.Pool      // *snapScratch, reduction reuse
 }
 
-// entScratch carries the resolved-entry slice between a sequenced
-// batch's validate pass and its apply pass, pooled so the steady-state
-// sequenced path allocates nothing.
+// entScratch carries the resolved-entry slice between a batch's
+// validate pass and its apply pass, pooled so the steady-state write
+// path allocates nothing.
 type entScratch struct {
 	ents []*entry
 }
-
-// Trace span ids, the ID field of the server's obs.Ring records.
-const (
-	traceBatch    uint16 = 1 // POST /v1/batch
-	traceSnapshot uint16 = 2 // GET /v1/snapshot[/{name}]
-)
-
-// traceSlotsPerShard bounds the trace ring's memory: shards × slots ×
-// 32 bytes, a few hundred KiB at worst.
-const traceSlotsPerShard = 1024
 
 // Option configures New.
 type Option func(*Server) error
@@ -127,11 +116,11 @@ func WithDedupSessions(max int, ttl time.Duration) Option {
 }
 
 // WithApplyHook installs fn at the head of batch application: it runs
-// after a sequenced batch validates (or before an unsequenced batch's
-// first record), so a panicking hook aborts the batch before any record
-// lands. For fault injection — see internal/faultnet's PanicN/StallEvery
-// — a panic surfaces as a recovered 500 (coupd_panics_total), never a
-// dead process or a half-applied sequenced batch.
+// after a batch validates and before its first record lands, so a
+// panicking hook aborts the batch with nothing applied. For fault
+// injection — see internal/faultnet's PanicN/StallEvery — a panic
+// surfaces as a recovered 500 (coupd_panics_total), never a dead
+// process or a half-applied batch.
 func WithApplyHook(fn func()) Option {
 	return func(s *Server) error {
 		s.applyHook = fn
@@ -155,7 +144,6 @@ func New(opts ...Option) (*Server, error) {
 		reg:       NewRegistry(),
 		start:     time.Now(),
 		metrics:   m,
-		trace:     obs.NewRing(traceSlotsPerShard),
 		batches:   m.Counter("coupd_batches_total", "Accepted update batches."),
 		updates:   m.Counter("coupd_updates_total", "Update records applied."),
 		rejected:  m.Counter("coupd_rejected_total", "Batches rejected with 429 (saturated)."),
@@ -207,10 +195,6 @@ func (s *Server) Registry() *Registry { return s.reg }
 // Metrics exposes the server's telemetry registry, the same families
 // served at GET /metrics (for embedding processes that add their own).
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
-// Trace exposes the server's span/batch/reduce event ring; Dump it (or
-// obs.WriteTrace it) to capture recent request activity.
-func (s *Server) Trace() *obs.Ring { return s.trace }
 
 // ServeHTTP makes Server an http.Handler. It recovers handler panics —
 // a poisoned batch, a chaos hook — into a 500 ErrorResponse and a
@@ -286,11 +270,6 @@ func (s *Server) enterBatch() (release func(), err error) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	s.trace.Record(obs.EvSpanBegin, traceBatch, 0, 0)
-	defer func() {
-		s.trace.Record(obs.EvSpanEnd, traceBatch, uint64(time.Since(t0).Nanoseconds()), 0)
-	}()
 	release, gateErr := s.enterBatch()
 	if gateErr != nil && errors.Is(gateErr, ErrSaturated) {
 		// Whole seconds are not expressible backpressure for a closed
@@ -338,34 +317,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	resp := BatchResponse{Applied: len(req.Updates)}
 	if req.Client != "" {
-		applied, deduped, err := s.applySequencedBatch(req)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, ErrStaleSeq) {
-				status = http.StatusConflict
-			}
-			// Validate-then-apply: a rejected sequenced batch applied
-			// nothing, so Applied is always 0 here and the client may
-			// retry the same seq after correcting the batch.
-			writeJSON(w, status, ErrorResponse{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, BatchResponse{Applied: applied, Deduped: deduped})
-		return
+		resp.Applied, resp.Deduped, err = s.applySequencedBatch(req)
+	} else {
+		err = s.applyBatch(req)
 	}
-
-	if s.applyHook != nil {
-		s.applyHook()
-	}
-	applied, err := s.applyBatch(req)
-	s.countBatch(applied)
 	if err != nil {
-		// Bare batches are not atomic: report how far we got and stop.
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Applied: applied})
+		status := http.StatusBadRequest
+		if errors.Is(err, ErrStaleSeq) {
+			status = http.StatusConflict
+		}
+		writeJSON(w, status, ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Applied: applied})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // retryAfterMsValue is RetryAfterMs pre-rendered for the 429 header.
@@ -374,9 +340,8 @@ const retryAfterMsValue = "2"
 // applySequencedBatch runs one sequenced batch through its dedup
 // session: duplicate seqs are answered from the session's ack window
 // without touching the registry, new or retried seqs go through
-// validate-then-apply — every record is checked (and its structure
-// resolved) before any is applied, so a failed batch applies nothing —
-// and the seq is acknowledged only after the last record lands.
+// applyBatch, and the seq is acknowledged only after the last record
+// lands.
 func (s *Server) applySequencedBatch(req *BatchRequest) (applied int, deduped bool, err error) {
 	if req.Seq == 0 {
 		return 0, false, fmt.Errorf("coupd: %w: sequenced batch (client %q) needs seq >= 1", ErrBadUpdate, req.Client)
@@ -410,22 +375,36 @@ func (s *Server) applySequencedBatch(req *BatchRequest) (applied int, deduped bo
 	case seqRetry:
 		s.sessions.replays.Inc()
 	}
+	if err := s.applyBatch(req); err != nil {
+		return 0, false, err
+	}
+	sess.ack(req.Seq, len(req.Updates))
+	return len(req.Updates), false, nil
+}
+
+// applyBatch is the write path of every batch, bare or sequenced:
+// validate-then-apply. Every record is checked (and its structure
+// resolved) before any is applied, so a rejected batch applies nothing
+// and is not counted; then the apply hook runs, every record lands, and
+// the batch is counted.
+//
+//coup:hotpath
+func (s *Server) applyBatch(req *BatchRequest) error {
 	sc := s.entScratch.Get().(*entScratch)
 	defer func() {
 		sc.ents = sc.ents[:0]
 		s.entScratch.Put(sc)
 	}()
-	sc.ents, err = s.validateBatch(req, sc.ents)
-	if err != nil {
-		return 0, false, err
+	var err error
+	if sc.ents, err = s.validateBatch(req, sc.ents); err != nil {
+		return err
 	}
 	if s.applyHook != nil {
 		s.applyHook()
 	}
 	s.applyValidated(req, sc.ents)
-	sess.ack(req.Seq, len(req.Updates))
 	s.countBatch(len(req.Updates))
-	return len(req.Updates), false, nil
+	return nil
 }
 
 // validateBatch resolves and checks every record without applying any,
@@ -440,7 +419,7 @@ func (s *Server) validateBatch(req *BatchRequest, ents []*entry) ([]*entry, erro
 	for i := range req.Updates {
 		ent, err := s.reg.validate(&req.Updates[i])
 		if err != nil {
-			return ents, fmt.Errorf("record %d: %v (validate-then-apply: nothing applied; correct and resend seq %d)", i, err, req.Seq)
+			return ents, fmt.Errorf("record %d: %v (nothing applied; correct and resend the whole batch)", i, err)
 		}
 		ents = append(ents, ent)
 	}
@@ -462,39 +441,17 @@ func (s *Server) applyValidated(req *BatchRequest, ents []*entry) {
 	}
 }
 
-// applyBatch applies the decoded records in order, returning how many
-// succeeded and the error that stopped it. This is the per-update inner
-// loop of the write path — everything allocation-prone (JSON decode,
-// response encode, pool bookkeeping) stays in handleBatch.
-//
-//coup:hotpath
-func (s *Server) applyBatch(req *BatchRequest) (int, error) {
-	for i := range req.Updates {
-		if err := s.reg.Apply(&req.Updates[i]); err != nil {
-			return i, fmt.Errorf("record %d: %v", i, err)
-		}
-	}
-	return len(req.Updates), nil
-}
-
 // countBatch records one accepted batch in the telemetry structures:
-// two counter adds, one histogram observe (obs uses the same floor-log2
-// bucketing countBatch used to compute by hand), one trace record.
+// two counter adds and one histogram observe.
 //
 //coup:hotpath
 func (s *Server) countBatch(applied int) {
 	s.batches.Inc()
 	s.updates.Add(int64(applied))
 	s.batchLen.Observe(int64(applied))
-	s.trace.Record(obs.EvBatchApply, traceBatch, uint64(applied), 0)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	span := time.Now()
-	s.trace.Record(obs.EvSpanBegin, traceSnapshot, 0, 0)
-	defer func() {
-		s.trace.Record(obs.EvSpanEnd, traceSnapshot, uint64(time.Since(span).Nanoseconds()), 0)
-	}()
 	sc := s.snapScratch.Get().(*snapScratch)
 	defer func() {
 		// Truncate before Put: a pooled scratch that kept its length would
@@ -518,11 +475,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBulkSnapshot(w http.ResponseWriter, r *http.Request) {
-	span := time.Now()
-	s.trace.Record(obs.EvSpanBegin, traceSnapshot, 0, 0)
-	defer func() {
-		s.trace.Record(obs.EvSpanEnd, traceSnapshot, uint64(time.Since(span).Nanoseconds()), 0)
-	}()
 	sc := s.snapScratch.Get().(*snapScratch)
 	defer func() {
 		sc.i64 = sc.i64[:0]
@@ -553,14 +505,12 @@ func (s *Server) handleBulkSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // countReduce records one snapshot request's reduction latency into the
-// log2 histogram — the full distribution, not just extremes — plus the
-// trace ring.
+// log2 histogram — the full distribution, not just extremes.
 //
 //coup:hotpath
 func (s *Server) countReduce(d time.Duration) {
 	s.snapshots.Inc()
 	s.reduceNs.Observe(d.Nanoseconds())
-	s.trace.Record(obs.EvReduce, traceSnapshot, uint64(d.Nanoseconds()), 0)
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

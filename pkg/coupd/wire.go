@@ -18,22 +18,22 @@ type Update struct {
 
 // BatchRequest is the POST /v1/batch body: many updates, one request.
 //
-// A bare batch (empty Client) keeps the original semantics: records
-// apply in order and the batch is not atomic (see BatchResponse).
+// Every batch is validate-then-apply: every record is checked before
+// any is applied, so a rejected batch applies nothing and the corrected
+// batch can be resent whole.
 //
 // Setting Client and Seq makes the batch *sequenced*, which upgrades
 // delivery to exactly-once: the server keeps a per-client dedup session
 // (last seq + sliding ack window), answers a re-POSTed acknowledged
-// batch with its original Applied without re-applying, and applies the
-// batch validate-then-apply — every record is checked before any is
-// applied, so a rejected batch applies nothing and the same seq can be
-// retried after correction. Seq starts at 1 and each client sends its
-// batches in seq order (retries resend the same seq with the same
-// records); a seq that has fallen out of the ack window is answered
-// 409 + ErrStaleSeq. Only seq 1 opens a session: a later seq whose
-// session the server has evicted (see WithDedupSessions) is answered
-// 409 + ErrStaleSeq too, and the client continues under a new Client. A
-// seq-1 retry after eviction opens a fresh session and applies again.
+// batch with its original Applied without re-applying, and lets a
+// rejected batch be retried under the same seq after correction. Seq
+// starts at 1 and each client sends its batches in seq order (retries
+// resend the same seq with the same records); a seq that has fallen out
+// of the ack window is answered 409 + ErrStaleSeq. Only seq 1 opens a
+// session: a later seq whose session the server has evicted (see
+// WithDedupSessions) is answered 409 + ErrStaleSeq too, and the client
+// continues under a new Client. A seq-1 retry after eviction opens a
+// fresh session and applies again.
 type BatchRequest struct {
 	Updates []Update `json:"updates"`
 	// Client names the dedup session, typically one per writer
@@ -46,7 +46,7 @@ type BatchRequest struct {
 }
 
 // BatchResponse acknowledges a batch. Applied counts the records that
-// landed; on success it equals len(Updates). Deduped reports that the
+// landed, which is always len(Updates). Deduped reports that the
 // server recognized a sequenced batch as already applied and answered
 // from its dedup session without re-applying anything.
 type BatchResponse struct {
@@ -54,11 +54,10 @@ type BatchResponse struct {
 	Deduped bool `json:"deduped,omitempty"`
 }
 
-// ErrorResponse is the body of every non-2xx answer. Applied carries the
-// records applied before a mid-batch failure (0 for rejected batches).
+// ErrorResponse is the body of every non-2xx answer. A batch that draws
+// one applied nothing.
 type ErrorResponse struct {
-	Error   string `json:"error"`
-	Applied int    `json:"applied"`
+	Error string `json:"error"`
 }
 
 // Snapshot is one structure's reduced state: the server folds every

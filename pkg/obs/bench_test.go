@@ -25,15 +25,6 @@ func BenchmarkObsHistogramObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkRingRecord(b *testing.B) {
-	r := NewRing(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Record(EvBatchApply, 1, uint64(i), 0)
-	}
-}
-
 func BenchmarkMetricsExposition(b *testing.B) {
 	r := NewRegistry()
 	fill(r)
@@ -63,8 +54,8 @@ func workUnit(x uint64) uint64 {
 var benchSink uint64
 
 // BenchmarkInstrumentationOverhead quantifies the tentpole's claim: the
-// bare/instrumented delta is the full per-op cost of a counter add, a
-// histogram observe, and a trace record.
+// bare/instrumented delta is the full per-op cost of a counter add and a
+// histogram observe.
 func BenchmarkInstrumentationOverhead(b *testing.B) {
 	b.Run("bare", func(b *testing.B) {
 		x := uint64(1)
@@ -78,7 +69,6 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 		r := NewRegistry()
 		c := r.Counter("bench_ops_total", "")
 		h := r.Histogram("bench_ns", "", 32)
-		ring := NewRing(1024)
 		x := uint64(1)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -86,7 +76,6 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 			x = workUnit(x)
 			c.Inc()
 			h.Observe(int64(x & 0xffff))
-			ring.Record(EvBatchApply, 1, x, 0)
 		}
 		benchSink = x
 	})

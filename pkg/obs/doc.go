@@ -36,17 +36,6 @@
 // cycles, goroutines, heap bytes) come from runtime/metrics via
 // RegisterRuntimeMetrics.
 //
-// # Trace ring
-//
-// Ring is a per-P buffer of fixed-size binary event records (span
-// begin/end, batch apply, reduce): Record is an update-only append to
-// the caller's shard — one cursor bump and five word stores, zero
-// allocations — and Dump is the reduction, reconstructing a
-// time-ordered event list with seqlock validation so torn slots are
-// dropped, never misread. WriteTrace/ReadTrace give the records a
-// stable binary file format, seeding ROADMAP's trace capture-and-replay
-// direction.
-//
 // Every write path carries //coup:hotpath and is vetted by coupvet
 // -escapes; the instrumented-vs-bare benchmarks in this package and
 // pkg/coupd quantify the overhead the design keeps low.

@@ -198,7 +198,6 @@ func TestHotPathAllocs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("allocs_c_total", "")
 	h := r.Histogram("allocs_h", "", 16)
-	ring := NewRing(64)
 
 	if n := testing.AllocsPerRun(100, func() { c.Inc() }); n != 0 {
 		t.Errorf("Counter.Inc allocates %v/op on the warm path", n)
@@ -208,9 +207,6 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { h.Observe(1234) }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %v/op on the warm path", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { ring.Record(EvBatchApply, 1, 2, 3) }); n != 0 {
-		t.Errorf("Ring.Record allocates %v/op on the warm path", n)
 	}
 }
 
