@@ -22,7 +22,6 @@
 //
 //	coupbench -exp all -shard 1/4 -store res/   # run shard 1 of 4, spill to res/
 //	coupbench -exp all -merge res/              # verify coverage, emit tables
-//	coupbench -exp all -fanout 4 -store res/    # local coordinator: 4 subprocesses + merge
 //
 // A shard process runs only its round-robin slice of every grid,
 // journalling each completed spec to a per-experiment result store
@@ -41,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"time"
@@ -64,27 +62,20 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		progress = flag.Bool("progress", false, "report live sweep progress (specs done, arena warm-hit rate, worker busy time) on stderr every 2s")
 		shard    = flag.String("shard", "", "run only shard k of n ('k/n', 1-based) of every grid, spilling results to -store; no tables are printed")
-		store    = flag.String("store", "", "result-store directory for -shard/-fanout")
+		store    = flag.String("store", "", "result-store directory for -shard")
 		merge    = flag.String("merge", "", "merge shard result stores from this directory into tables (verifies exactly-once coverage; runs nothing)")
-		fanout   = flag.Int("fanout", 0, "coordinator mode: fan n shard subprocesses out over -store, then merge")
 	)
 	flag.Parse()
 	if *parallel < 0 {
 		fmt.Fprintln(os.Stderr, "coupbench: -parallel must be >= 0")
 		os.Exit(2)
 	}
-	modes := 0
-	for _, on := range []bool{*shard != "", *merge != "", *fanout > 0} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "coupbench: -shard, -merge and -fanout are mutually exclusive")
+	if *shard != "" && *merge != "" {
+		fmt.Fprintln(os.Stderr, "coupbench: -shard and -merge are mutually exclusive")
 		os.Exit(2)
 	}
-	if (*shard != "" || *fanout > 0) && *store == "" {
-		fmt.Fprintln(os.Stderr, "coupbench: -shard/-fanout need -store DIR")
+	if *shard != "" && *store == "" {
+		fmt.Fprintln(os.Stderr, "coupbench: -shard needs -store DIR")
 		os.Exit(2)
 	}
 
@@ -130,14 +121,6 @@ func main() {
 			}
 			toRun = append(toRun, e)
 		}
-	}
-
-	if *fanout > 0 {
-		if err := runFanout(*fanout, *store); err != nil {
-			fmt.Fprintf(os.Stderr, "coupbench: fanout: %v\n", err)
-			os.Exit(1)
-		}
-		*merge = *store
 	}
 
 	// Job plumbing for the sharded modes. One job serves every
@@ -249,53 +232,6 @@ func runExperiment(e exp.Experiment, p exp.Params) (tables []*stats.Table, err e
 		}
 	}()
 	return e.Run(p), nil
-}
-
-// runFanout is the local coordinator: it re-execs this binary once per
-// shard (same flags, plus -shard k/n -store dir), waits for all of them,
-// and leaves the stores ready to merge. Shard output goes to stderr;
-// stdout stays clean for the merge's tables.
-func runFanout(n int, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	// Strip our coordinator flags; everything else (exp selection, scale,
-	// reps, parallel...) passes through so shards enumerate the same grids.
-	var base []string
-	args := os.Args[1:]
-	for i := 0; i < len(args); i++ {
-		switch {
-		case args[i] == "-fanout" || args[i] == "--fanout" || args[i] == "-store" || args[i] == "--store":
-			i++ // skip value
-		case strings.HasPrefix(args[i], "-fanout=") || strings.HasPrefix(args[i], "--fanout=") ||
-			strings.HasPrefix(args[i], "-store=") || strings.HasPrefix(args[i], "--store="):
-		default:
-			base = append(base, args[i])
-		}
-	}
-	self, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	cmds := make([]*exec.Cmd, n)
-	for k := 0; k < n; k++ {
-		args := append(append([]string{}, base...),
-			"-shard", fmt.Sprintf("%d/%d", k+1, n), "-store", dir)
-		cmd := exec.Command(self, args...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("shard %d/%d: %w", k+1, n, err)
-		}
-		cmds[k] = cmd
-	}
-	var firstErr error
-	for k, cmd := range cmds {
-		if err := cmd.Wait(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("shard %d/%d: %w", k+1, n, err)
-		}
-	}
-	return firstErr
 }
 
 // startProgress launches the stderr progress reporter over the sweep

@@ -49,7 +49,7 @@ func main() {
 	if *list {
 		fmt.Println("protocols:")
 		for _, p := range coup.Protocols() {
-			fmt.Printf("  %-10s %s\n", p.Name(), p.Description())
+			fmt.Printf("  %-10s %s\n", p.String(), p.Description())
 		}
 		fmt.Println("workloads:")
 		for _, w := range coup.Workloads() {

@@ -143,16 +143,6 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Names returns the sorted registered experiment ids (for error messages).
-func Names() []string {
-	all := All()
-	ids := make([]string, len(all))
-	for i, e := range all {
-		ids[i] = e.ID
-	}
-	return ids
-}
-
 // Listing returns one "id — description" line per registered experiment,
 // sorted by id, so listings and unknown-id errors show what each
 // experiment is rather than bare names.

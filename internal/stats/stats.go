@@ -148,10 +148,3 @@ func F(v float64) string {
 		return fmt.Sprintf("%.2f", v)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

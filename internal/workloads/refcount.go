@@ -210,13 +210,6 @@ func (r *RefCount) Validate(m *sim.Machine) error {
 	return nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // DelayedImpl selects the delayed-deallocation implementation (Fig 13c).
 type DelayedImpl uint8
 

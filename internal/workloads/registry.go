@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Params carries the size and shape knobs a registered workload factory
@@ -57,70 +56,50 @@ func (p Params) seed(d uint64) uint64 {
 	return p.Seed
 }
 
-// Factory builds a fresh workload instance from run parameters. Factories
-// are registered by name (Register) so callers — and the public pkg/coup
-// facade — can construct any workload from a string.
+// Factory builds a fresh workload instance from run parameters.
 type Factory func(p Params) (Workload, error)
 
 // Info is one registry entry.
 type Info struct {
 	// Name is the registry key (unique, case-insensitively).
 	Name string
-	// Desc is a one-line description for listings, naming the paper
+	// Description is a one-line description for listings, naming the paper
 	// section/figure the workload reproduces and the Params fields it uses.
-	Desc string
+	Description string
 	// New builds a fresh instance; workloads are single-run, so every
 	// simulation needs a new one.
 	New Factory
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Info{} // keyed by lower-cased name
-)
+// registry holds the built-in workloads, keyed by lower-cased name. Only
+// the init-time mustRegister calls write it, so lookups need no lock.
+var registry = map[string]Info{}
 
-// Register adds a named workload factory. It fails on an empty or
+// mustRegister adds a built-in workload at init. It panics on an empty or
 // duplicate name (case-insensitive).
-func Register(name, desc string, f Factory) error {
+func mustRegister(name, desc string, f Factory) {
 	if name == "" {
-		return fmt.Errorf("workloads: name must be non-empty")
-	}
-	if f == nil {
-		return fmt.Errorf("workloads: %q: nil factory", name)
+		panic("workloads: name must be non-empty")
 	}
 	key := strings.ToLower(name)
-	regMu.Lock()
-	defer regMu.Unlock()
 	if _, dup := registry[key]; dup {
-		return fmt.Errorf("workloads: %q already registered", name)
+		panic(fmt.Sprintf("workloads: %q already registered", name))
 	}
-	registry[key] = Info{Name: name, Desc: desc, New: f}
-	return nil
-}
-
-// mustRegister is Register for the built-in init-time registrations.
-func mustRegister(name, desc string, f Factory) {
-	if err := Register(name, desc, f); err != nil {
-		panic(err)
-	}
+	registry[key] = Info{Name: name, Description: desc, New: f}
 }
 
 // ByName looks up a registered workload case-insensitively.
 func ByName(name string) (Info, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	in, ok := registry[strings.ToLower(name)]
 	return in, ok
 }
 
 // All returns every registered workload, sorted by name.
 func All() []Info {
-	regMu.RLock()
 	out := make([]Info, 0, len(registry))
 	for _, in := range registry {
 		out = append(out, in)
 	}
-	regMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

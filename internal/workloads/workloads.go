@@ -85,13 +85,6 @@ func chunk(n, tid, nthreads int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // padLines rounds size up to a whole number of 64-byte lines, used to keep
 // per-thread private regions from false-sharing.
 func padLines(size uint64) uint64 { return (size + 63) &^ 63 }

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -293,5 +294,26 @@ func TestRunInFrozenWrite(t *testing.T) {
 	}()
 	if got != "not a frozen write" {
 		t.Errorf("recovered %v, want the kernel's own panic", got)
+	}
+}
+
+// TestMustRegisterRejectsEmptyAndDuplicate: a built-in registration with
+// an empty name, or a name already taken in another case, panics and
+// leaves the registry unchanged.
+func TestMustRegisterRejectsEmptyAndDuplicate(t *testing.T) {
+	before := strings.Join(Names(), ",")
+	f := func(Params) (Workload, error) { return nil, nil }
+	for _, name := range []string{"", "HIST"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("mustRegister(%q) did not panic", name)
+				}
+			}()
+			mustRegister(name, "dup", f)
+		}()
+	}
+	if after := strings.Join(Names(), ","); after != before {
+		t.Errorf("Names() = %s after rejected registrations, want %s", after, before)
 	}
 }

@@ -8,47 +8,47 @@ import (
 )
 
 func TestProtocolRegistryHasPaperProtocols(t *testing.T) {
-	for _, name := range []string{"MSI", "MESI", "MUSI", "MEUSI", "RMO"} {
-		p, err := LookupProtocol(name)
-		if err != nil {
-			t.Fatalf("LookupProtocol(%q): %v", name, err)
-		}
-		if p.Name() != name {
-			t.Errorf("LookupProtocol(%q).Name() = %q", name, p.Name())
-		}
-	}
-	if p, err := LookupProtocol("meusi"); err != nil || p.Name() != "MEUSI" {
-		t.Errorf("case-insensitive lookup failed: %v, %v", p, err)
-	}
 	if got, want := strings.Join(ProtocolNames(), ","), "MESI,MEUSI,MSI,MUSI,RMO"; got != want {
 		t.Errorf("ProtocolNames() = %s, want %s", got, want)
+	}
+	for i, p := range Protocols() {
+		if p.String() != ProtocolNames()[i] {
+			t.Errorf("Protocols()[%d] = %s, want %s", i, p, ProtocolNames()[i])
+		}
+	}
+	for _, name := range []string{"MSI", "mesi", "MuSi", "meusi", "RMO"} {
+		m, err := NewMachine(WithCores(1), WithProtocol(name))
+		if err != nil {
+			t.Fatalf("WithProtocol(%q): %v", name, err)
+		}
+		if got := m.Protocol().String(); got != strings.ToUpper(name) {
+			t.Errorf("WithProtocol(%q) built a %s machine", name, got)
+		}
 	}
 }
 
 func TestProtocolSemantics(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		hasU, remot bool
-	}{
-		{"MESI", false, false},
-		{"MSI", false, false},
-		{"MUSI", true, false},
-		{"MEUSI", true, false},
-		{"RMO", false, true},
-	} {
-		p, err := LookupProtocol(tc.name)
-		if err != nil {
-			t.Fatal(err)
+	want := map[string][2]bool{ // name -> {HasU, Remote}
+		"MESI":  {false, false},
+		"MSI":   {false, false},
+		"MUSI":  {true, false},
+		"MEUSI": {true, false},
+		"RMO":   {false, true},
+	}
+	for _, p := range Protocols() {
+		w, ok := want[p.String()]
+		if !ok {
+			t.Errorf("unexpected protocol %s", p)
+			continue
 		}
-		if p.HasUpdateState() != tc.hasU || p.RemoteUpdates() != tc.remot {
-			t.Errorf("%s: HasUpdateState=%v RemoteUpdates=%v, want %v %v",
-				tc.name, p.HasUpdateState(), p.RemoteUpdates(), tc.hasU, tc.remot)
+		if p.HasU() != w[0] || p.Remote() != w[1] {
+			t.Errorf("%s: HasU=%v Remote=%v, want %v %v", p, p.HasU(), p.Remote(), w[0], w[1])
 		}
 	}
 }
 
 func TestLookupProtocolUnknownListsNames(t *testing.T) {
-	_, err := LookupProtocol("MOESI")
+	_, err := NewMachine(WithProtocol("MOESI"))
 	if !errors.Is(err, ErrUnknownProtocol) {
 		t.Fatalf("err = %v, want ErrUnknownProtocol", err)
 	}
@@ -85,16 +85,6 @@ func TestLookupWorkloadUnknownListsNames(t *testing.T) {
 	}
 }
 
-func TestRegisterWorkloadDuplicate(t *testing.T) {
-	err := RegisterWorkload("Hist", "dup", func(p WorkloadParams) (Workload, error) { return nil, nil })
-	if !errors.Is(err, ErrDuplicateName) {
-		t.Fatalf("duplicate workload registration err = %v, want ErrDuplicateName", err)
-	}
-	if err := RegisterWorkload("", "empty", func(p WorkloadParams) (Workload, error) { return nil, nil }); err == nil {
-		t.Error("empty-name registration succeeded, want error")
-	}
-}
-
 func TestOptionValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -103,13 +93,7 @@ func TestOptionValidation(t *testing.T) {
 	}{
 		{"zero cores", []Option{WithCores(0)}, ErrInvalidOption},
 		{"negative cores", []Option{WithCores(-4)}, ErrInvalidOption},
-		{"non-pow2 cores per chip", []Option{WithCoresPerChip(12)}, ErrInvalidOption},
-		{"chip wider than the sharer vector", []Option{WithCoresPerChip(128)}, ErrInvalidOption},
-		{"non-pow2 L3 banks", []Option{WithL3Banks(6)}, ErrInvalidOption},
-		{"non-pow2 L4 banks", []Option{WithL4Banks(3)}, ErrInvalidOption},
-		{"non-pow2 channels", []Option{WithMemChannels(5)}, ErrInvalidOption},
 		{"zero reduction throughput", []Option{WithReductionALU(0, 3)}, ErrInvalidOption},
-		{"tiny L1", []Option{WithL1(64, 8)}, ErrInvalidOption},
 		{"unknown protocol", []Option{WithProtocol("MOESI")}, ErrUnknownProtocol},
 		{"conflicting cores", []Option{WithCores(16), WithCores(32)}, ErrConflictingOptions},
 		{"conflicting protocols", []Option{WithProtocol("MESI"), WithProtocol("MEUSI")}, ErrConflictingOptions},
@@ -128,12 +112,12 @@ func TestOptionValidation(t *testing.T) {
 }
 
 func TestNewMachineDefaultsAndKernel(t *testing.T) {
-	m, err := NewMachine(WithCores(8), WithProtocol("MEUSI"), WithL3PerChip(20<<20))
+	m, err := NewMachine(WithCores(8), WithProtocol("MEUSI"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Cores() != 8 || m.Protocol().Name() != "MEUSI" {
-		t.Fatalf("machine = %d cores %s", m.Cores(), m.Protocol().Name())
+	if m.Cores() != 8 || m.Protocol().String() != "MEUSI" {
+		t.Fatalf("machine = %d cores %s", m.Cores(), m.Protocol())
 	}
 	ctr := m.Alloc(64, 64)
 	st := m.Run(func(c *Ctx) {

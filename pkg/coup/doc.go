@@ -3,8 +3,7 @@
 // Updates to Shared Data in Cache-Coherent Systems", MICRO 2015). It
 // exposes the execution-driven simulator, the paper's protocols and
 // benchmarks, and the experiment entry points behind a stable facade so
-// that protocols and workloads are selected by name, and new workloads
-// plug in without touching the engine.
+// that protocols and workloads are selected by name.
 //
 // # Concepts and where they come from in the paper
 //
@@ -23,7 +22,7 @@
 //     refcount-delayed, refcount-refcache), each expressed once with
 //     commutative-update instructions so a single kernel runs unmodified
 //     under every protocol. Every run validates its final memory image
-//     against a sequential reference. RegisterWorkload adds new ones.
+//     against a sequential reference.
 //
 //   - Machine: the simulated multi-socket system of Table 1 / Fig 9,
 //     built with functional options: NewMachine(WithCores(64),
@@ -77,7 +76,7 @@
 //     Specs that fail or panic still count as done ("done-with-error"):
 //     they are journalled, never re-run on resume, and surfaced in the
 //     JobReport so zero stats can't silently pass as results. cmd/coupbench
-//     is the reference consumer (-shard k/n, -merge dir, -fanout n).
+//     is the reference consumer (-shard k/n -store dir, -merge dir).
 //
 // # Quickstart
 //
@@ -128,7 +127,7 @@
 //
 // All lookups by name (protocols, workloads) are case-insensitive, and
 // unknown names return typed errors (ErrUnknownProtocol,
-// ErrUnknownWorkload) listing what is registered.
+// ErrUnknownWorkload) listing the names that exist.
 //
 // # Related: pkg/commute, the software Coup runtime
 //

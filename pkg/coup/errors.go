@@ -6,21 +6,18 @@ import (
 	"strings"
 )
 
-// Sentinel errors returned by the registries and the machine builder.
+// Sentinel errors returned by the name lookups and the machine builder.
 // Match them with errors.Is; the wrapped messages carry specifics (which
-// name, which option, what is registered).
+// name, which option, which names exist).
 var (
 	// ErrUnknownProtocol is returned by protocol lookups for names no
 	// protocol answers to.
 	ErrUnknownProtocol = errors.New("unknown protocol")
 	// ErrUnknownWorkload is returned by workload lookups for names no
-	// registered workload answers to.
+	// workload answers to.
 	ErrUnknownWorkload = errors.New("unknown workload")
-	// ErrDuplicateName is returned when registering a workload under a
-	// name that is already taken (names are compared case-insensitively).
-	ErrDuplicateName = errors.New("name already registered")
 	// ErrInvalidOption is returned by NewMachine and Run when an option's
-	// value is out of range (zero cores, non-power-of-two bank counts, ...).
+	// value is out of range (zero cores, more than 64 chips, ...).
 	ErrInvalidOption = errors.New("invalid option")
 	// ErrConflictingOptions is returned when the same knob is set twice
 	// with different values in one option list.

@@ -34,33 +34,26 @@ func (w *faultyKernel) Kernel(c *Ctx) {
 
 func (w *faultyKernel) Validate(*sim.Machine) error { return nil }
 
-// TestFrozenWriteIsAnError: a kernel write to frozen memory reaches
-// RunWorkload's and a sweep's callers as a *FrozenWriteError for
-// errors.As, not as a panic, and Machine.Run panics with it.
+// TestFrozenWriteIsAnError: a kernel write to frozen memory reaches a
+// sweep's callers as a *FrozenWriteError for errors.As, not as a
+// recovered panic, and Machine.Run panics with it.
 func TestFrozenWriteIsAnError(t *testing.T) {
-	check := func(what string, err error, w *faultyKernel) {
-		t.Helper()
-		var fw *FrozenWriteError
-		if !errors.As(err, &fw) || fw.Addr != w.base+8 || fw.Core != 1 {
-			t.Errorf("%s: err = %v, want a *FrozenWriteError at %#x by core 1", what, err, w.base+8)
-		}
-	}
 	for _, p := range []string{"MEUSI", "MESI"} {
 		w := &faultyKernel{}
-		_, err := RunWorkload(w, WithCores(4), WithProtocol(p))
-		check("RunWorkload/"+p, err, w)
-	}
-	w := &faultyKernel{}
-	res, err := Sweep([]RunSpec{{
-		Make:    func() (Workload, error) { return w, nil },
-		Options: []Option{WithCores(4)},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("Sweep", res[0].Err, w)
-	if res[0].Panicked {
-		t.Error("a frozen write is an error, not a recovered panic")
+		res, err := Sweep([]RunSpec{{
+			Make:    func() (Workload, error) { return w, nil },
+			Options: []Option{WithCores(4), WithProtocol(p)},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fw *FrozenWriteError
+		if !errors.As(res[0].Err, &fw) || fw.Addr != w.base+8 || fw.Core != 1 {
+			t.Errorf("%s: err = %v, want a *FrozenWriteError at %#x by core 1", p, res[0].Err, w.base+8)
+		}
+		if res[0].Panicked {
+			t.Errorf("%s: a frozen write is an error, not a recovered panic", p)
+		}
 	}
 
 	m, err := NewMachine(WithCores(4))

@@ -12,8 +12,8 @@ type Ctx = sim.Ctx
 
 // FrozenWriteError reports a kernel write to memory frozen with
 // Machine.Freeze (or by a workload's Setup): the address and the writing
-// core. Run and RunWorkload return it wrapped, for errors.As; Machine.Run
-// panics with it.
+// core. Run and Sweep results return it wrapped, for errors.As;
+// Machine.Run panics with it.
 type FrozenWriteError = sim.FrozenWriteError
 
 // Machine is a configured simulated system: the multi-socket,
@@ -21,8 +21,7 @@ type FrozenWriteError = sim.FrozenWriteError
 // NewMachine, set up simulated memory with Alloc/WriteWord64, then Run a
 // kernel once. Machines are single-run.
 type Machine struct {
-	m    *sim.Machine
-	prot Protocol
+	m *sim.Machine
 }
 
 // NewMachine builds a machine from the Table 1 defaults (64 cores, MEUSI)
@@ -33,11 +32,11 @@ func NewMachine(opts ...Option) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{m: sim.New(b.cfg), prot: simProtocol{id: b.cfg.Protocol}}, nil
+	return &Machine{m: sim.New(b.cfg)}, nil
 }
 
 // Protocol returns the protocol the machine runs.
-func (m *Machine) Protocol() Protocol { return m.prot }
+func (m *Machine) Protocol() Protocol { return m.m.Config().Protocol }
 
 // Cores returns the simulated core count.
 func (m *Machine) Cores() int { return m.m.Config().Cores }

@@ -48,23 +48,6 @@ func (b *builder) set(key string, v any) error {
 	return nil
 }
 
-func positive(key string, n int) error {
-	if n < 1 {
-		return fmt.Errorf("coup: %w: %s must be >= 1, got %d", ErrInvalidOption, key, n)
-	}
-	return nil
-}
-
-func powerOfTwo(key string, n int) error {
-	if err := positive(key, n); err != nil {
-		return err
-	}
-	if n&(n-1) != 0 {
-		return fmt.Errorf("coup: %w: %s must be a power of two, got %d", ErrInvalidOption, key, n)
-	}
-	return nil
-}
-
 // WithProtocol selects the coherence protocol by name
 // (case-insensitive). The default is "MEUSI", the full COUP protocol.
 func WithProtocol(name string) Option {
@@ -85,33 +68,16 @@ func WithProtocol(name string) Option {
 // any count ≥ 1 up to 64 chips' worth is accepted, powers of two not
 // required — the paper itself measures 96). The directories track sharers
 // in 64-bit vectors, one bit per chip, so a machine has at most 64 chips:
-// 4096 cores at 64 cores per chip.
+// 1024 cores at the Table 1 machine's 16 cores per chip.
 func WithCores(n int) Option {
 	return func(b *builder) error {
-		if err := positive("cores", n); err != nil {
-			return err
+		if n < 1 {
+			return fmt.Errorf("coup: %w: cores must be >= 1, got %d", ErrInvalidOption, n)
 		}
 		if err := b.set("cores", n); err != nil {
 			return err
 		}
 		b.cfg.Cores = n
-		return nil
-	}
-}
-
-// WithCoresPerChip sets the cores per processor chip (Table 1: 16). Must
-// be a power of two of at most 64: each chip's L3 directory tracks its
-// cores in a 64-bit sharer vector. With at most 64 chips, the largest
-// machine is 64 × 64 = 4096 cores.
-func WithCoresPerChip(n int) Option {
-	return func(b *builder) error {
-		if err := powerOfTwo("cores per chip", n); err != nil {
-			return err
-		}
-		if err := b.set("cores per chip", n); err != nil {
-			return err
-		}
-		b.cfg.CoresPerChip = n
 		return nil
 	}
 }
@@ -124,120 +90,6 @@ func WithSeed(seed uint64) Option {
 			return err
 		}
 		b.cfg.Seed = seed
-		return nil
-	}
-}
-
-// WithJitter sets the maximum per-miss random latency perturbation in
-// cycles (Alameldeen-Wood non-determinism injection; 0 disables it).
-func WithJitter(cycles uint64) Option {
-	return func(b *builder) error {
-		if err := b.set("jitter", cycles); err != nil {
-			return err
-		}
-		b.cfg.Jitter = cycles
-		return nil
-	}
-}
-
-// WithL1 sets the per-core L1D geometry (Table 1: 32 KB, 8-way).
-func WithL1(sizeBytes, ways int) Option {
-	return cacheOption("L1", sizeBytes, ways, func(cfg *sim.Config) (*int, *int) { return &cfg.L1Size, &cfg.L1Ways })
-}
-
-// WithL2 sets the per-core private L2 geometry (Table 1: 256 KB, 8-way).
-func WithL2(sizeBytes, ways int) Option {
-	return cacheOption("L2", sizeBytes, ways, func(cfg *sim.Config) (*int, *int) { return &cfg.L2Size, &cfg.L2Ways })
-}
-
-func cacheOption(level string, sizeBytes, ways int, fields func(*sim.Config) (*int, *int)) Option {
-	return func(b *builder) error {
-		if err := positive(level+" ways", ways); err != nil {
-			return err
-		}
-		if sizeBytes < 64*ways {
-			return fmt.Errorf("coup: %w: %s size %dB below one line per way", ErrInvalidOption, level, sizeBytes)
-		}
-		if err := b.set(level, [2]int{sizeBytes, ways}); err != nil {
-			return err
-		}
-		sz, w := fields(&b.cfg)
-		*sz, *w = sizeBytes, ways
-		return nil
-	}
-}
-
-// WithL3PerChip sets the shared L3 capacity per processor chip in bytes
-// (Table 1: 32 MB). Associativity stays at the Table 1 default.
-func WithL3PerChip(bytes int) Option {
-	return func(b *builder) error {
-		if bytes < 64*b.cfg.L3Ways {
-			return fmt.Errorf("coup: %w: L3 per chip %dB too small", ErrInvalidOption, bytes)
-		}
-		if err := b.set("L3 per chip", bytes); err != nil {
-			return err
-		}
-		b.cfg.L3Size = bytes
-		return nil
-	}
-}
-
-// WithL4PerChip sets the L4 capacity per memory chip in bytes (Table 1:
-// 128 MB).
-func WithL4PerChip(bytes int) Option {
-	return func(b *builder) error {
-		if bytes < 64*b.cfg.L4Ways {
-			return fmt.Errorf("coup: %w: L4 per chip %dB too small", ErrInvalidOption, bytes)
-		}
-		if err := b.set("L4 per chip", bytes); err != nil {
-			return err
-		}
-		b.cfg.L4Size = bytes
-		return nil
-	}
-}
-
-// WithL3Banks sets the L3 bank count per chip (Table 1: 8). Must be a
-// power of two.
-func WithL3Banks(n int) Option {
-	return func(b *builder) error {
-		if err := powerOfTwo("L3 banks", n); err != nil {
-			return err
-		}
-		if err := b.set("L3 banks", n); err != nil {
-			return err
-		}
-		b.cfg.L3Banks = n
-		return nil
-	}
-}
-
-// WithL4Banks sets the L4 bank count per chip (Table 1: 8). Must be a
-// power of two.
-func WithL4Banks(n int) Option {
-	return func(b *builder) error {
-		if err := powerOfTwo("L4 banks", n); err != nil {
-			return err
-		}
-		if err := b.set("L4 banks", n); err != nil {
-			return err
-		}
-		b.cfg.L4Banks = n
-		return nil
-	}
-}
-
-// WithMemChannels sets the DDR3 channel count per memory chip (Table 1:
-// 4). Must be a power of two.
-func WithMemChannels(n int) Option {
-	return func(b *builder) error {
-		if err := powerOfTwo("memory channels", n); err != nil {
-			return err
-		}
-		if err := b.set("memory channels", n); err != nil {
-			return err
-		}
-		b.cfg.MemChannels = n
 		return nil
 	}
 }

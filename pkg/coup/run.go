@@ -16,13 +16,6 @@ func Run(workload string, opts ...Option) (Stats, error) {
 	return runIn(nil, workload, opts)
 }
 
-// RunWorkload is Run for a pre-built workload instance — use it for
-// workloads constructed directly rather than through the registry.
-// Workloads are single-run; build a fresh instance for every call.
-func RunWorkload(w Workload, opts ...Option) (Stats, error) {
-	return runWorkloadIn(nil, w, opts)
-}
-
 // runIn is Run drawing the machine from arena (nil means a fresh machine);
 // the sweep workers pass their per-worker arenas through here.
 func runIn(arena *sim.Arena, workload string, opts []Option) (Stats, error) {
@@ -43,7 +36,8 @@ func runIn(arena *sim.Arena, workload string, opts []Option) (Stats, error) {
 	return runOn(arena, w, info.Name, b)
 }
 
-// runWorkloadIn is RunWorkload with an optional machine arena.
+// runWorkloadIn runs a pre-built workload instance (a RunSpec.Make
+// spec) on a machine from arena.
 func runWorkloadIn(arena *sim.Arena, w Workload, opts []Option) (Stats, error) {
 	b, err := newBuilder(opts)
 	if err != nil {

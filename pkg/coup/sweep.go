@@ -23,7 +23,7 @@ type RunSpec struct {
 	// Workloads are single-run; Make is called once, inside the worker
 	// executing the spec.
 	Make func() (Workload, error)
-	// Options configure the machine, as in Run/RunWorkload.
+	// Options configure the machine, as in Run.
 	Options []Option
 	// Key overrides the spec's durable identity in result stores and
 	// merge coverage (see SpecKey). Registry specs derive a content hash

@@ -120,7 +120,11 @@ func TestSweepMakeSpecs(t *testing.T) {
 	// Make-based specs run pre-built workloads, one fresh instance per run.
 	spec := RunSpec{
 		Make: func() (Workload, error) {
-			return NewWorkload("counter", WorkloadParams{Size: 25})
+			info, err := LookupWorkload("counter")
+			if err != nil {
+				return nil, err
+			}
+			return info.New(WorkloadParams{Size: 25})
 		},
 		Options: []Option{WithCores(2), WithProtocol("MESI"), WithSeed(9)},
 	}

@@ -1,93 +1,40 @@
 package coup
 
-import (
-	"fmt"
-
-	"repro/internal/workloads"
-)
+import "repro/internal/workloads"
 
 // Workload is one benchmark instance: it sizes and initializes simulated
 // memory, provides the per-thread kernel, and validates the final memory
 // image against a sequential reference. It is the simulator-facing
-// interface from internal/workloads, re-exported so registered factories
-// and Run share one type.
+// interface from internal/workloads, re-exported so RunSpec.Make and the
+// built-in workloads share one type.
 type Workload = workloads.Workload
 
-// WorkloadParams carries the size and shape knobs a registered workload
-// factory understands (pixels, bins, graph scale, ...). Zero fields take
+// WorkloadParams carries the size and shape knobs a built-in workload
+// understands (pixels, bins, graph scale, ...). Zero fields take
 // per-workload defaults; each workload's Description names the fields it
 // reads.
 type WorkloadParams = workloads.Params
 
-// WorkloadFactory builds a fresh workload instance from run parameters.
-// Workloads are single-run, so every simulation gets a new instance.
-type WorkloadFactory func(p WorkloadParams) (Workload, error)
+// WorkloadInfo describes one built-in workload: its Name (the lookup key,
+// e.g. "hist"), a one-line Description naming the paper table/figure it
+// reproduces and the WorkloadParams fields it uses, and New, which builds
+// a fresh instance (workloads are single-run).
+type WorkloadInfo = workloads.Info
 
-// WorkloadInfo describes one registered workload.
-type WorkloadInfo struct {
-	// Name is the registry key, e.g. "hist".
-	Name string
-	// Description is a one-line summary naming the paper table/figure the
-	// workload reproduces and the WorkloadParams fields it uses.
-	Description string
+// Workloads returns every built-in workload, sorted by name: the Table 2
+// applications and the Sec 5.4 reference-counting family.
+func Workloads() []WorkloadInfo { return workloads.All() }
 
-	factory workloads.Factory
-}
-
-// New builds a fresh instance of the workload.
-func (w WorkloadInfo) New(p WorkloadParams) (Workload, error) { return w.factory(p) }
-
-// RegisterWorkload adds a named workload factory to the registry, making
-// it selectable by name in Run and the command-line tools. It returns
-// ErrDuplicateName (wrapped) if the name is already taken
-// (case-insensitively).
-func RegisterWorkload(name, description string, f WorkloadFactory) error {
-	if f == nil {
-		return fmt.Errorf("coup: workload %q: nil factory", name)
-	}
-	if err := workloads.Register(name, description, workloads.Factory(f)); err != nil {
-		// Classify after the fact so concurrent registrations of the same
-		// name still surface the documented sentinel: the registry only
-		// grows, so if the name resolves now, a duplicate is why we lost.
-		if _, taken := workloads.ByName(name); taken {
-			return fmt.Errorf("coup: workload %q: %w", name, ErrDuplicateName)
-		}
-		return fmt.Errorf("coup: %w", err)
-	}
-	return nil
-}
-
-// Workloads returns every registered workload, sorted by name. The
-// built-ins are the Table 2 applications and the Sec 5.4
-// reference-counting family, self-registered by internal/workloads.
-func Workloads() []WorkloadInfo {
-	all := workloads.All()
-	out := make([]WorkloadInfo, len(all))
-	for i, in := range all {
-		out[i] = WorkloadInfo{Name: in.Name, Description: in.Desc, factory: in.New}
-	}
-	return out
-}
-
-// WorkloadNames returns the sorted names of every registered workload.
+// WorkloadNames returns the sorted names of every built-in workload.
 func WorkloadNames() []string { return workloads.Names() }
 
 // LookupWorkload resolves a workload by name, case-insensitively. Unknown
 // names return an error wrapping ErrUnknownWorkload that lists the
-// registered names.
+// workload names.
 func LookupWorkload(name string) (WorkloadInfo, error) {
 	in, ok := workloads.ByName(name)
 	if !ok {
 		return WorkloadInfo{}, unknownNameError(ErrUnknownWorkload, name, WorkloadNames())
 	}
-	return WorkloadInfo{Name: in.Name, Description: in.Desc, factory: in.New}, nil
-}
-
-// NewWorkload builds a fresh instance of the named workload.
-func NewWorkload(name string, p WorkloadParams) (Workload, error) {
-	in, err := LookupWorkload(name)
-	if err != nil {
-		return nil, err
-	}
-	return in.New(p)
+	return in, nil
 }
