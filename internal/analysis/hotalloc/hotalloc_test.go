@@ -24,7 +24,7 @@ func TestHot(t *testing.T) {
 func TestParseEscapes(t *testing.T) {
 	out := strings.Join([]string{
 		"# repro/pkg/commute",
-		"pkg/commute/op.go:63:6: can inline NewOp",
+		"pkg/commute/counter.go:28:6: can inline NewCounter",
 		"pkg/commute/shard.go:88:3: moved to heap: tok",
 		"# repro/pkg/coupd",
 		"pkg/coupd/server.go:120:14: req escapes to heap",

@@ -175,6 +175,7 @@ type grid struct {
 	reps  int
 	specs []coup.RunSpec
 	pts   []*point
+	byKey map[string]*point // first rep's coup.SpecKey -> its point
 }
 
 func newGrid(p Params) *grid {
@@ -182,26 +183,40 @@ func newGrid(p Params) *grid {
 	if reps < 1 {
 		reps = 1
 	}
-	return &grid{p: p, reps: reps}
+	return &grid{p: p, reps: reps, byKey: map[string]*point{}}
 }
 
 // add registers one data point — reps seeded runs of w's workload under
 // proto on cores — and returns the point run will fill in. Specs are
 // registry-keyed (workload name + params, never a closure), so every
 // grid spec has a durable content hash (coup.SpecKey) and sweeps can
-// shard, resume and merge across processes.
+// shard, resume and merge across processes. A point whose specs equal a
+// registered point's is that point: a grid simulates each distinct spec
+// once, so a figure's 1-core baseline and the 1-core end of its core
+// sweep share one run.
 func (g *grid) add(w wl, cores int, proto string, extra ...coup.Option) *point {
-	pt := &point{}
-	g.pts = append(g.pts, pt)
-	for r := 0; r < g.reps; r++ {
+	specs := make([]coup.RunSpec, g.reps)
+	for r := range specs {
 		opts := append([]coup.Option{
 			coup.WithCores(cores),
 			coup.WithProtocol(proto),
 			coup.WithSeed(uint64(r + 1)),
 			coup.WithWorkloadParams(w.wp),
 		}, extra...)
-		g.specs = append(g.specs, coup.RunSpec{Workload: w.name, Options: opts})
+		specs[r] = coup.RunSpec{Workload: w.name, Options: opts}
 	}
+	// The reps differ only in their seeds, so the first names the point.
+	key, err := coup.SpecKey(specs[0])
+	if err != nil {
+		panic(fmt.Sprintf("exp: grid spec: %v", err))
+	}
+	if pt, ok := g.byKey[key]; ok {
+		return pt
+	}
+	pt := &point{}
+	g.byKey[key] = pt
+	g.pts = append(g.pts, pt)
+	g.specs = append(g.specs, specs...)
 	return pt
 }
 

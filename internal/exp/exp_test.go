@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/pkg/coup"
@@ -211,6 +213,55 @@ func TestShardMergeTablesIdentical(t *testing.T) {
 		if got[id] != want[id] {
 			t.Errorf("%s: merged tables differ from single-process run:\n--- single ---\n%s--- merged ---\n%s",
 				id, want[id], got[id])
+		}
+	}
+}
+
+// TestGridsSimulateEachSpecOnce: no shardable experiment simulates one
+// spec twice. coup.SpecKeys gives a repeated spec a "#j" ordinal suffix,
+// so a 1/1 shard job over every shardable experiment must store no such
+// key, at the quick parameters and at the nightly sweep's scale 0.02,
+// where small inputs round onto each other.
+func TestGridsSimulateEachSpecOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every shardable experiment twice")
+	}
+	nightly := BenchParams()
+	nightly.Scale, nightly.Reps = 0.02, 2
+	for _, p := range []Params{BenchParams(), nightly} {
+		dir := t.TempDir()
+		job, err := coup.NewShardJob(dir, p.Fingerprint(), 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range All() {
+			if !e.Shardable {
+				continue
+			}
+			if err := job.SetNamespace(e.ID); err != nil {
+				t.Fatal(err)
+			}
+			pp := p
+			pp.Job = job
+			e.Run(pp)
+		}
+		if err := job.Close(); err != nil {
+			t.Fatal(err)
+		}
+		stores, err := filepath.Glob(filepath.Join(dir, "*.json"))
+		if err != nil || len(stores) == 0 {
+			t.Fatalf("no result stores in %s (%v)", dir, err)
+		}
+		for _, path := range stores {
+			_, recs, err := coup.ReadResultStore(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				if strings.Contains(r.Key, "#") {
+					t.Errorf("%s: %s: spec %s simulated more than once", p.Fingerprint(), filepath.Base(path), r.Key)
+				}
+			}
 		}
 	}
 }

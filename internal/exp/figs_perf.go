@@ -264,6 +264,9 @@ func fig13c(p Params) []*stats.Table {
 	var rows []row
 	for _, upe := range []int{10, 50, 100, 300, 1000} {
 		upe := p.scaleInt(upe)
+		if len(rows) > 0 && rows[len(rows)-1].upe == upe {
+			continue // small scales round neighbouring values onto one
+		}
 		wp := coup.WorkloadParams{Counters: counters, Iters: epochs, UpdatesPerEpoch: upe, Seed: 27}
 		rows = append(rows, row{
 			upe:    upe,

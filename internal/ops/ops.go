@@ -51,24 +51,6 @@ const (
 	NumTypes = 9 // including Read
 )
 
-// NumUpdateTypes is the number of commutative-update types (excluding Read).
-const NumUpdateTypes = int(NumTypes) - 1
-
-// UpdateTypes returns the commutative-update taxonomy (every defined type
-// except Read) in declaration order. It is the shared op table consumed by
-// layers built on top of the simulator — pkg/commute derives its built-in
-// software operations from it — so adding a type here surfaces it
-// everywhere at once.
-func UpdateTypes() []Type {
-	ts := make([]Type, 0, NumUpdateTypes)
-	for t := Type(0); t < NumTypes; t++ {
-		if t.IsUpdate() {
-			ts = append(ts, t)
-		}
-	}
-	return ts
-}
-
 // String returns the mnemonic used in tables and traces.
 func (t Type) String() string {
 	switch t {

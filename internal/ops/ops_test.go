@@ -36,9 +36,6 @@ func TestTypeStringsAndValidity(t *testing.T) {
 			t.Fatalf("%v must be an update type", ty)
 		}
 	}
-	if NumUpdateTypes != len(updateTypes) {
-		t.Fatalf("NumUpdateTypes=%d, want %d", NumUpdateTypes, len(updateTypes))
-	}
 }
 
 func TestWidths(t *testing.T) {

@@ -43,9 +43,6 @@ func (x *Ctx) NThreads() int { return len(x.m.cores) }
 // Chip returns the processor chip this thread's core belongs to.
 func (x *Ctx) Chip() int { return x.c.chip }
 
-// NChips returns the number of processor chips.
-func (x *Ctx) NChips() int { return x.m.cfg.Chips() }
-
 // Now returns the core's current cycle count. With posted ops pending, that
 // count depends on their latencies, so Now first waits for the engine to
 // service them.

@@ -813,11 +813,10 @@ func (h *hierarchy) l3Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn
 	e, eh := ch.arr.probe(line)
 	if e != nil && dropSelf {
 		// The requester no longer holds its (just-dropped) private copy;
-		// clear it before any directory decision reads the sharer set.
+		// clear it before any directory decision reads the sharer set. The
+		// copy was S or U, a sharer: an E or M copy satisfies every request
+		// in privSufficient, so its owner never takes the miss path.
 		e.sharers &^= bit(ci)
-		if e.owner == int16(ci) {
-			e.owner = invalidOwner
-		}
 	}
 	way := slotWay(eh)
 	if e == nil {
@@ -834,10 +833,10 @@ func (h *hierarchy) l3Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn
 		cstate := h.l4Access(c, line, rq, t, tx)
 		e = ch.arr.revalidate(line, eh) // l4Access may have invalidated our entry
 		if e == nil {
-			s, vtag, vp, evicted, w := ch.arr.insert(line)
-			if evicted {
-				h.evictL3Line(ch, vtag, &vp)
-			}
+			// l4Access invalidates L3 entries but never inserts one, so
+			// the way ours just vacated is free and the insert evicts
+			// nothing.
+			s, _, _, _, w := ch.arr.insert(line)
 			*s = dirLine{owner: invalidOwner}
 			e, way = s, w
 		}
@@ -1127,7 +1126,10 @@ func (h *hierarchy) l4Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn
 }
 
 // resolveGlobal applies the cross-chip directory actions for chip p's
-// request and returns the granted chip state.
+// request and returns the granted chip state. The owner is never p
+// itself: an owning chip's L3 holds the line with an exclusive cstate,
+// which chipSufficient accepts for every request, so l4Access never runs
+// for it.
 func (h *hierarchy) resolveGlobal(p int, d *dirLine, line uint64, rq shReq, t ops.Type, tx *txn) lineState {
 	hasE := h.hasE
 	switch rq {
@@ -1138,9 +1140,6 @@ func (h *hierarchy) resolveGlobal(p int, d *dirLine, line uint64, rq shReq, t op
 			d.owner = invalidOwner
 			d.dirty = true
 			d.otype = ops.Read
-		} else if d.owner == int16(p) {
-			d.sharers |= bit(p)
-			d.owner = invalidOwner
 		}
 		if d.sharers != 0 && d.otype.IsUpdate() {
 			h.globalReduction(d, line, tx)
@@ -1180,10 +1179,6 @@ func (h *hierarchy) resolveGlobal(p int, d *dirLine, line uint64, rq shReq, t op
 			d.sharers |= bit(int(d.owner))
 			d.owner = invalidOwner
 			d.dirty = true
-			d.otype = t
-		} else if d.owner == int16(p) {
-			d.sharers |= bit(p)
-			d.owner = invalidOwner
 			d.otype = t
 		}
 		if d.sharers != 0 {

@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Breakdown decomposes memory-access latency into the Fig 11 buckets. Each
 // field is the summed critical-path cycles attributed to that part of the
 // hierarchy across all accesses (e.g. L4Inval is not the cost of every
@@ -40,9 +38,6 @@ func (b Breakdown) Scale(n float64) [7]float64 {
 		float64(b.Mem) / n,
 	}
 }
-
-// BreakdownLabels names Breakdown components in Scale/AMAT order.
-var BreakdownLabels = [7]string{"L1", "L2", "L3", "OffChipNet", "L4Inval", "L4", "MainMem"}
 
 // Stats aggregates everything a simulation run measures.
 type Stats struct {
@@ -102,31 +97,6 @@ func (s *Stats) AMATBreakdown() [7]float64 {
 		return [7]float64{}
 	}
 	return s.Breakdown.Scale(float64(s.Accesses))
-}
-
-// CommFraction returns commutative updates as a fraction of all modelled
-// instructions (Table 2 / Sec 5.2 reporting).
-func (s *Stats) CommFraction() float64 {
-	if s.Instrs == 0 {
-		return 0
-	}
-	return float64(s.CommUpdates) / float64(s.Instrs)
-}
-
-// String summarizes the run for cmd/coupsim.
-func (s *Stats) String() string {
-	b := s.AMATBreakdown()
-	return fmt.Sprintf(
-		"cycles=%d accesses=%d (ld=%d st=%d at=%d cu=%d) hits L1=%d L2=%d L3=%d L4=%d mem=%d\n"+
-			"AMAT=%.2f [L1=%.2f L2=%.2f L3=%.2f net=%.2f l4inv=%.2f L4=%.2f mem=%.2f]\n"+
-			"inval=%d downg=%d fullred=%d partred=%d typesw=%d ugrants=%d ulocal=%d\n"+
-			"traffic onchip=%dB offchip=%dB mem=%dB",
-		s.Cycles, s.Accesses, s.Loads, s.Stores, s.Atomics, s.CommUpdates,
-		s.L1Hits, s.L2Hits, s.L3Hits, s.L4Hits, s.MemAccs,
-		s.AMAT(), b[0], b[1], b[2], b[3], b[4], b[5], b[6],
-		s.Invalidations, s.Downgrades, s.FullReductions, s.PartialReductions,
-		s.TypeSwitches, s.UGrants, s.ULocalHits,
-		s.OnChipBytes, s.OffChipBytes, s.MemBytes)
 }
 
 // Message size constants for traffic accounting (64-byte lines plus an

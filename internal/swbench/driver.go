@@ -106,11 +106,11 @@ func newInProcDriver(c Config, cells int) (Driver, error) {
 	switch c.Impl {
 	case ImplCommute:
 		if c.Kind == KindHist {
-			return sharedDriver{&commuteHist{h: commute.MustHistogram(cells)}}, nil
+			return sharedDriver{&commuteHist{h: commute.NewHistogram(cells)}}, nil
 		}
 		u := &commuteCells{cs: make([]*commute.Counter, cells)}
 		for i := range u.cs {
-			u.cs[i] = commute.MustCounter()
+			u.cs[i] = commute.NewCounter()
 		}
 		return sharedDriver{u}, nil
 	case ImplAtomic:

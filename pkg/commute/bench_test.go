@@ -19,7 +19,7 @@ import (
 // Fig 10/Fig 13.
 
 func BenchmarkCounterCommute(b *testing.B) {
-	c := MustCounter()
+	c := NewCounter()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			c.Add(1)
@@ -59,7 +59,7 @@ func BenchmarkCounterMutex(b *testing.B) {
 const benchBins = 64
 
 func BenchmarkHistogramCommute(b *testing.B) {
-	h := MustHistogram(benchBins)
+	h := NewHistogram(benchBins)
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
@@ -94,7 +94,7 @@ func BenchmarkHistogramMutex(b *testing.B) {
 }
 
 func BenchmarkMinMaxCommute(b *testing.B) {
-	m := MustMinMax()
+	m := NewMinMax()
 	b.RunParallel(func(pb *testing.PB) {
 		v := int64(0)
 		for pb.Next() {
@@ -122,8 +122,9 @@ func BenchmarkMinMaxAtomic(b *testing.B) {
 	})
 }
 
-func BenchmarkRefCountSharded(b *testing.B) {
-	r := MustRefCount(1, RefSharded)
+func BenchmarkRefCountCommute(b *testing.B) {
+	r := NewRefCount()
+	r.Inc()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			r.Inc()
@@ -132,20 +133,25 @@ func BenchmarkRefCountSharded(b *testing.B) {
 	})
 }
 
-func BenchmarkRefCountPlain(b *testing.B) {
-	r := MustRefCount(1, RefPlain)
+func BenchmarkRefCountAtomic(b *testing.B) {
+	// The XADD baseline: one shared count, every Inc and Dec an atomic add
+	// on its line, and Dec's zero check exact.
+	var r atomic.Int64
+	r.Store(1)
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			r.Inc()
-			r.Dec()
+			r.Add(1)
+			if r.Add(-1) == 0 {
+				b.Error("count reached zero with a reference held")
+			}
 		}
 	})
 }
 
 // BenchmarkCounterRead prices the reduction: reads get more expensive as
-// shards multiply, which is the trade Read pays for Apply's locality.
+// shards multiply, which is the trade Value pays for Add's locality.
 func BenchmarkCounterRead(b *testing.B) {
-	c := MustCounter()
+	c := NewCounter()
 	c.Add(123)
 	var sink int64
 	for i := 0; i < b.N; i++ {
@@ -155,7 +161,7 @@ func BenchmarkCounterRead(b *testing.B) {
 }
 
 func BenchmarkHistogramSnapshot(b *testing.B) {
-	h := MustHistogram(benchBins)
+	h := NewHistogram(benchBins)
 	h.Inc(1)
 	buf := make([]uint64, benchBins)
 	b.ResetTimer()

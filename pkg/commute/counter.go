@@ -11,27 +11,13 @@ type Counter struct {
 }
 
 // NewCounter builds a counter at zero.
-func NewCounter(opts ...Option) (*Counter, error) {
-	c, err := buildConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	n := c.nshards()
-	return &Counter{mask: uint32(n - 1), shards: make([]padWord, n)}, nil
+func NewCounter() *Counter {
+	n := shardCount()
+	return &Counter{mask: uint32(n - 1), shards: make([]padWord, n)}
 }
 
-// MustCounter is NewCounter, panicking on bad options.
-func MustCounter(opts ...Option) *Counter {
-	c, err := NewCounter(opts...)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Add folds delta into the calling goroutine's shard. Unlike the generic
-// Sharded.Apply, addition needs no CAS loop: the shard add is a single
-// atomic instruction, uncontended as long as the shard stays P-private.
+// Add folds delta into the calling goroutine's shard: a single atomic
+// add, uncontended as long as the shard stays P-private.
 //
 //coup:hotpath
 func (c *Counter) Add(delta int64) {
@@ -56,16 +42,6 @@ func (c *Counter) Value() int64 {
 	return int64(acc)
 }
 
-// Drain returns the count and resets the counter to zero; every
-// concurrent Add lands in exactly one drain.
-func (c *Counter) Drain() int64 {
-	var acc uint64
-	for i := range c.shards {
-		acc += c.shards[i].v.Swap(0)
-	}
-	return int64(acc)
-}
-
 // Snapshot reduces the counter into dst and returns dst[:1], allocating
 // only when cap(dst) < 1: the wire-format read-side helper, sharing
 // Histogram.Snapshot's reuse-a-buffer signature. dst[0] is Value().
@@ -77,6 +53,3 @@ func (c *Counter) Snapshot(dst []int64) []int64 {
 	dst[0] = c.Value()
 	return dst
 }
-
-// Shards returns the shard count.
-func (c *Counter) Shards() int { return len(c.shards) }

@@ -22,39 +22,40 @@
 //	coherence protocol (paper)          pkg/commute
 //	----------------------------------  ----------------------------------
 //	U state: private, update-only copy  private shard: padded per-P slot
-//	line initialized to identity on     shard initialized to Op.Identity
-//	  transition into U (Sec 3.1.2)       at construction and after drains
-//	commutative-update instruction      Apply/Add/Observe: update-only
+//	line initialized to identity on     shard initialized to the op's
+//	  transition into U (Sec 3.1.2)       identity at construction (0 for
+//	                                      adds, MaxInt64/MinInt64 for min
+//	                                      and max)
+//	commutative-update instruction      Add/Inc/Observe: update-only
 //	  (no read permission needed)         fast path, never reads the total
-//	reduction unit folding U copies     Op.Combine folding shards
-//	GetS triggering a full reduction,   Read/Value/Snapshot: merge-on-read
-//	  U->S downgrade (Fig 5 flows)        over every shard
+//	reduction unit folding U copies     Value/Bin/Snapshot: a sum, min or
+//	GetS triggering a full reduction,     max folded over every shard
+//	  U->S downgrade (Fig 5 flows)
 //	single-sharer partial reduction     uncontended shard: the fold
 //	  (Sec 3.3)                           degenerates to one load
-//	op-type table per line (Sec 3.2)    Op, derived from the internal/ops
-//	                                      taxonomy plus library extensions
+//	op-type table per line (Sec 3.2)    fixed per structure: Counter,
+//	                                      Histogram and RefCount add,
+//	                                      MinMax folds min and max
 //	SNZI / escalation for zero checks   RefCount: nonzero-shard indicator
 //	  (Sec 5.4)                           plus Escalate() to an exact mode
 //
 // # Structures
 //
-// Four structures cover the paper's workload families, plus the generic
-// cell they are built from:
+// Four structures cover the paper's workload families:
 //
-//   - Sharded: one logical 64-bit word under any commutative monoid Op —
-//     the software U-state cell everything else specializes.
 //   - Counter: sharded add (the Fig 1 contended counter).
 //   - Histogram: vector add over buckets (the Fig 2/Fig 10 hist family).
 //   - MinMax: idempotent min/max — updates that already hold are pure
 //     loads, the software image of a silent U hit.
-//   - RefCount: reference counting with zero-detection escalation,
-//     mirroring internal/workloads/refcount.go's plain vs SNZI variants.
+//   - RefCount: reference counting with zero-detection escalation:
+//     private shards plus an SNZI-style nonzero indicator, the Sec 5.4
+//     comparison that internal/workloads/refcount.go simulates.
 //
 // All structures are safe for concurrent use by any number of goroutines.
-// Updates are linearizable per shard; Read folds the shards and is exact
-// whenever it does not race with in-flight updates (e.g. at any quiescent
-// point, or under external synchronization), which is the same guarantee a
-// parallel reduction gives. Counter.Value and Histogram.Snapshot observe
+// Updates are linearizable per shard; reads fold the shards and are exact
+// whenever they do not race with in-flight updates (e.g. at any quiescent
+// point, or under external synchronization), which is the same guarantee
+// a parallel reduction gives. Counter.Value and Histogram.Snapshot observe
 // every update that happened-before the call.
 //
 // # Read-side snapshot helpers
@@ -73,11 +74,11 @@
 // Each Snapshot observes every update that happened-before the call, the
 // same guarantee as the structure's scalar readers.
 //
-// # Choosing shard counts
+// # Shard count
 //
-// Structures default to the next power of two >= GOMAXPROCS shards, the
-// software analogue of one U copy per private cache. WithShards overrides
-// it: fewer shards shrink the merge cost of reads, more shards reduce
-// update contention — exactly the paper's reduction-cost vs
-// update-locality trade (Sec 3.3).
+// Every structure has the next power of two >= GOMAXPROCS shards, fixed
+// at construction: the software analogue of one U copy per private cache.
+// The count sits on the paper's reduction-cost vs update-locality trade
+// (Sec 3.3): fewer shards would shrink the merge cost of reads, more
+// would reduce update contention.
 package commute

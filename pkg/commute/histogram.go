@@ -25,39 +25,24 @@ type Histogram struct {
 	shards []histShard
 }
 
-// NewHistogram builds a histogram with bins zeroed buckets.
-func NewHistogram(bins int, opts ...Option) (*Histogram, error) {
+// NewHistogram builds a histogram with bins zeroed buckets. It panics
+// when bins < 1.
+func NewHistogram(bins int) *Histogram {
 	if bins < 1 {
-		return nil, fmt.Errorf("commute: histogram needs >= 1 bin, got %d", bins)
+		panic(fmt.Sprintf("commute: histogram needs >= 1 bin, got %d", bins))
 	}
-	c, err := buildConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	n := c.nshards()
+	n := shardCount()
 	h := &Histogram{bins: bins, mask: uint32(n - 1), shards: make([]histShard, n)}
 	const wordsPerLine = ops.LineBytes / 8
 	padded := (bins + wordsPerLine - 1) / wordsPerLine * wordsPerLine
 	for i := range h.shards {
 		h.shards[i].counts = make([]atomic.Uint64, padded)
 	}
-	return h, nil
-}
-
-// MustHistogram is NewHistogram, panicking on errors.
-func MustHistogram(bins int, opts ...Option) *Histogram {
-	h, err := NewHistogram(bins, opts...)
-	if err != nil {
-		panic(err)
-	}
 	return h
 }
 
 // Bins returns the bucket count.
 func (h *Histogram) Bins() int { return h.bins }
-
-// Shards returns the shard count.
-func (h *Histogram) Shards() int { return len(h.shards) }
 
 // Add folds delta into bucket bin on the calling goroutine's shard.
 //

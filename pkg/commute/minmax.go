@@ -26,27 +26,15 @@ type MinMax struct {
 	shards []minmaxShard
 }
 
-// NewMinMax builds an empty tracker: shards start at the Min64/Max64
-// identities, so untouched shards never win the fold.
-func NewMinMax(opts ...Option) (*MinMax, error) {
-	c, err := buildConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	n := c.nshards()
+// NewMinMax builds an empty tracker: shards start at the min and max
+// identities (math.MaxInt64 and math.MinInt64), so untouched shards never
+// win the fold.
+func NewMinMax() *MinMax {
+	n := shardCount()
 	m := &MinMax{mask: uint32(n - 1), shards: make([]minmaxShard, n)}
 	for i := range m.shards {
 		m.shards[i].min.Store(math.MaxInt64)
 		m.shards[i].max.Store(math.MinInt64)
-	}
-	return m, nil
-}
-
-// MustMinMax is NewMinMax, panicking on bad options.
-func MustMinMax(opts ...Option) *MinMax {
-	m, err := NewMinMax(opts...)
-	if err != nil {
-		panic(err)
 	}
 	return m
 }
@@ -135,6 +123,3 @@ func (m *MinMax) Snapshot(dst []int64) []int64 {
 	dst[0], dst[1], dst[2] = int64(n), mn, mx
 	return dst
 }
-
-// Shards returns the shard count.
-func (m *MinMax) Shards() int { return len(m.shards) }

@@ -1,37 +1,11 @@
 package commute
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/ops"
 )
-
-// RefStyle selects a RefCount implementation, mirroring the Sec 5.4
-// variants in internal/workloads/refcount.go.
-type RefStyle uint8
-
-const (
-	// RefSharded buffers increments and decrements in private shards and
-	// keeps an SNZI-style nonzero-shard indicator for cheap zero checks;
-	// Escalate folds the shards into one exact central counter for the
-	// object's endgame. This is the library form of the paper's
-	// COUP-vs-SNZI comparison: updates commute and stay private, reads
-	// (zero checks) are served by an indicator instead of a full fold.
-	RefSharded RefStyle = iota
-	// RefPlain keeps one central counter from the start: every operation
-	// is an atomic RMW on one shared line and Dec's zero check is exact
-	// and immediate — the paper's XADD baseline.
-	RefPlain
-)
-
-func (s RefStyle) String() string {
-	if s == RefPlain {
-		return "plain"
-	}
-	return "sharded"
-}
 
 // refShard is one private slice of the count. The shard mutex orders the
 // count update with the indicator update and with escalation; it is
@@ -44,19 +18,19 @@ type refShard struct {
 	_         [ops.LineBytes - 24]byte
 }
 
-// RefCount is a reference counter with zero-detection escalation. While
-// an object is hot, increments and decrements are commutative updates
-// buffered in private shards (RefSharded) and zero detection runs through
-// a conservative SNZI-style indicator: the root counts shards holding a
-// nonzero value, so indicator == 0 proves the count is zero under the
-// usual contract (a goroutine only decrements references it holds, and
-// never resurrects from zero). When surpluses and deficits sit on
-// different shards the indicator stays nonzero and detection is deferred
-// — call Escalate (the percpu-ref "kill" moment, when the last known
-// handle is dropped) to fold the shards into one exact central counter,
-// after which Dec detects zero immediately.
+// RefCount is a reference counter with zero-detection escalation: the
+// library form of the paper's COUP-vs-SNZI comparison (Sec 5.4). While an
+// object is hot, increments and decrements are commutative updates
+// buffered in private shards, and zero checks are served by a conservative
+// SNZI-style indicator instead of a full fold: the root counts shards
+// holding a nonzero value, so indicator == 0 proves the count is zero
+// under the usual contract (a goroutine only decrements references it
+// holds, and never resurrects from zero). When surpluses and deficits sit
+// on different shards the indicator stays nonzero and detection is
+// deferred — call Escalate (the percpu-ref "kill" moment, when the last
+// known handle is dropped) to fold the shards into one exact central
+// counter, after which Dec detects zero immediately.
 type RefCount struct {
-	style   RefStyle
 	mask    uint32
 	mode    atomic.Uint32 // 0 = sharded fast path, 1 = escalated
 	central atomic.Int64  // authoritative once escalated
@@ -66,45 +40,13 @@ type RefCount struct {
 	shards  []refShard
 }
 
-// NewRefCount builds a counter holding initial references (>= 0).
-func NewRefCount(initial int64, style RefStyle, opts ...Option) (*RefCount, error) {
-	if initial < 0 {
-		return nil, fmt.Errorf("commute: negative initial refcount %d", initial)
-	}
-	c, err := buildConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	n := c.nshards()
-	r := &RefCount{style: style, mask: uint32(n - 1), shards: make([]refShard, n)}
-	if style == RefPlain {
-		r.central.Store(initial)
-		r.mode.Store(1)
-		for i := range r.shards {
-			r.shards[i].escalated = true
-		}
-	} else if initial != 0 {
-		r.shards[0].n = initial
-		r.root.Store(1)
-	}
-	return r, nil
+// NewRefCount builds a counter holding no references.
+func NewRefCount() *RefCount { return newRefCount(shardCount()) }
+
+// newRefCount builds a counter with n shards, a power of two.
+func newRefCount(n int) *RefCount {
+	return &RefCount{mask: uint32(n - 1), shards: make([]refShard, n)}
 }
-
-// MustRefCount is NewRefCount, panicking on errors.
-func MustRefCount(initial int64, style RefStyle, opts ...Option) *RefCount {
-	r, err := NewRefCount(initial, style, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// Style returns the implementation variant.
-func (r *RefCount) Style() RefStyle { return r.style }
-
-// Escalated reports whether the counter has switched to the exact central
-// mode (always true for RefPlain).
-func (r *RefCount) Escalated() bool { return r.mode.Load() == 1 }
 
 // Inc adds one reference.
 func (r *RefCount) Inc() { r.add(1) }
@@ -143,17 +85,12 @@ func (r *RefCount) add(delta int64) {
 }
 
 // Dec drops one reference and reports whether the count is now known to
-// be zero. RefPlain reports every touch of zero, exactly and immediately.
-// RefSharded reports the object's death at most once: a true return is
-// always correct; before escalation the check runs through the
+// be zero. It reports the object's death at most once, and a true return
+// is always correct. Before escalation the check runs through the
 // conservative indicator (the counter self-escalates when the indicator
 // proves zero), and cross-shard cancellation can defer detection until
 // Escalate is called, after which Dec is exact.
 func (r *RefCount) Dec() bool {
-	if r.style == RefPlain {
-		// Plain counters report every touch of zero, like the XADD baseline.
-		return r.central.Add(-1) == 0
-	}
 	if r.mode.Load() == 1 {
 		return r.central.Add(-1) == 0 && !r.zeroed.Swap(true)
 	}
@@ -174,7 +111,7 @@ func (r *RefCount) Dec() bool {
 
 // zeroCheck verifies the indicator's zero hint exactly: it sums the
 // shards and the central counter with every shard lock held. A confirmed
-// zero folds and escalates (like escalate); a refuted hint unlocks
+// zero folds and escalates (like Escalate); a refuted hint unlocks
 // without changing modes.
 func (r *RefCount) zeroCheck() bool {
 	r.big.Lock()
@@ -214,9 +151,9 @@ func (r *RefCount) zeroCheck() bool {
 // decrements should finish with Dec if the caller needs the zero event.
 func (r *RefCount) Add(delta int64) { r.add(delta) }
 
-// Read folds the shards and the central counter into the exact current
+// read folds the shards and the central counter into the exact current
 // count, under the same quiescence caveat as every reduction here.
-func (r *RefCount) Read() int64 {
+func (r *RefCount) read() int64 {
 	if r.mode.Load() == 1 {
 		return r.central.Load()
 	}
@@ -234,18 +171,16 @@ func (r *RefCount) Read() int64 {
 
 // Snapshot reduces the counter into dst and returns dst[:2], allocating
 // only when cap(dst) < 2 — the same reuse-a-buffer signature as
-// Histogram.Snapshot. The layout is [count, escalated]: dst[0] is Read()
-// and dst[1] is 1 once the counter has switched to exact central mode.
+// Histogram.Snapshot. The layout is [count, escalated]: dst[0] is the
+// exact count and dst[1] is 1 once the counter has switched to exact
+// central mode.
 func (r *RefCount) Snapshot(dst []int64) []int64 {
 	if cap(dst) < 2 {
 		dst = make([]int64, 2)
 	}
 	dst = dst[:2]
-	dst[0] = r.Read()
-	dst[1] = 0
-	if r.Escalated() {
-		dst[1] = 1
-	}
+	dst[0] = r.read()
+	dst[1] = int64(r.mode.Load())
 	return dst
 }
 
@@ -254,9 +189,7 @@ func (r *RefCount) Snapshot(dst []int64) []int64 {
 // the object leaves its hot phase and exact zero detection starts to
 // matter. It returns the count at the fold. Escalating twice is a no-op
 // returning the current count.
-func (r *RefCount) Escalate() int64 { return r.escalate() }
-
-func (r *RefCount) escalate() int64 {
+func (r *RefCount) Escalate() int64 {
 	r.big.Lock()
 	defer r.big.Unlock()
 	if r.mode.Load() == 1 {

@@ -1,7 +1,6 @@
 package commute
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand/v2"
 	"runtime"
@@ -25,148 +24,16 @@ type padWord struct {
 // current P, so updates from one P keep hitting one shard — the software
 // image of the line staying in that core's private cache in U state. The
 // authoritative data lives in the shard arrays, never in the token, so a
-// token dropped by the garbage collector loses nothing: the next Apply
+// token dropped by the garbage collector loses nothing: the next update
 // just draws a fresh index.
 type token struct{ idx uint32 }
 
 var tokenPool = sync.Pool{New: func() any { return &token{idx: rand.Uint32()} }}
 
-// config carries the construction knobs shared by every structure.
-type config struct{ shards int }
-
-// Option configures a structure at construction.
-type Option func(*config) error
-
-// WithShards sets the shard count (rounded up to a power of two, >= 1).
-// The default is the next power of two >= GOMAXPROCS at construction
-// time. More shards cut update contention; fewer shrink every read's
-// reduction — the paper's Sec 3.3 trade.
-func WithShards(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("commute: shard count must be >= 1, got %d", n)
-		}
-		c.shards = n
-		return nil
-	}
-}
-
-// nshards resolves the configured shard count to a power of two.
-func (c config) nshards() int {
-	n := c.shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > 1 && n&(n-1) != 0 {
-		n = 1 << bits.Len(uint(n))
-	}
-	return n
-}
-
-func buildConfig(opts []Option) (config, error) {
-	var c config
-	for _, opt := range opts {
-		if opt == nil {
-			continue
-		}
-		if err := opt(&c); err != nil {
-			return config{}, err
-		}
-	}
-	return c, nil
-}
-
-// Sharded is the core cell: one logical 64-bit word under a commutative
-// monoid, physically replicated across cache-line-padded shards. Apply is
-// the update-only fast path (it never reads the logical value, just as a
-// U-state core never has read permission); Read folds every shard, the
-// merge-on-read that mirrors the protocol's full reduction on a GetS.
-type Sharded struct {
-	op     Op
-	id     uint64
-	mask   uint32
-	shards []padWord
-}
-
-// NewSharded builds a sharded cell under op with every shard initialized
-// to op's identity.
-func NewSharded(op Op, opts ...Option) (*Sharded, error) {
-	if op == nil {
-		return nil, fmt.Errorf("commute: NewSharded with nil op")
-	}
-	c, err := buildConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	n := c.nshards()
-	s := &Sharded{op: op, id: op.Identity(), mask: uint32(n - 1), shards: make([]padWord, n)}
-	for i := range s.shards {
-		s.shards[i].v.Store(s.id)
-	}
-	return s, nil
-}
-
-// MustSharded is NewSharded, panicking on bad options (for package-level
-// variables).
-func MustSharded(op Op, opts ...Option) *Sharded {
-	s, err := NewSharded(op, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Op returns the cell's operation.
-func (s *Sharded) Op() Op { return s.op }
-
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
-// Apply folds v into the calling goroutine's shard: the update-only fast
-// path. When the combined value equals the shard's current value (an
-// idempotent op re-observing old news) it completes without writing — the
-// software image of a silent hit on a line already in U.
-//
-//coup:hotpath
-func (s *Sharded) Apply(v uint64) {
-	t := tokenPool.Get().(*token)
-	i := t.idx & s.mask
-	for {
-		w := &s.shards[i]
-		old := w.v.Load()
-		nw := s.op.Combine(old, v)
-		if nw == old || w.v.CompareAndSwap(old, nw) {
-			break
-		}
-		// CAS lost: another goroutine shares this shard. Re-home the token
-		// on a fresh shard instead of spinning on the contended line.
-		t.idx = rand.Uint32()
-		i = t.idx & s.mask
-	}
-	tokenPool.Put(t)
-}
-
-// Read folds every shard under the op and returns the logical value: the
-// full reduction a GetS triggers in hardware (Fig 5). It observes every
-// Apply that happened-before the call; updates racing with the fold may
-// or may not be included, the usual parallel-reduction guarantee.
-func (s *Sharded) Read() uint64 {
-	acc := s.id
-	for i := range s.shards {
-		acc = s.op.Combine(acc, s.shards[i].v.Load())
-	}
-	return acc
-}
-
-// Drain folds every shard into the returned value and resets the shards
-// to the identity, like the U->S downgrade that leaves sharers with clean
-// copies. Concurrent Applies remain safe: each shard is atomically swapped
-// out, so every update lands in exactly one drain or the next. Callers
-// that need an exact total must quiesce writers first, as with Read.
-func (s *Sharded) Drain() uint64 {
-	acc := s.id
-	for i := range s.shards {
-		acc = s.op.Combine(acc, s.shards[i].v.Swap(s.id))
-	}
-	return acc
+// shardCount is the shard count of every structure: the next power of two
+// >= GOMAXPROCS at construction time, the software analogue of one U copy
+// per private cache. A power of two lets an update pick its shard with a
+// mask.
+func shardCount() int {
+	return 1 << bits.Len(uint(runtime.GOMAXPROCS(0)-1))
 }

@@ -17,9 +17,9 @@
 //	U state: private update-only     per-P padded shard      client-side batch buffer:
 //	  copy of a line                                           updates held locally,
 //	                                                           invisible until flushed
-//	commutative-update instruction   Apply/Add/Observe       one Update record in a
+//	commutative-update instruction   Add/Inc/Observe         one Update record in a
 //	                                                           POST /v1/batch body
-//	reduction unit folding U copies  Op.Combine over shards  GET /v1/snapshot: the
+//	reduction unit folding U copies  Snapshot folds shards   GET /v1/snapshot: the
 //	  on a GetS                                                server folds shards into
 //	                                                           the response (S state)
 //	bounded U-buffer capacity        shard count             bounded in-flight batch

@@ -22,7 +22,7 @@ const (
 	KindHist Kind = "hist"
 	// KindMinMax is a commute.MinMax: op observe(v).
 	KindMinMax Kind = "minmax"
-	// KindRefCount is a sharded commute.RefCount: ops inc, dec,
+	// KindRefCount is a commute.RefCount: ops inc, dec,
 	// add(delta), escalate.
 	KindRefCount Kind = "refcount"
 )
@@ -111,7 +111,7 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{created: commute.MustCounter()}
+	return &Registry{created: commute.NewCounter()}
 }
 
 // Len returns the number of structures created so far.
@@ -172,7 +172,7 @@ func (g *Registry) lookup(u *Update) (*entry, error) {
 	ent := &entry{kind: kind}
 	switch kind {
 	case KindCounter:
-		ent.c = commute.MustCounter()
+		ent.c = commute.NewCounter()
 	case KindHist:
 		bins := u.Bins
 		if bins <= 0 {
@@ -181,11 +181,11 @@ func (g *Registry) lookup(u *Update) (*entry, error) {
 		if bins > MaxBins {
 			return nil, fmt.Errorf("coupd: %w: histogram %q wants %d bins, max %d", ErrBadUpdate, u.Name, bins, MaxBins)
 		}
-		ent.h = commute.MustHistogram(bins)
+		ent.h = commute.NewHistogram(bins)
 	case KindMinMax:
-		ent.m = commute.MustMinMax()
+		ent.m = commute.NewMinMax()
 	case KindRefCount:
-		ent.r = commute.MustRefCount(0, commute.RefSharded)
+		ent.r = commute.NewRefCount()
 	}
 	if prev, loaded := g.entries.LoadOrStore(u.Name, ent); loaded {
 		ent = prev.(*entry)

@@ -31,9 +31,9 @@ func newHistogram(name, help string, bins int) *Histogram {
 		name: name,
 		help: help,
 		bins: bins,
-		h:    commute.MustHistogram(bins),
-		sum:  commute.MustCounter(),
-		mm:   commute.MustMinMax(),
+		h:    commute.NewHistogram(bins),
+		sum:  commute.NewCounter(),
+		mm:   commute.NewMinMax(),
 	}
 }
 

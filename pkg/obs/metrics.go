@@ -16,7 +16,7 @@ type Counter struct {
 }
 
 func newCounter(name, help string, gauge bool) *Counter {
-	return &Counter{name: name, help: help, gauge: gauge, c: commute.MustCounter()}
+	return &Counter{name: name, help: help, gauge: gauge, c: commute.NewCounter()}
 }
 
 // Inc adds one.
