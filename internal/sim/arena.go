@@ -24,7 +24,15 @@ package sim
 // Neither affects timing or statistics: an allocated-but-empty page
 // behaves identically to an unallocated one, and table capacity never
 // changes lookup results. TestArenaReuseIdentical pins this: stats from a
-// recycled machine are byte-identical to a fresh machine's.
+// recycled machine are byte-identical to a fresh machine's, also when a
+// machine that ran a wide footprint is reused for a narrow one and the
+// reverse.
+//
+// A reset costs what the previous run touched, not what the geometry
+// holds: every cache and directory array marks the sets it has filled
+// since its last reset, and its reset, like drain and CheckInvariants,
+// visits only those sets. The backing store and bank tables still clear
+// everything they hold allocated.
 //
 // An Arena is NOT safe for concurrent use. The intended pattern — used by
 // pkg/coup's sweep engine — is one Arena per worker goroutine, living for
@@ -158,24 +166,22 @@ func (h *hierarchy) reset(cfg *Config, st *Stats) {
 	h.now = 0
 	h.store.reset()
 	for _, pc := range h.priv {
+		pc.l1.reset(nil)
 		// Harvest the partial-update buffers of still-resident U lines into
-		// the pool before their lines are wiped, so buffers survive reuse.
-		pc.l2.forEach(func(_ uint64, p *privLine) {
+		// the pool as their lines are wiped, so buffers survive reuse.
+		pc.l2.reset(func(p *privLine) {
 			if p.buf != nil {
 				pc.bufPool = append(pc.bufPool, p.buf)
-				p.buf = nil
 			}
 		})
-		pc.l1.reset()
-		pc.l2.reset()
 	}
 	for _, ch := range h.chips {
-		ch.arr.reset()
+		ch.arr.reset(nil)
 		for _, b := range ch.banks {
 			b.reset()
 		}
 	}
-	h.l4.arr.reset()
+	h.l4.arr.reset(nil)
 	for _, b := range h.l4.banks {
 		b.reset()
 	}

@@ -8,13 +8,13 @@ import (
 // structure: strided loads (L2/L3 evictions), contended commutative
 // updates (U grants, reductions), stores (M lines, writebacks) and a
 // barrier (scheduler park/release).
-func arenaKernel(input, hist uint64, n int) func(c *Ctx) {
+func arenaKernel(input, hist uint64, n, lines int) func(c *Ctx) {
 	return func(c *Ctx) {
 		for i := 0; i < n; i++ {
-			c.Load64(input + uint64(i%512)*64)
+			c.Load64(input + uint64(i%lines)*64)
 			c.CommAdd64(hist+uint64(c.Rand()%64)*8, 1)
 			if i%8 == 0 {
-				c.Store64(input+uint64(i%512)*64, uint64(i))
+				c.Store64(input+uint64(i%lines)*64, uint64(i))
 			}
 		}
 		c.Barrier()
@@ -26,10 +26,17 @@ func arenaKernel(input, hist uint64, n int) func(c *Ctx) {
 
 func runArenaKernel(t *testing.T, a *Arena, cfg Config) Stats {
 	t.Helper()
+	return runArenaFootprint(t, a, cfg, 200, 512)
+}
+
+// runArenaFootprint runs arenaKernel with n loads per core over an input
+// of the given number of lines.
+func runArenaFootprint(t *testing.T, a *Arena, cfg Config, n, lines int) Stats {
+	t.Helper()
 	m := NewIn(a, cfg)
-	input := m.Alloc(512*64, 64)
+	input := m.Alloc(uint64(lines)*64, 64)
 	hist := m.Alloc(64*8, 64)
-	st := m.Run(arenaKernel(input, hist, 200))
+	st := m.Run(arenaKernel(input, hist, n, lines))
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
@@ -74,6 +81,30 @@ func TestArenaReuseIdentical(t *testing.T) {
 			if got != fresh[i] {
 				t.Fatalf("pass %d cfg %d (%v, %d cores, seed %d): arena stats differ from fresh machine\narena: %+v\nfresh: %+v",
 					pass, i, cfg.Protocol, cfg.Cores, cfg.Seed, got, fresh[i])
+			}
+		}
+	}
+	// Footprints: one pooled machine runs a wide spec and then a narrow
+	// one, and the reverse. On Table 1 geometry the wide spec fills every
+	// private-L2 set and 4096 L3 sets, the narrow one 16 lines, so a reset
+	// that missed a set the other run filled shows in the stats.
+	type footprint struct{ n, lines int }
+	wide, narrow := footprint{4096, 4096}, footprint{200, 8}
+	for _, cfg := range []Config{DefaultConfig(4, MEUSI), DefaultConfig(17, MESI)} {
+		want := map[footprint]Stats{}
+		for _, f := range []footprint{wide, narrow} {
+			want[f] = runArenaFootprint(t, nil, cfg, f.n, f.lines)
+		}
+		for _, order := range [][2]footprint{{wide, narrow}, {narrow, wide}} {
+			a := NewArena()
+			for _, f := range order {
+				if got := runArenaFootprint(t, a, cfg, f.n, f.lines); got != want[f] {
+					t.Fatalf("%v, %d cores, %d-line run of order %v: arena stats differ from fresh machine\narena: %+v\nfresh: %+v",
+						cfg.Protocol, cfg.Cores, f.lines, order, got, want[f])
+				}
+			}
+			if warm, _ := a.PoolStats(); warm != 1 {
+				t.Fatalf("%d cores: arena served %d warm machines, want 1", cfg.Cores, warm)
 			}
 		}
 	}

@@ -23,6 +23,11 @@ type array[P any] struct {
 	pageSeMask uint64 // sets-per-page - 1
 	tick       uint64 // LRU clock
 	pages      []arrayPage[P]
+	// touched has one bit per set, raised by every fill (insert, commit)
+	// and cleared only by reset. A set whose bit is clear holds no valid
+	// way, so reset and forEach cost what a run touched, not what the
+	// geometry holds.
+	touched []uint64
 }
 
 // arrayPage holds one page's slots as parallel slices. A tag word is the
@@ -75,6 +80,7 @@ func newArray[P any](sizeBytes, ways int) *array[P] {
 	a.pageShift = uint(bits.TrailingZeros(uint(pageSets)))
 	a.pageSeMask = uint64(pageSets - 1)
 	a.pages = make([]arrayPage[P], p2/pageSets)
+	a.touched = make([]uint64, (p2+63)/64)
 	if pageSets == p2 {
 		a.allocPage(0)
 	}
@@ -143,7 +149,14 @@ func (a *array[P]) insert(line uint64) (p *P, victimTag uint64, victim P, evicte
 	pg.tags[i] = uint32(line>>a.setBits) | validBit
 	pg.lru[i] = a.tick
 	pg.pay[i] = zero
+	a.mark(line)
 	return &pg.pay[i], victimTag, victim, evicted, uint8(vi)
+}
+
+// mark records that line's set holds a valid way.
+func (a *array[P]) mark(line uint64) {
+	s := line & a.setMask
+	a.touched[s>>6] |= 1 << (s & 63)
 }
 
 // invalidate removes line from the array if present. The tick bump marks
@@ -260,6 +273,7 @@ func (a *array[P]) commit(line uint64, h slotRef) (p *P, victimTag uint64, victi
 	pg.tags[i] = uint32(line>>a.setBits) | validBit
 	pg.lru[i] = a.tick
 	pg.pay[i] = zero
+	a.mark(line)
 	return &pg.pay[i], victimTag, victim, evicted, slotWay(h)
 }
 
@@ -326,35 +340,53 @@ func (a *array[P]) invalidateAt(line uint64, h slotRef) {
 }
 
 // reset returns the array to its post-newArray state while keeping every
-// allocated page for reuse (the arena's zero-on-reuse contract). Only
+// allocated page for reuse (the arena's zero-on-reuse contract). Only the
+// sets marked in touched can hold a valid way, and within them only
 // occupied ways need clearing: insert and invalidate maintain the
-// invariant that an empty way's tag, LRU stamp and payload are all zero,
-// so the sweep reads one tag word per slot and writes only live ones.
-func (a *array[P]) reset() {
+// invariant that an empty way's tag, LRU stamp and payload are all zero.
+// visit, when non-nil, sees each valid way's payload just before the way
+// is cleared, in forEach's order.
+func (a *array[P]) reset(visit func(p *P)) {
 	var zero P
-	for pi := range a.pages {
-		pg := &a.pages[pi]
-		for i, t := range pg.tags {
-			if t != 0 {
-				pg.tags[i] = 0
-				pg.lru[i] = 0
-				pg.pay[i] = zero
+	for wi, w := range a.touched {
+		for ; w != 0; w &= w - 1 {
+			_, pg, base := a.markedSet(wi, w)
+			for i := base; i < base+uint64(a.ways); i++ {
+				if pg.tags[i] != 0 {
+					if visit != nil {
+						visit(&pg.pay[i])
+					}
+					pg.tags[i] = 0
+					pg.lru[i] = 0
+					pg.pay[i] = zero
+				}
 			}
 		}
+		a.touched[wi] = 0
 	}
 	a.tick = 0
 }
 
-// forEach visits every valid way, in set-major order. Used by drain and by
-// invariant checks.
+// forEach visits every valid way, in set-major order: ascending set
+// index, then ascending way. Only marked sets are read. Used by drain and
+// by invariant checks; f must not fill the array it walks.
 func (a *array[P]) forEach(f func(tag uint64, p *P)) {
-	for pi := range a.pages {
-		pg := &a.pages[pi]
-		for i, t := range pg.tags {
-			if t&validBit != 0 {
-				set := uint64(pi)<<a.pageShift + uint64(i)/uint64(a.ways)
-				f(uint64(t&^validBit)<<a.setBits|set, &pg.pay[i])
+	for wi, w := range a.touched {
+		for ; w != 0; w &= w - 1 {
+			set, pg, base := a.markedSet(wi, w)
+			for i := base; i < base+uint64(a.ways); i++ {
+				if t := pg.tags[i]; t&validBit != 0 {
+					f(uint64(t&^validBit)<<a.setBits|set, &pg.pay[i])
+				}
 			}
 		}
 	}
+}
+
+// markedSet returns the lowest set still marked in touched word wi (w
+// holds the word's bits not yet visited), with its page and the set's
+// slot offset in that page.
+func (a *array[P]) markedSet(wi int, w uint64) (set uint64, pg *arrayPage[P], base uint64) {
+	set = uint64(wi)<<6 | uint64(bits.TrailingZeros64(w))
+	return set, &a.pages[set>>a.pageShift], (set & a.pageSeMask) * uint64(a.ways)
 }

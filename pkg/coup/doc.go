@@ -42,9 +42,10 @@
 //     workloads × protocols × core counts × seeded reps — is a list of
 //     independent simulations; Sweep executes a []RunSpec across a bounded
 //     worker pool (WithParallelism, default GOMAXPROCS) and returns one
-//     SweepResult per spec, in input order, with per-spec errors. Every
-//     machine is isolated and every seed lives in its spec, so results are
-//     identical at any parallelism; only wall-clock time changes.
+//     SweepResult per spec, in input order, with per-spec errors. Workers
+//     start the specs with the most cores first. Every machine is
+//     isolated and every seed lives in its spec, so results are identical
+//     at any parallelism; only wall-clock time changes.
 //
 //     Each worker owns a machine arena (internal/sim.Arena): machine-sized
 //     scratch — cache and directory arrays, backing-store pages, bank

@@ -3,6 +3,7 @@ package coup
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -90,9 +91,13 @@ func WithSweepMetrics(reg *obs.Registry) SweepOption {
 // worker's arena recycles machine-sized scratch — cache and directory
 // arrays, backing-store pages, bank tables — across the specs it
 // executes, making repeated small simulations allocation-free at steady
-// state; arenas never change results (TestSweepArenaGolden). A Sweeper
-// is safe for sequential reuse, not for concurrent Run calls (the
-// per-worker arenas are single-threaded by design).
+// state; arenas never change results (TestSweepArenaGolden). With more
+// than one worker, specs start in descending order of core count (ties
+// in input order), so a sweep's largest machines, usually its longest
+// simulations, start first, and the last spec to start is a small one
+// instead of a large one that leaves the other workers idle. A Sweeper is safe for sequential reuse, not for
+// concurrent Run calls (the per-worker arenas are single-threaded by
+// design).
 type Sweeper struct {
 	parallelism int
 	arenas      []*sim.Arena // one per worker slot
@@ -137,10 +142,11 @@ func NewSweeper(opts ...SweepOption) (*Sweeper, error) {
 }
 
 // Run executes every spec on its own isolated machine, fanning the runs
-// out across the Sweeper's worker pool, and returns one result per spec
-// in input order. Failures — bad specs, option errors, validation
-// failures, even panics out of a workload factory or kernel — are
-// captured as that spec's Err; one broken run never takes down the sweep.
+// out across the Sweeper's worker pool, largest machines first, and
+// returns one result per spec in input order. Failures — bad specs,
+// option errors, validation failures, even panics out of a workload
+// factory or kernel — are captured as that spec's Err; one broken run
+// never takes down the sweep.
 func (s *Sweeper) Run(specs []RunSpec) []SweepResult {
 	return s.RunEach(specs, nil)
 }
@@ -149,9 +155,11 @@ func (s *Sweeper) Run(specs []RunSpec) []SweepResult {
 // spec as its result lands, before Run returns, so callers can spill
 // results durably (the SweepJob result store) while the sweep is still
 // in flight — an interrupted sweep then keeps everything finished so
-// far. done may be called concurrently from worker goroutines and must
-// be safe for that; i is the spec's input index. A nil done makes
-// RunEach identical to Run.
+// far. done fires in completion order, which is neither input order nor,
+// with several workers, dispatch order; i is the spec's input index. The
+// serial path (one worker, or one spec) runs specs in input order. done
+// may be called concurrently from worker goroutines and must be safe for
+// that. A nil done makes RunEach identical to Run.
 func (s *Sweeper) RunEach(specs []RunSpec, done func(i int, r SweepResult)) []SweepResult {
 	out := make([]SweepResult, len(specs))
 	finish := func(i int, r SweepResult) {
@@ -181,12 +189,29 @@ func (s *Sweeper) RunEach(specs []RunSpec, done func(i int, r SweepResult)) []Sw
 			}
 		}(w)
 	}
-	for i := range specs {
+	for _, i := range largestFirst(specs) {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
 	return out
+}
+
+// largestFirst returns the spec indices in descending order of core
+// count, ties in input order. A spec's core count is what its options
+// configure, read once per spec; a spec whose options fail counts as 0
+// cores, since its run ends at the same error.
+func largestFirst(specs []RunSpec) []int {
+	cores := make([]int, len(specs))
+	order := make([]int, len(specs))
+	for i, spec := range specs {
+		if b, err := newBuilder(spec.Options); err == nil {
+			cores[i] = b.cfg.Cores
+		}
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cores[b] - cores[a] })
+	return order
 }
 
 // runCounted executes one spec on worker w's arena and, when progress

@@ -2,7 +2,9 @@ package coup
 
 import (
 	"errors"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -142,6 +144,67 @@ func TestSweepMakeSpecs(t *testing.T) {
 	}
 	if results[0] != results[1] {
 		t.Error("identical specs must produce identical results")
+	}
+}
+
+// TestSweepDispatchLargestFirst: a parallel sweep starts its largest
+// machines first, so the last spec to start is a small one, while each
+// result still lands at its input index and equals the serial sweep's.
+// The serial path starts specs in input order.
+func TestSweepDispatchLargestFirst(t *testing.T) {
+	coreCounts := []int{1, 4, 2, 16, 3, 8, 2, 1}
+	var mu sync.Mutex
+	var started []int
+	specs := make([]RunSpec, len(coreCounts))
+	for i, c := range coreCounts {
+		specs[i] = RunSpec{
+			Make: func() (Workload, error) {
+				mu.Lock()
+				started = append(started, i)
+				mu.Unlock()
+				info, err := LookupWorkload("counter")
+				if err != nil {
+					return nil, err
+				}
+				return info.New(WorkloadParams{Size: 25})
+			},
+			Options: []Option{WithCores(c), WithProtocol("MEUSI"), WithSeed(uint64(i + 1))},
+		}
+	}
+	serial, err := Sweep(specs, WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !slices.Equal(started, want) {
+		t.Errorf("serial sweep started specs %v, want input order %v", started, want)
+	}
+
+	started = nil
+	s, err := NewSweeper(WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := make([]int, len(specs))
+	parallel := s.RunEach(specs, func(i int, _ SweepResult) {
+		mu.Lock()
+		fired[i]++
+		mu.Unlock()
+	})
+	// The two workers take the 16- and 8-core specs first; which of the
+	// two calls its factory first is up to the scheduler.
+	if first := slices.Sorted(slices.Values(started[:2])); !slices.Equal(first, []int{3, 5}) {
+		t.Errorf("parallel sweep started specs %v; the first two should be 3 and 5, the largest machines", started)
+	}
+	for i, c := range coreCounts {
+		if parallel[i].Err != nil {
+			t.Fatalf("spec %d: %v", i, parallel[i].Err)
+		}
+		if parallel[i].Stats.Cores != c || parallel[i] != serial[i] {
+			t.Errorf("result %d (%d cores) differs from the serial sweep's:\nparallel %+v\nserial   %+v", i, c, parallel[i], serial[i])
+		}
+		if fired[i] != 1 {
+			t.Errorf("done fired %d times for spec %d, want once", fired[i], i)
+		}
 	}
 }
 
