@@ -181,3 +181,107 @@ func TestTinyMachinePaths(t *testing.T) {
 		pin(t, flat, "4d8e1e7c620cc231")
 	})
 }
+
+// TestDirEvictionsGolden pins directory evictions on the Table-1 L3 and L4
+// geometries, which are too large for a single eager page. Four cores on
+// two chips work on two groups of lines. The 40 B lines lie one L4
+// set-stride apart, so they share one L3 set on each chip and one L4 set.
+// The 24 A lines lie one L3 set-stride apart, so they share another L3 set
+// but spread over eight L4 sets; only chip 1 touches them. The shared L3
+// sets and the L4 set overflow their 16 ways under a mix of private states:
+// core 0 keeps updating six B lines that its L2 holds, so their L3 entries
+// go stale and are evicted from under it. The full Stats of the MESI and MEUSI runs are
+// recorded in testdata/direvict_stats.json.
+func TestDirEvictionsGolden(t *testing.T) {
+	const nA, nB, rounds = 24, 40, 20
+	got := map[string]Stats{}
+	for _, p := range []Protocol{MESI, MEUSI} {
+		cfg := DefaultConfig(4, p)
+		cfg.CoresPerChip = 2
+		m := New(cfg)
+		l3, l4 := m.hier.chips[0].arr, m.hier.l4.arr
+		for _, a := range []*array[dirLine]{l3, l4} {
+			if (a.setMask+1)*uint64(a.ways) <= eagerSlots {
+				t.Fatalf("a directory of %d sets × %d ways fits one eager page", a.setMask+1, a.ways)
+			}
+		}
+		l3Stride, l4Stride := (l3.setMask+1)*64, (l4.setMask+1)*64
+		base := m.Alloc(nB*l4Stride, 64)
+		A := func(k int) uint64 { return base + 64 + uint64(k)*l3Stride }
+		B := func(k int) uint64 { return base + uint64(k)*l4Stride }
+		st := m.Run(func(c *Ctx) {
+			for r := 0; r < rounds; r++ {
+				switch c.Tid() {
+				case 0:
+					for k := 0; k < 6; k++ {
+						c.CommAdd64(B(k)+8, 1)
+					}
+					c.Load64(B(6 + r))
+				case 1:
+					for k := 6; k < nB; k++ {
+						c.Store64(B(k), uint64(r)<<8|uint64(k))
+					}
+				case 2:
+					for k := 0; k < nB; k += 2 {
+						c.CommAdd64(B(k)+8, 1)
+					}
+					for k := 0; k < nA; k++ {
+						c.Load64(A(k))
+					}
+				case 3:
+					for k := 0; k < nA; k++ {
+						c.CommAdd64(A(k)+8, 1)
+					}
+					for k := 1; k < nB; k += 3 {
+						c.Load64(B(k))
+					}
+				}
+				c.Barrier()
+			}
+		})
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		for k := 0; k < nB; k++ {
+			var word0, word1 uint64
+			if k >= 6 {
+				word0 = (rounds-1)<<8 | uint64(k)
+			} else {
+				word1 += rounds
+			}
+			if k%2 == 0 {
+				word1 += rounds
+			}
+			if g0, g1 := m.ReadWord64(B(k)), m.ReadWord64(B(k)+8); g0 != word0 || g1 != word1 {
+				t.Errorf("%s: B line %d holds (%#x, %d), want (%#x, %d)", p, k, g0, g1, word0, word1)
+			}
+		}
+		for k := 0; k < nA; k++ {
+			if g := m.ReadWord64(A(k) + 8); g != rounds {
+				t.Errorf("%s: A line %d holds %d, want %d", p, k, g, rounds)
+			}
+		}
+		// Only L3 and L4 evictions remove entries of the A lines from chip
+		// 1's L3 (no other chip touches them) and of the B lines from the
+		// L4. Both sets end full, after 24 and 40 lines passed through
+		// their 16 ways.
+		full := func(a *array[dirLine], addr uint64) {
+			set, n := (addr>>6)&a.setMask, 0
+			a.forEach(func(tag uint64, _ *dirLine) {
+				if tag&a.setMask == set {
+					n++
+				}
+			})
+			if n != a.ways {
+				t.Errorf("%s: set %d of a %d-set directory holds %d of %d ways", p, set, a.setMask+1, n, a.ways)
+			}
+		}
+		full(m.hier.chips[1].arr, A(0))
+		full(l4, B(0))
+		if st.MemBytes <= 64*st.MemAccs {
+			t.Errorf("%s: no dirty L4 eviction wrote back: %d B for %d accesses", p, st.MemBytes, st.MemAccs)
+		}
+		got[p.String()] = st
+	}
+	checkStatsGolden(t, "testdata/direvict_stats.json", got)
+}

@@ -180,11 +180,12 @@ func TestManyBarriers(t *testing.T) {
 	}
 }
 
-// updateWide regenerates testdata/wide_stats.json from the current engine.
-// Run `go test ./internal/sim -run TestSchedulerEquivalence -update` only when
-// a change is *supposed* to alter simulated timing; scheduler changes must
-// leave the file untouched.
-var updateWide = flag.Bool("update", false, "rewrite testdata/wide_stats.json from the current engine")
+// update regenerates the Stats goldens under testdata (wide_stats.json,
+// direvict_stats.json) from the current engine. Run `go test ./internal/sim
+// -run 'TestSchedulerEquivalence|TestDirEvictionsGolden' -update` only when
+// a change is *supposed* to alter simulated timing; scheduler and cache-array
+// changes must leave the files untouched.
+var update = flag.Bool("update", false, "rewrite the testdata/*_stats.json goldens from the current engine")
 
 const widePath = "testdata/wide_stats.json"
 
@@ -231,36 +232,42 @@ func TestSchedulerEquivalence(t *testing.T) {
 		}
 		got[key] = st
 	}
+	checkStatsGolden(t, widePath, got)
+}
 
-	if *updateWide {
+// checkStatsGolden compares got with the Stats recorded in the golden file
+// at path, or rewrites the file under -update.
+func checkStatsGolden(t *testing.T, path string, got map[string]Stats) {
+	t.Helper()
+	if *update {
 		data, err := json.MarshalIndent(got, "", "\t")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(widePath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(widePath, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d entries to %s", len(got), widePath)
+		t.Logf("wrote %d entries to %s", len(got), path)
 		return
 	}
 
-	data, err := os.ReadFile(widePath)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing %s (generate with -update): %v", widePath, err)
+		t.Fatalf("missing %s (generate with -update): %v", path, err)
 	}
 	var want map[string]Stats
 	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("corrupt %s: %v", widePath, err)
+		t.Fatalf("corrupt %s: %v", path, err)
 	}
 	if len(want) != len(got) {
-		t.Errorf("%s has %d entries, run produced %d", widePath, len(want), len(got))
+		t.Errorf("%s has %d entries, run produced %d", path, len(want), len(got))
 	}
 	for key, g := range got {
 		if w, ok := want[key]; !ok {
-			t.Errorf("%s: not in %s", key, widePath)
+			t.Errorf("%s: not in %s", key, path)
 		} else if g != w {
 			t.Errorf("%s: stats diverged from the recorded run\n got: %+v\nwant: %+v", key, g, w)
 		}
