@@ -3,7 +3,7 @@ package sim
 // Arena pools machine-sized scratch across Machine constructions, so a
 // sweep of many small simulations (the fig2 protocol sweep, the fig13
 // refcount grids) builds each distinct machine geometry once and then
-// recycles it, instead of re-allocating cache arrays, directory pages,
+// recycles it, instead of re-allocating cache arrays, directory blocks,
 // backing-store pages and bank tables for every spec.
 //
 // # Reset contract
@@ -16,13 +16,14 @@ package sim
 // New would have produced, with two deliberate exceptions that are
 // invisible to simulation results:
 //
-//   - lazily allocated array pages, backing-store pages and grown bank
-//     tables stay allocated (that is the point — their contents are
-//     cleared, their capacity is kept), and
+//   - the L3/L4 arrays' header groups, chunks and per-set blocks,
+//     backing-store pages and grown bank tables stay allocated (that is
+//     the point — their contents are cleared, their capacity is kept; a
+//     set's block keeps the size of the most ways it ever held), and
 //   - the partial-update buffer pools keep their high-water population.
 //
-// Neither affects timing or statistics: an allocated-but-empty page
-// behaves identically to an unallocated one, and table capacity never
+// Neither affects timing or statistics: an allocated-but-empty block or
+// page behaves identically to an unallocated one, and table capacity never
 // changes lookup results. TestArenaReuseIdentical pins this: stats from a
 // recycled machine are byte-identical to a fresh machine's, also when a
 // machine that ran a wide footprint is reused for a narrow one and the

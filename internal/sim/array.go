@@ -6,23 +6,43 @@ import "math/bits"
 // the per-line payload (private-cache coherence state, or directory state at
 // the shared levels).
 //
-// Layout is structure-of-arrays, paged: each page covers a power-of-two run
-// of sets and stores tags, LRU stamps and payloads in three parallel flat
-// slices. A lookup therefore scans only the 8 tag words of a set (one or
-// two cache lines) instead of dragging every way's full slot through the
-// cache, and a set access is two masks, a shift and a bounds-checked index.
-// Small geometries (every L1/L2, and the shrunk shared caches tests use)
-// are pre-sized as a single page, so their page-miss branch is never taken;
-// full-size Table 1 L3/L4 geometries allocate pages lazily, costing memory
-// only for the regions a workload touches.
+// Slots are stored structure-of-arrays: tags, LRU stamps and payloads in
+// three parallel slices of an arrayPage, with a set's ways contiguous. A
+// lookup therefore scans only a set's tag words instead of dragging every
+// way's full slot through the cache. There are two layouts:
+//
+//   - Dense, for small geometries (every L1/L2, and the shrunk shared
+//     caches tests use): one page, allocated at construction, holds every
+//     set at full associativity.
+//   - Sparse, for the full-size Table-1 L3 and L4: each set owns a block
+//     sized to the most ways it has held at once (1, 2, 4, … up to the
+//     associativity), cut from fixed-size chunks that never move. A header
+//     group per 64 sets, allocated on the group's first fill, locates each
+//     set's block. A fill into a full block of a set below its
+//     associativity doubles the block; every way keeps its position, and
+//     the old block goes to a free list for its size. The shared levels
+//     are nearly empty in every workload (almost every filled set holds
+//     one or two ways), so they cost memory, and a lookup costs tag
+//     compares, only for the ways sets actually hold.
+//
+// Both layouts choose the same ways. A fill takes the lowest empty way, so
+// a set's valid ways always lie below the most it has held, which its
+// block covers: the block's lowest empty way, or else the first way past
+// the block, is the way a full-width set would take. A victim is chosen
+// only once every way is valid, from the same LRU stamps.
 type array[P any] struct {
-	ways       int
-	setMask    uint64
-	setBits    uint   // log2(sets); tag = line >> setBits
-	pageShift  uint   // log2(sets per page)
-	pageSeMask uint64 // sets-per-page - 1
-	tick       uint64 // LRU clock
-	pages      []arrayPage[P]
+	ways    int
+	setMask uint64
+	setBits uint   // log2(sets); tag = line >> setBits
+	tick    uint64 // LRU clock
+	// dense holds every slot of a dense array. A sparse array leaves it
+	// empty and hands it out for sets that have no block yet.
+	dense arrayPage[P]
+	// Sparse layout; groups is nil in a dense array.
+	groups []*[64]setBlock // header group of sets 64g…64g+63, nil until one fills
+	chunks []arrayPage[P]  // block storage, chunkSlots slots each
+	used   int             // slots cut from the last chunk
+	free   [][]uint32      // freed blocks' base slots, by sizeClass
 	// touched has one bit per set, raised by every fill (insert, commit)
 	// and cleared only by reset. A set whose bit is clear holds no valid
 	// way, so reset and forEach cost what a run touched, not what the
@@ -30,34 +50,51 @@ type array[P any] struct {
 	touched []uint64
 }
 
-// arrayPage holds one page's slots as parallel slices. A tag word is the
-// line address with the set-index bits stripped (hardware-style) plus
-// validBit; zero means empty, and the payload of an empty way is always
-// the zero value. 32-bit tags keep a whole 16-way set's tags in a single
-// cache line; they are exact because simulated physical addresses are
-// bounded (Machine.Alloc caps the address space at 2^36 bytes, so
-// line >> setBits always fits 31 bits).
+// arrayPage holds slots as parallel slices. A tag word is the line address
+// with the set-index bits stripped (hardware-style) plus validBit; zero
+// means empty, and the LRU stamp and payload of an empty way are always
+// zero. 32-bit tags keep a whole 16-way set's tags in a single cache line;
+// they are exact because simulated physical addresses are bounded
+// (Machine.Alloc caps the address space at 2^36 bytes, so line >> setBits
+// always fits 31 bits).
 type arrayPage[P any] struct {
 	tags []uint32
 	lru  []uint64
 	pay  []P
 }
 
+func newPage[P any](n int) arrayPage[P] {
+	return arrayPage[P]{tags: make([]uint32, n), lru: make([]uint64, n), pay: make([]P, n)}
+}
+
+// setBlock locates a sparse set's block: its first slot, numbered across
+// all chunks (chunk index × chunkSlots + offset), and its size in ways,
+// zero until the set's first fill.
+type setBlock struct{ base, n uint32 }
+
 // validBit marks an occupied way inside a tag word.
 const validBit = 1 << 31
 
-// eagerSlots bounds the geometries (sets × ways) that are pre-sized as a
-// single page at construction. 4096 slots covers a Table-1 L2 (512 sets ×
-// 8 ways); the 32 MB L3 and 128 MB L4 page lazily.
+// eagerSlots bounds the geometries (sets × ways) that use the dense
+// layout. 4096 slots covers a Table-1 L2 (512 sets × 8 ways); the 32 MB L3
+// and 128 MB L4 are sparse.
 const eagerSlots = 4096
 
-// lazyPageSlots is the target page size (in slots) for lazily paged
-// geometries: big enough to amortize allocation, small enough that sparse
-// footprints do not overcommit.
-const lazyPageSlots = 1024
+// chunkSlots is the size of a sparse array's chunks: big enough to
+// amortize allocation, small enough that a small footprint does not
+// overcommit.
+const chunkSlots = 1024
+
+// A chunk holds a block of every associativity Config.Validate accepts.
+var _ [chunkSlots - maxWays]struct{}
+
+// maxWays is the largest associativity an array supports: a slot handle's
+// way field is 8 bits wide, and wayUnknown is not a way.
+const maxWays = int(wayUnknown)
 
 // newArray builds an array holding sizeBytes of 64-byte lines with the
-// given associativity. The set count is rounded down to a power of two.
+// given associativity (1 to maxWays). The set count is rounded down to a
+// power of two.
 func newArray[P any](sizeBytes, ways int) *array[P] {
 	lines := sizeBytes / 64
 	sets := lines / ways
@@ -70,48 +107,48 @@ func newArray[P any](sizeBytes, ways int) *array[P] {
 		p2 *= 2
 	}
 	a := &array[P]{ways: ways, setMask: uint64(p2 - 1), setBits: uint(bits.TrailingZeros(uint(p2)))}
-	pageSets := p2
-	if p2*ways > eagerSlots {
-		pageSets = 1
-		for pageSets*2*ways <= lazyPageSlots && pageSets*2 <= p2 {
-			pageSets *= 2
-		}
-	}
-	a.pageShift = uint(bits.TrailingZeros(uint(pageSets)))
-	a.pageSeMask = uint64(pageSets - 1)
-	a.pages = make([]arrayPage[P], p2/pageSets)
 	a.touched = make([]uint64, (p2+63)/64)
-	if pageSets == p2 {
-		a.allocPage(0)
+	if p2*ways <= eagerSlots {
+		a.dense = newPage[P](p2 * ways)
+	} else {
+		a.groups = make([]*[64]setBlock, (p2+63)/64)
+		a.free = make([][]uint32, sizeClass(uint64(ways))+1)
 	}
 	return a
 }
 
-// setAt returns the page and intra-page slot offset of line's set.
-func (a *array[P]) setAt(line uint64) (*arrayPage[P], uint64) {
-	i := line & a.setMask
-	pg := &a.pages[i>>a.pageShift]
-	if pg.tags == nil {
-		a.allocPage(i >> a.pageShift)
-	}
-	return pg, (i & a.pageSeMask) * uint64(a.ways)
+// sizeClass indexes the free lists by block size: ⌈log2 n⌉. Every size but
+// the last is a power of two, and the last (the associativity) is the only
+// one in its class.
+func sizeClass(n uint64) int { return bits.Len64(n - 1) }
+
+// setAt returns the page holding line's set, the offset of the set's way 0
+// in it, and the number of ways the set has slots for: the associativity
+// in a dense array, the block size (0 before the set's first fill) in a
+// sparse one.
+func (a *array[P]) setAt(line uint64) (*arrayPage[P], uint64, uint64) {
+	return a.slots(line & a.setMask)
 }
 
-// allocPage is the cold path of setAt: lazy page allocation for large
-// geometries.
-//
-//go:noinline
-func (a *array[P]) allocPage(pi uint64) {
-	n := (a.pageSeMask + 1) * uint64(a.ways)
-	a.pages[pi] = arrayPage[P]{tags: make([]uint32, n), lru: make([]uint64, n), pay: make([]P, n)}
+// slots is setAt by set index.
+func (a *array[P]) slots(s uint64) (*arrayPage[P], uint64, uint64) {
+	if a.groups == nil {
+		return &a.dense, s * uint64(a.ways), uint64(a.ways)
+	}
+	g := a.groups[s>>6]
+	if g == nil {
+		return &a.dense, 0, 0
+	}
+	b := g[s&63]
+	return &a.chunks[b.base/chunkSlots], uint64(b.base % chunkSlots), uint64(b.n)
 }
 
 // peek returns the payload of the way holding line without touching LRU
 // state.
 func (a *array[P]) peek(line uint64) *P {
-	pg, base := a.setAt(line)
+	pg, base, n := a.setAt(line)
 	key := uint32(line>>a.setBits) | validBit
-	tags := pg.tags[base : base+uint64(a.ways)]
+	tags := pg.tags[base : base+n]
 	for w := range tags {
 		if tags[w] == key {
 			return &pg.pay[base+uint64(w)]
@@ -123,26 +160,42 @@ func (a *array[P]) peek(line uint64) *P {
 // insert allocates a way for line, evicting the LRU way if the set is
 // full. It returns the new way's payload (zero value) and way index, plus
 // the victim's tag and payload if an eviction occurred. The caller must
-// not insert a line that is already present.
+// not insert a line that is already present. An insert may move the ways
+// of line's set (a sparse block grows), so no payload pointer into that
+// set survives it: callers re-derive theirs afterwards.
 func (a *array[P]) insert(line uint64) (p *P, victimTag uint64, victim P, evicted bool, way uint8) {
-	pg, base := a.setAt(line)
-	vi, vlru := -1, ^uint64(0)
-	for w := 0; w < a.ways; w++ {
-		t := pg.tags[base+uint64(w)]
-		if t&validBit == 0 {
-			vi = w
-			evicted = false
+	pg, base, n := a.setAt(line)
+	vi, vlru := n, ^uint64(0)
+	for w := uint64(0); w < n; w++ {
+		if pg.tags[base+w]&validBit == 0 {
+			vi, evicted = w, false
 			break
 		}
-		if s := pg.lru[base+uint64(w)]; s < vlru {
+		if s := pg.lru[base+w]; s < vlru {
 			vi, vlru = w, s
 			evicted = true
 		}
 	}
-	i := base + uint64(vi)
-	if evicted {
+	if evicted && n < uint64(a.ways) {
+		// A full block of a set below its associativity: the fill takes
+		// the first way past it.
+		vi, evicted = n, false
+	}
+	return a.fill(line, pg, base, n, vi, evicted)
+}
+
+// fill writes line into way w of its set, which setAt located at (pg,
+// base, n), and returns what insert returns. evict says the way holds the
+// victim; a way past the set's block first grows the block.
+func (a *array[P]) fill(line uint64, pg *arrayPage[P], base, n, w uint64, evict bool) (p *P, victimTag uint64, victim P, evicted bool, way uint8) {
+	if w >= n {
+		pg, base = a.grow(line&a.setMask, n)
+	}
+	i := base + w
+	if evict {
 		victimTag = uint64(pg.tags[i]&^validBit)<<a.setBits | (line & a.setMask)
 		victim = pg.pay[i]
+		evicted = true
 	}
 	a.tick++
 	var zero P
@@ -150,7 +203,56 @@ func (a *array[P]) insert(line uint64) (p *P, victimTag uint64, victim P, evicte
 	pg.lru[i] = a.tick
 	pg.pay[i] = zero
 	a.mark(line)
-	return &pg.pay[i], victimTag, victim, evicted, uint8(vi)
+	return &pg.pay[i], victimTag, victim, evicted, uint8(w)
+}
+
+// grow moves sparse set s from its block of n ways to one twice that size
+// (one way on the set's first fill, at most the associativity), keeping
+// every way at its position, and returns the new block's page and offset.
+// The old block is cleared and goes to its free list.
+//
+//go:noinline
+func (a *array[P]) grow(s, n uint64) (*arrayPage[P], uint64) {
+	g := a.groups[s>>6]
+	if g == nil {
+		g = new([64]setBlock)
+		a.groups[s>>6] = g
+	}
+	b := &g[s&63]
+	m := min(max(2*n, 1), uint64(a.ways))
+	nb := a.alloc(m)
+	pg, base := &a.chunks[nb/chunkSlots], uint64(nb%chunkSlots)
+	if n > 0 {
+		old, ob := &a.chunks[b.base/chunkSlots], uint64(b.base%chunkSlots)
+		copy(pg.tags[base:base+n], old.tags[ob:ob+n])
+		copy(pg.lru[base:base+n], old.lru[ob:ob+n])
+		copy(pg.pay[base:base+n], old.pay[ob:ob+n])
+		clear(old.tags[ob : ob+n])
+		clear(old.lru[ob : ob+n])
+		clear(old.pay[ob : ob+n])
+		c := sizeClass(n)
+		a.free[c] = append(a.free[c], b.base)
+	}
+	b.base, b.n = nb, uint32(m)
+	return pg, base
+}
+
+// alloc returns the first slot of an empty block of n ways: a freed block
+// of that size if there is one, else the next n slots of the last chunk,
+// or of a new chunk when the last one has fewer left.
+func (a *array[P]) alloc(n uint64) uint32 {
+	c := sizeClass(n)
+	if f := a.free[c]; len(f) > 0 {
+		a.free[c] = f[:len(f)-1]
+		return f[len(f)-1]
+	}
+	if len(a.chunks) == 0 || a.used+int(n) > chunkSlots {
+		a.chunks = append(a.chunks, newPage[P](chunkSlots))
+		a.used = 0
+	}
+	base := uint32((len(a.chunks)-1)*chunkSlots + a.used)
+	a.used += int(n)
+	return base
 }
 
 // mark records that line's set holds a valid way.
@@ -164,14 +266,14 @@ func (a *array[P]) mark(line uint64) {
 // have changed; it never reorders LRU decisions, because stored stamps are
 // untouched and future stamps only grow.
 func (a *array[P]) invalidate(line uint64) {
-	pg, base := a.setAt(line)
+	pg, base, n := a.setAt(line)
 	key := uint32(line>>a.setBits) | validBit
-	for w := 0; w < a.ways; w++ {
-		if pg.tags[base+uint64(w)] == key {
+	for i := base; i < base+n; i++ {
+		if pg.tags[i] == key {
 			var zero P
-			pg.tags[base+uint64(w)] = 0
-			pg.lru[base+uint64(w)] = 0
-			pg.pay[base+uint64(w)] = zero
+			pg.tags[i] = 0
+			pg.lru[i] = 0
+			pg.pay[i] = zero
 			a.tick++
 			return
 		}
@@ -180,17 +282,16 @@ func (a *array[P]) invalidate(line uint64) {
 
 // slotRef is a handle to one way of an array, captured by probe or
 // peekSlot and consumed together with the same line address. It stays
-// valid — the payload pointer and the staged victim choice remain exact —
-// until the array's tick changes (any hit, insert or invalidate);
-// consumers re-check the tick and fall back to a fresh scan when it
-// moved, so a stale handle can never change behaviour, only cost.
+// valid — the way and the staged victim choice remain exact — until the
+// array's tick changes (any hit, insert or invalidate); consumers re-check
+// the tick and fall back to a fresh scan when it moved, so a stale handle
+// can never change behaviour, only cost.
 //
 // The handle is one packed word so the hot paths that produce one but
 // rarely use it (every private-cache probe) pay a single register, not a
-// struct spill: [tick:32][slot:16][way:8][flags:8]. Slot indices fit 16
-// bits because pages hold at most eagerSlots (4096) slots; the truncated
-// tick is compared for equality only, and wrapping exactly 2^32 ticks
-// inside one directory transaction is impossible.
+// struct spill: [tick:32][way:8][flags:8]. The truncated tick is compared
+// for equality only, and wrapping exactly 2^32 ticks inside one directory
+// transaction is impossible.
 type slotRef = uint64
 
 const (
@@ -198,13 +299,11 @@ const (
 	slotEvict = 1 << 1 // staged miss in a full set: way holds the LRU victim
 )
 
-func packSlot(tick, idx uint64, way uint8, flags uint8) slotRef {
-	return uint64(uint32(tick))<<32 | idx<<16 | uint64(way)<<8 | uint64(flags)
+func packSlot(tick uint64, way uint8, flags uint8) slotRef {
+	return uint64(uint32(tick))<<32 | uint64(way)<<8 | uint64(flags)
 }
 
 func (a *array[P]) slotCurrent(h slotRef) bool { return uint32(h>>32) == uint32(a.tick) }
-
-func slotIdx(h slotRef) uint64 { return (h >> 16) & 0xFFFF }
 
 // slotWay returns the way index recorded in a probe/peekSlot handle.
 func slotWay(h slotRef) uint8 { return uint8(h >> 8) }
@@ -223,9 +322,9 @@ const wayUnknown = ^uint8(0)
 // a plain tag scan; LRU stamps are consulted only for a miss in a full
 // set, where insert would have read them anyway.
 func (a *array[P]) probe(line uint64) (*P, slotRef) {
-	pg, base := a.setAt(line)
+	pg, base, n := a.setAt(line)
 	key := uint32(line>>a.setBits) | validBit
-	tags := pg.tags[base : base+uint64(a.ways)]
+	tags := pg.tags[base : base+n]
 	empty := -1
 	for w := range tags {
 		t := tags[w]
@@ -233,48 +332,42 @@ func (a *array[P]) probe(line uint64) (*P, slotRef) {
 			i := base + uint64(w)
 			a.tick++
 			pg.lru[i] = a.tick
-			return &pg.pay[i], packSlot(a.tick, i, uint8(w), slotHit)
+			return &pg.pay[i], packSlot(a.tick, uint8(w), slotHit)
 		}
 		if empty < 0 && t&validBit == 0 {
 			empty = w
 		}
 	}
 	if empty >= 0 {
-		return nil, packSlot(a.tick, base+uint64(empty), uint8(empty), 0)
+		return nil, packSlot(a.tick, uint8(empty), 0)
+	}
+	if n < uint64(a.ways) {
+		// A full block of a set below its associativity: the fill takes
+		// the first way past it.
+		return nil, packSlot(a.tick, uint8(n), 0)
 	}
 	// Full set: pick the LRU way, exactly as insert would.
-	lru := pg.lru[base : base+uint64(a.ways)]
+	lru := pg.lru[base : base+n]
 	vi, vlru := 0, lru[0]
 	for w := 1; w < len(lru); w++ {
 		if s := lru[w]; s < vlru {
 			vi, vlru = w, s
 		}
 	}
-	return nil, packSlot(a.tick, base+uint64(vi), uint8(vi), slotEvict)
+	return nil, packSlot(a.tick, uint8(vi), slotEvict)
 }
 
 // commit completes the insertion staged by a missing probe of line. While
 // the array is untouched since the probe (the common case) it fills the
 // staged way directly; otherwise it falls back to a full insert, so the
-// result is always identical to calling insert fresh.
+// result is always identical to calling insert fresh. Like insert, it may
+// move the ways of line's set.
 func (a *array[P]) commit(line uint64, h slotRef) (p *P, victimTag uint64, victim P, evicted bool, way uint8) {
 	if h&slotHit != 0 || !a.slotCurrent(h) {
 		return a.insert(line)
 	}
-	pg, _ := a.setAt(line)
-	i := slotIdx(h)
-	if h&slotEvict != 0 {
-		victimTag = uint64(pg.tags[i]&^validBit)<<a.setBits | (line & a.setMask)
-		victim = pg.pay[i]
-		evicted = true
-	}
-	a.tick++
-	var zero P
-	pg.tags[i] = uint32(line>>a.setBits) | validBit
-	pg.lru[i] = a.tick
-	pg.pay[i] = zero
-	a.mark(line)
-	return &pg.pay[i], victimTag, victim, evicted, slotWay(h)
+	pg, base, n := a.setAt(line)
+	return a.fill(line, pg, base, n, uint64(slotWay(h)), h&slotEvict != 0)
 }
 
 // revalidate re-derives the payload pointer of a hit handle for line:
@@ -283,8 +376,8 @@ func (a *array[P]) commit(line uint64, h slotRef) (p *P, victimTag uint64, victi
 // peek.
 func (a *array[P]) revalidate(line uint64, h slotRef) *P {
 	if h&slotHit != 0 && a.slotCurrent(h) {
-		pg, _ := a.setAt(line)
-		return &pg.pay[slotIdx(h)]
+		pg, base, _ := a.setAt(line)
+		return &pg.pay[base+uint64(slotWay(h))]
 	}
 	return a.peek(line)
 }
@@ -295,8 +388,8 @@ func (a *array[P]) revalidate(line uint64, h slotRef) *P {
 // most one way per line), so stale or unknown hints cost one extra scan
 // and can never change the result.
 func (a *array[P]) peekAt(line uint64, way uint8) *P {
-	if uint64(way) < uint64(a.ways) {
-		pg, base := a.setAt(line)
+	pg, base, n := a.setAt(line)
+	if uint64(way) < n {
 		i := base + uint64(way)
 		if pg.tags[i] == uint32(line>>a.setBits)|validBit {
 			return &pg.pay[i]
@@ -308,13 +401,12 @@ func (a *array[P]) peekAt(line uint64, way uint8) *P {
 // peekSlot is peek returning a handle to the hit way, so a following
 // invalidateAt avoids rescanning the set.
 func (a *array[P]) peekSlot(line uint64) (*P, slotRef) {
-	pg, base := a.setAt(line)
+	pg, base, n := a.setAt(line)
 	key := uint32(line>>a.setBits) | validBit
-	tags := pg.tags[base : base+uint64(a.ways)]
+	tags := pg.tags[base : base+n]
 	for w := range tags {
 		if tags[w] == key {
-			i := base + uint64(w)
-			return &pg.pay[i], packSlot(a.tick, i, uint8(w), slotHit)
+			return &pg.pay[base+uint64(w)], packSlot(a.tick, uint8(w), slotHit)
 		}
 	}
 	return nil, 0
@@ -330,8 +422,8 @@ func (a *array[P]) invalidateAt(line uint64, h slotRef) {
 		a.invalidate(line)
 		return
 	}
-	pg, _ := a.setAt(line)
-	i := slotIdx(h)
+	pg, base, _ := a.setAt(line)
+	i := base + uint64(slotWay(h))
 	var zero P
 	pg.tags[i] = 0
 	pg.lru[i] = 0
@@ -339,19 +431,20 @@ func (a *array[P]) invalidateAt(line uint64, h slotRef) {
 	a.tick++
 }
 
-// reset returns the array to its post-newArray state while keeping every
-// allocated page for reuse (the arena's zero-on-reuse contract). Only the
-// sets marked in touched can hold a valid way, and within them only
-// occupied ways need clearing: insert and invalidate maintain the
-// invariant that an empty way's tag, LRU stamp and payload are all zero.
-// visit, when non-nil, sees each valid way's payload just before the way
-// is cleared, in forEach's order.
+// reset returns the array to its post-newArray state while keeping its
+// storage for reuse (the arena's zero-on-reuse contract): the dense page,
+// or a sparse array's header groups, chunks and every set's block, whose
+// size only ever grows. Only the sets marked in touched can hold a valid
+// way, and within them only occupied ways need clearing: insert and
+// invalidate maintain the invariant that an empty way's tag, LRU stamp and
+// payload are all zero. visit, when non-nil, sees each valid way's payload
+// just before the way is cleared, in forEach's order.
 func (a *array[P]) reset(visit func(p *P)) {
 	var zero P
 	for wi, w := range a.touched {
 		for ; w != 0; w &= w - 1 {
-			_, pg, base := a.markedSet(wi, w)
-			for i := base; i < base+uint64(a.ways); i++ {
+			_, pg, base, n := a.markedSet(wi, w)
+			for i := base; i < base+n; i++ {
 				if pg.tags[i] != 0 {
 					if visit != nil {
 						visit(&pg.pay[i])
@@ -373,8 +466,8 @@ func (a *array[P]) reset(visit func(p *P)) {
 func (a *array[P]) forEach(f func(tag uint64, p *P)) {
 	for wi, w := range a.touched {
 		for ; w != 0; w &= w - 1 {
-			set, pg, base := a.markedSet(wi, w)
-			for i := base; i < base+uint64(a.ways); i++ {
+			set, pg, base, n := a.markedSet(wi, w)
+			for i := base; i < base+n; i++ {
 				if t := pg.tags[i]; t&validBit != 0 {
 					f(uint64(t&^validBit)<<a.setBits|set, &pg.pay[i])
 				}
@@ -384,9 +477,10 @@ func (a *array[P]) forEach(f func(tag uint64, p *P)) {
 }
 
 // markedSet returns the lowest set still marked in touched word wi (w
-// holds the word's bits not yet visited), with its page and the set's
-// slot offset in that page.
-func (a *array[P]) markedSet(wi int, w uint64) (set uint64, pg *arrayPage[P], base uint64) {
+// holds the word's bits not yet visited), with its slots as setAt returns
+// them.
+func (a *array[P]) markedSet(wi int, w uint64) (set uint64, pg *arrayPage[P], base, n uint64) {
 	set = uint64(wi)<<6 | uint64(bits.TrailingZeros64(w))
-	return set, &a.pages[set>>a.pageShift], (set & a.pageSeMask) * uint64(a.ways)
+	pg, base, n = a.slots(set)
+	return set, pg, base, n
 }

@@ -2,19 +2,19 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
-// slotScan lists every valid way of a by reading every slot of every
-// allocated page, in set-major order: the reference that forEach, which
+// slotScan lists every valid way of a by reading the slots of every set,
+// filled or not, in set-major order: the reference that forEach, which
 // reads only the sets its bitmap marks, must match.
 func slotScan[P any](a *array[P]) (lines []uint64, pays []*P) {
-	for pi := range a.pages {
-		pg := &a.pages[pi]
-		for i, t := range pg.tags {
-			if t&validBit != 0 {
-				set := uint64(pi)<<a.pageShift + uint64(i)/uint64(a.ways)
-				lines = append(lines, uint64(t&^validBit)<<a.setBits|set)
+	for s := uint64(0); s <= a.setMask; s++ {
+		pg, base, n := a.slots(s)
+		for i := base; i < base+n; i++ {
+			if t := pg.tags[i]; t&validBit != 0 {
+				lines = append(lines, uint64(t&^validBit)<<a.setBits|s)
 				pays = append(pays, &pg.pay[i])
 			}
 		}
@@ -33,7 +33,7 @@ func checkForEach(t *testing.T, a *array[int], step string) {
 		gotLines = append(gotLines, tag)
 		gotPays = append(gotPays, p)
 	})
-	if fmt.Sprint(gotLines) != fmt.Sprint(wantLines) {
+	if !slices.Equal(gotLines, wantLines) {
 		t.Fatalf("%s: forEach yields lines %#x, slot scan finds %#x", step, gotLines, wantLines)
 	}
 	for i := range gotPays {
@@ -43,11 +43,13 @@ func checkForEach(t *testing.T, a *array[int], step string) {
 	}
 }
 
-// checkReset fails unless every tag, LRU stamp and payload of every
-// allocated page is zero and no set is marked.
+// checkReset fails unless every tag, LRU stamp and payload the array
+// stores is zero — the dense page, or every chunk of a sparse array: its
+// blocks in use, its freed blocks and the uncut tail — no set is marked
+// and the clock is back at zero.
 func checkReset(t *testing.T, a *array[int], step string) {
 	t.Helper()
-	for pi, pg := range a.pages {
+	for pi, pg := range append([]arrayPage[int]{a.dense}, a.chunks...) {
 		for i := range pg.tags {
 			if pg.tags[i] != 0 || pg.lru[i] != 0 || pg.pay[i] != 0 {
 				t.Fatalf("%s: page %d slot %d holds tag %#x, lru %d, payload %d after reset", step, pi, i, pg.tags[i], pg.lru[i], pg.pay[i])
@@ -64,100 +66,276 @@ func checkReset(t *testing.T, a *array[int], step string) {
 	}
 }
 
-// TestArrayTouchedSets drives arrays through random probe, commit,
-// insert, invalidate, invalidateAt and reset steps and checks the touched
-// bitmap after each one: forEach must see exactly what a full slot scan
-// sees, in the same order, and reset must leave every slot zero. The two
-// geometries are a small eager 8-way array and a shrunk, lazily paged
-// 16-way array whose lines land in a few sets spread over its pages, so
-// most pages stay unallocated.
+// refArray is the reference model of array: every set a plain slice of
+// its ways, each holding a full line address. A fill takes the lowest
+// empty way or, once every way is valid, the way with the oldest LRU
+// stamp; the clock advances on every hit, fill and invalidation.
+type refArray struct {
+	ways  int
+	nsets uint64
+	slots []refWay // set s is slots[s*ways : (s+1)*ways]
+	tick  uint64
+}
+
+type refWay struct {
+	line, lru uint64
+	pay       int
+	valid     bool
+}
+
+func newRefArray(nsets uint64, ways int) *refArray {
+	return &refArray{ways: ways, nsets: nsets, slots: make([]refWay, nsets*uint64(ways))}
+}
+
+func (r *refArray) set(line uint64) []refWay {
+	s := line % r.nsets
+	return r.slots[s*uint64(r.ways) : (s+1)*uint64(r.ways)]
+}
+
+// find returns the way holding line, or -1.
+func (r *refArray) find(line uint64) int {
+	for w, x := range r.set(line) {
+		if x.valid && x.line == line {
+			return w
+		}
+	}
+	return -1
+}
+
+// victim returns the way a fill of line takes and whether that evicts.
+func (r *refArray) victim(line uint64) (int, bool) {
+	ws := r.set(line)
+	for w := range ws {
+		if !ws[w].valid {
+			return w, false
+		}
+	}
+	v := 0
+	for w := range ws {
+		if ws[w].lru < ws[v].lru {
+			v = w
+		}
+	}
+	return v, true
+}
+
+// insert fills line and returns its way and the way's previous content.
+func (r *refArray) insert(line uint64) (int, refWay) {
+	w, _ := r.victim(line)
+	ws := r.set(line)
+	old := ws[w]
+	r.tick++
+	ws[w] = refWay{line: line, lru: r.tick, valid: true}
+	return w, old
+}
+
+func (r *refArray) invalidate(line uint64) {
+	if w := r.find(line); w >= 0 {
+		r.set(line)[w] = refWay{}
+		r.tick++
+	}
+}
+
+// contents lists the valid ways' lines and payloads in set-major order.
+func (r *refArray) contents() (lines []uint64, pays []int) {
+	for _, x := range r.slots {
+		if x.valid {
+			lines = append(lines, x.line)
+			pays = append(pays, x.pay)
+		}
+	}
+	return lines, pays
+}
+
+// TestArrayTouchedSets drives random probe, commit, insert, invalidate,
+// invalidateAt, peekAt and reset steps into an array and into refArray,
+// which knows nothing of layouts. Every step must return the same hits,
+// staged and filled ways, victims and payloads; afterwards forEach must
+// yield the model's lines in the model's order, a full slot scan must
+// agree with forEach, which reads only the sets the touched bitmap marks,
+// and reset must leave every stored slot zero. The eager case is a dense
+// 8-way array on one page. The lazy cases are sparse 16- and 12-way
+// arrays: half of their lines crowd five hot sets, whose blocks grow to
+// the full associativity and then evict, and half spread thinly over the
+// first 256 sets, whose first fills reuse the blocks that growth frees.
+// Sets 256-510 stay empty, so their header groups are never allocated.
 func TestArrayTouchedSets(t *testing.T) {
 	cases := []struct {
-		name string
-		a    *array[int]
-		sets []uint64 // the sets the steps' lines fall in
-		tags uint64   // distinct tags per set: more than ways, so sets overflow
+		name   string
+		a      *array[int]
+		hot    []uint64 // sets that overflow
+		cold   uint64   // lines also fall in sets [0, cold), 3 tags each
+		sparse bool
 	}{
-		{name: "eager-8way", a: newArray[int](16*8*64, 8), sets: []uint64{0, 1, 2, 5, 9, 15}, tags: 12},
-		{name: "lazy-16way", a: newArray[int](512*16*64, 16), sets: []uint64{0, 63, 64, 200, 511}, tags: 20},
+		{name: "eager-8way", a: newArray[int](16*8*64, 8), hot: []uint64{0, 1, 2, 5, 9, 15}, cold: 16},
+		{name: "lazy-16way", a: newArray[int](512*16*64, 16), hot: []uint64{0, 63, 64, 200, 511}, cold: 256, sparse: true},
+		{name: "lazy-12way", a: newArray[int](512*12*64, 12), hot: []uint64{0, 63, 64, 200, 511}, cold: 256, sparse: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := tc.a
-			if lazy := len(a.pages) > 1; lazy != (tc.name == "lazy-16way") {
-				t.Fatalf("geometry has %d pages; the case needs it eager or lazy as named", len(a.pages))
+			if sparse := a.groups != nil; sparse != tc.sparse {
+				t.Fatalf("sparse layout %v, the case needs %v", sparse, tc.sparse)
 			}
 			nsets := a.setMask + 1
+			ref := newRefArray(nsets, a.ways)
 			r := newRNG(7)
-			line := func() uint64 { return r.intn(tc.tags)*nsets + tc.sets[r.intn(uint64(len(tc.sets)))] }
+			line := func() uint64 {
+				if r.intn(2) == 0 {
+					return r.intn(2*uint64(a.ways))*nsets + tc.hot[r.intn(uint64(len(tc.hot)))]
+				}
+				return r.intn(3)*nsets + r.intn(tc.cold)
+			}
 			var pending uint64 // a line whose missing probe staged a fill
 			var pendH slotRef
 			hasPending := false
-			fills := 0
-			for step := 0; step < 4000; step++ {
-				var what string
-				switch op := r.intn(100); {
-				case op < 30:
-					ln := line()
-					p, h := a.probe(ln)
-					what = fmt.Sprintf("probe %#x", ln)
-					if p == nil {
-						pending, pendH, hasPending = ln, h, true
+			fills, evictions, reuses := 0, 0, 0
+			grownTo := map[uint64]bool{}
+			// fill checks one insert or commit of ln against the model and
+			// stamps the new way's payload.
+			fill := func(what string, ln uint64, do func() (*int, uint64, int, bool, uint8)) {
+				t.Helper()
+				_, _, n0 := a.setAt(ln)
+				free := make([]int, len(a.free))
+				for c, f := range a.free {
+					free[c] = len(f)
+				}
+				p, vtag, vp, ev, way := do()
+				w, old := ref.insert(ln)
+				if int(way) != w || ev != old.valid || ev && (vtag != old.line || vp != old.pay) {
+					t.Fatalf("%s: way %d, evicted %v (line %#x, payload %d); the model fills way %d over %+v", what, way, ev, vtag, vp, w, old)
+				}
+				*p = fills + 1
+				ref.set(ln)[w].pay = *p
+				fills++
+				if ev {
+					evictions++
+				}
+				if _, _, n := a.setAt(ln); n != n0 {
+					grownTo[n] = true
+				}
+				for c, f := range a.free {
+					if len(f) < free[c] {
+						reuses++
 					}
-				case op < 55:
-					if !hasPending || a.peek(pending) != nil {
+				}
+			}
+			for step := 0; step < 6000; step++ {
+				var what string
+				switch op := r.intn(1000); {
+				case op < 300:
+					ln := line()
+					what = fmt.Sprintf("step %d: probe %#x", step, ln)
+					p, h := a.probe(ln)
+					if w := ref.find(ln); w >= 0 {
+						ref.tick++
+						ref.set(ln)[w].lru = ref.tick
+						if p == nil || *p != ref.set(ln)[w].pay || h&slotHit == 0 || int(slotWay(h)) != w {
+							t.Fatalf("%s: got (%v, %#x), the model hits way %d", what, p, h, w)
+						}
+						break
+					}
+					w, ev := ref.victim(ln)
+					if p != nil || h&slotHit != 0 || int(slotWay(h)) != w || (h&slotEvict != 0) != ev {
+						t.Fatalf("%s: got (%v, %#x), the model misses and stages way %d (evict %v)", what, p, h, w, ev)
+					}
+					pending, pendH, hasPending = ln, h, true
+				case op < 550:
+					if !hasPending || ref.find(pending) >= 0 {
 						hasPending = false
 						continue
 					}
-					p, _, _, _, _ := a.commit(pending, pendH)
-					*p = step + 1
-					what, hasPending = fmt.Sprintf("commit %#x", pending), false
-					fills++
-				case op < 75:
+					what, hasPending = fmt.Sprintf("step %d: commit %#x", step, pending), false
+					fill(what, pending, func() (*int, uint64, int, bool, uint8) { return a.commit(pending, pendH) })
+				case op < 800:
 					ln := line()
-					if a.peek(ln) != nil {
+					if ref.find(ln) >= 0 {
 						continue
 					}
-					p, _, _, _, _ := a.insert(ln)
-					*p = step + 1
-					what = fmt.Sprintf("insert %#x", ln)
-					fills++
-				case op < 85:
+					what = fmt.Sprintf("step %d: insert %#x", step, ln)
+					fill(what, ln, func() (*int, uint64, int, bool, uint8) { return a.insert(ln) })
+				case op < 860:
 					ln := line()
+					what = fmt.Sprintf("step %d: invalidate %#x", step, ln)
 					a.invalidate(ln)
-					what = fmt.Sprintf("invalidate %#x", ln)
-				case op < 98:
+					ref.invalidate(ln)
+				case op < 920:
 					ln := line()
-					_, h := a.peekSlot(ln)
+					what = fmt.Sprintf("step %d: invalidateAt %#x", step, ln)
+					p, h := a.peekSlot(ln)
+					if w := ref.find(ln); (p != nil) != (w >= 0) || w >= 0 && (*p != ref.set(ln)[w].pay || int(slotWay(h)) != w) {
+						t.Fatalf("%s: peekSlot got (%v, %#x), the model finds way %d", what, p, h, w)
+					}
 					if r.intn(2) == 0 {
 						a.tick++ // a stale handle takes the rescan path
+						ref.tick++
 					}
 					a.invalidateAt(ln, h)
-					what = fmt.Sprintf("invalidateAt %#x", ln)
+					ref.invalidate(ln)
+				case op < 998:
+					ln := line()
+					way := uint8(r.intn(uint64(a.ways) + 2))
+					if way > uint8(a.ways) {
+						way = wayUnknown
+					}
+					what = fmt.Sprintf("step %d: peekAt %#x way %d", step, ln, way)
+					p := a.peekAt(ln, way)
+					if p != a.peek(ln) {
+						t.Fatalf("%s: got %v, peek finds %v", what, p, a.peek(ln))
+					}
+					if w := ref.find(ln); (p != nil) != (w >= 0) || w >= 0 && *p != ref.set(ln)[w].pay {
+						t.Fatalf("%s: got %v, the model finds way %d", what, p, w)
+					}
 				default:
+					what, hasPending = fmt.Sprintf("step %d: reset", step), false
 					var want, got []int
 					a.forEach(func(_ uint64, p *int) { want = append(want, *p) })
 					a.reset(func(p *int) { got = append(got, *p) })
-					what, hasPending = "reset", false
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("step %d: reset visits payloads %v, forEach saw %v", step, got, want)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: visits payloads %v, forEach saw %v", what, got, want)
 					}
-					checkReset(t, a, fmt.Sprintf("step %d: reset", step))
+					clear(ref.slots)
+					ref.tick = 0
+					checkReset(t, a, what)
 				}
-				checkForEach(t, a, fmt.Sprintf("step %d: %s", step, what))
+				var lines []uint64
+				var pays []int
+				a.forEach(func(tag uint64, p *int) {
+					lines = append(lines, tag)
+					pays = append(pays, *p)
+				})
+				wantLines, wantPays := ref.contents()
+				if !slices.Equal(lines, wantLines) || !slices.Equal(pays, wantPays) {
+					t.Fatalf("%s: forEach yields %#x %v, the model holds %#x %v", what, lines, pays, wantLines, wantPays)
+				}
+				if a.tick != ref.tick {
+					t.Fatalf("%s: tick %d, the model's %d", what, a.tick, ref.tick)
+				}
+				checkForEach(t, a, what)
 			}
-			if fills < 1000 {
-				t.Fatalf("only %d fills in 4000 steps", fills)
+			if fills < 1000 || evictions < 50 {
+				t.Fatalf("only %d fills and %d evictions in 6000 steps", fills, evictions)
 			}
-			if len(a.pages) > 1 {
+			if tc.sparse {
+				for n := uint64(1); ; n = min(2*n, uint64(a.ways)) {
+					if !grownTo[n] {
+						t.Errorf("no block grew to %d ways", n)
+					}
+					if n == uint64(a.ways) {
+						break
+					}
+				}
+				if reuses == 0 {
+					t.Error("no fill reused a freed block")
+				}
 				allocated := 0
-				for _, pg := range a.pages {
-					if pg.tags != nil {
+				for _, g := range a.groups {
+					if g != nil {
 						allocated++
 					}
 				}
-				if allocated == len(a.pages) {
-					t.Errorf("all %d pages allocated; the lines should leave some untouched", allocated)
+				if allocated == len(a.groups) {
+					t.Errorf("all %d header groups allocated; the lines should leave some untouched", allocated)
 				}
 			}
 			a.reset(nil)

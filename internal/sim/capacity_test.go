@@ -183,15 +183,15 @@ func TestTinyMachinePaths(t *testing.T) {
 }
 
 // TestDirEvictionsGolden pins directory evictions on the Table-1 L3 and L4
-// geometries, which are too large for a single eager page. Four cores on
-// two chips work on two groups of lines. The 40 B lines lie one L4
-// set-stride apart, so they share one L3 set on each chip and one L4 set.
-// The 24 A lines lie one L3 set-stride apart, so they share another L3 set
-// but spread over eight L4 sets; only chip 1 touches them. The shared L3
-// sets and the L4 set overflow their 16 ways under a mix of private states:
-// core 0 keeps updating six B lines that its L2 holds, so their L3 entries
-// go stale and are evicted from under it. The full Stats of the MESI and MEUSI runs are
-// recorded in testdata/direvict_stats.json.
+// geometries, which use the sparse array layout. Four cores on two chips
+// work on two groups of lines. The 40 B lines lie one L4 set-stride apart,
+// so they share one L3 set on each chip and one L4 set; every round sends
+// all of them through the L4 set's 16 ways, so L4 evictions recall lines
+// that both chips hold in M, S and (under MEUSI) U. The 24 A lines lie one
+// L3 set-stride apart, so they share another L3 set but spread over eight
+// L4 sets; only chip 1 touches them, so its L3 set evicts them itself. The
+// full Stats of the MESI and MEUSI runs are recorded in
+// testdata/direvict_stats.json.
 func TestDirEvictionsGolden(t *testing.T) {
 	const nA, nB, rounds = 24, 40, 20
 	got := map[string]Stats{}
@@ -201,8 +201,8 @@ func TestDirEvictionsGolden(t *testing.T) {
 		m := New(cfg)
 		l3, l4 := m.hier.chips[0].arr, m.hier.l4.arr
 		for _, a := range []*array[dirLine]{l3, l4} {
-			if (a.setMask+1)*uint64(a.ways) <= eagerSlots {
-				t.Fatalf("a directory of %d sets × %d ways fits one eager page", a.setMask+1, a.ways)
+			if a.groups == nil {
+				t.Fatalf("a directory of %d sets × %d ways is dense", a.setMask+1, a.ways)
 			}
 		}
 		l3Stride, l4Stride := (l3.setMask+1)*64, (l4.setMask+1)*64

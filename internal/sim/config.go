@@ -47,13 +47,14 @@
 // run ahead — operations below that horizon are serviced inline in
 // Ctx.exec or Ctx.post with no coroutine switch at all (a single-core
 // machine runs its whole kernel that way); the cache and directory arrays
-// store 31-bit hardware-style tags structure-of-arrays in lazily allocated
-// pages; and the backing memory image is a two-level paged table with
-// lines embedded by value. The loser tree is the only scheduler: it covers
-// every machine the package can build, because the hierarchy tracks
-// sharers in uint64 bitvectors — one bit per chip at the L4 directory, one
-// per core at each L3 — which caps a machine at 64 chips of 64 cores
-// (4096). See README.md for measured throughput.
+// store 31-bit hardware-style tags structure-of-arrays, the private caches
+// in one page each and the full-size L3 and L4 in per-set blocks sized to
+// the most ways each set has held; and the backing memory image is a
+// two-level paged table with lines embedded by value. The loser tree is
+// the only scheduler: it covers every machine the package can build,
+// because the hierarchy tracks sharers in uint64 bitvectors — one bit per
+// chip at the L4 directory, one per core at each L3 — which caps a machine
+// at 64 chips of 64 cores (4096). See README.md for measured throughput.
 //
 // The simulator substitutes for zsim (Sanchez & Kozyrakis, ISCA'13), which
 // the paper used. It models the Table 1 memory system in detail and a core
@@ -178,11 +179,13 @@ type Config struct {
 	AtomicOverhead uint64
 
 	// Cache geometry. Sizes are in bytes; defaults are the unscaled Table 1
-	// organization (cache arrays are lazily allocated per set, so full-size
-	// geometry costs memory only for the sets a workload touches). Using the
-	// real capacities keeps the key working sets — histograms, bitmaps,
-	// counter pools — in the same fits-in-L2/L3 regimes as the paper even
-	// though input streams are scaled down.
+	// organization. The L3 and L4 arrays give each set storage for only the
+	// most ways it has held at once, so full-size geometry costs memory for
+	// the lines a workload keeps, not for the capacity. Using the real
+	// capacities keeps the key working sets — histograms, bitmaps, counter
+	// pools — in the same fits-in-L2/L3 regimes as the paper even though
+	// input streams are scaled down. Associativity is at most 255 at every
+	// level.
 	//
 	// Together with Cores/CoresPerChip and the bank/channel counts below,
 	// these fields form the geometry key an Arena pools machines under
@@ -299,6 +302,9 @@ func (c *Config) Validate() error {
 	} {
 		if g.size < 64*g.ways || g.ways < 1 {
 			return fmt.Errorf("sim: bad %s geometry (%dB, %d ways)", g.name, g.size, g.ways)
+		}
+		if g.ways > maxWays {
+			return fmt.Errorf("sim: %s associativity must be <= %d (the width of a way index), got %d", g.name, maxWays, g.ways)
 		}
 	}
 	if c.L3Banks < 1 || c.L4Banks < 1 || c.MemChannels < 1 {

@@ -126,10 +126,10 @@ func TestBackingPaged(t *testing.T) {
 }
 
 // TestArrayLazyEvictTagRoundTrip pins the 31-bit hardware-style tag
-// reconstruction on a lazily paged geometry: evicting from a far set must
-// return the victim's full line address.
+// reconstruction on a sparse geometry: evicting from a far set must return
+// the victim's full line address.
 func TestArrayLazyEvictTagRoundTrip(t *testing.T) {
-	a := newArray[int](32<<20, 16) // Table-1 L3 geometry: lazily paged
+	a := newArray[int](32<<20, 16) // Table-1 L3 geometry: sparse
 	sets := a.setMask + 1
 	base := uint64(0x3F00_0000) >> 6  // a large line address
 	base -= base & a.setMask          // align to set 0

@@ -37,6 +37,18 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("zero ways must be invalid")
 	}
+	widestWays := cfg
+	widestWays.L4Size, widestWays.L4Ways = 64*maxWays, maxWays
+	if err := widestWays.Validate(); err != nil {
+		t.Errorf("a %d-way L4 must be valid: %v", maxWays, err)
+	}
+	for i, ways := range []*int{&bad.L1Ways, &bad.L2Ways, &bad.L3Ways, &bad.L4Ways} {
+		bad = cfg
+		*ways = maxWays + 1
+		if bad.Validate() == nil {
+			t.Errorf("a %d-way L%d must be invalid: a way index addresses %d ways", maxWays+1, i+1, maxWays)
+		}
+	}
 	bad = cfg
 	bad.Cores, bad.CoresPerChip = 128, 128
 	if bad.Validate() == nil {
