@@ -17,26 +17,9 @@
 // byte-identical at any setting. The one exception is fig8, which drives
 // the model checker serially and reports measured wall-clock per cell —
 // its time column varies between any two runs (states and verdicts don't).
-//
-// Sharded sweeps split one run across processes (or CI jobs):
-//
-//	coupbench -exp all -shard 1/4 -store res/   # run shard 1 of 4, spill to res/
-//	coupbench -exp all -merge res/              # verify coverage, emit tables
-//
-// A shard process runs only its round-robin slice of every grid,
-// journalling each completed spec to a per-experiment result store
-// (fsync'd JSON, so a killed shard resumes where it left off instead of
-// recomputing). -merge loads every shard store, verifies each spec is
-// present exactly once (missing or duplicated specs are listed by key),
-// and renders tables byte-identical to a single-process run. Stores are
-// guarded by a fingerprint of (scale, reps, maxcores), so shards and
-// merges across different parameterizations never mix. Experiments with
-// wall-clock columns (fig8, figsw, figsvc) cannot shard and are skipped
-// in these modes.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -45,8 +28,6 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/stats"
-	"repro/pkg/coup"
 	"repro/pkg/obs"
 )
 
@@ -61,21 +42,10 @@ func main() {
 		csvDir   = flag.String("csv", "", "directory to write CSV outputs into")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		progress = flag.Bool("progress", false, "report live sweep progress (specs done, arena warm-hit rate, worker busy time) on stderr every 2s")
-		shard    = flag.String("shard", "", "run only shard k of n ('k/n', 1-based) of every grid, spilling results to -store; no tables are printed")
-		store    = flag.String("store", "", "result-store directory for -shard")
-		merge    = flag.String("merge", "", "merge shard result stores from this directory into tables (verifies exactly-once coverage; runs nothing)")
 	)
 	flag.Parse()
 	if *parallel < 0 {
 		fmt.Fprintln(os.Stderr, "coupbench: -parallel must be >= 0")
-		os.Exit(2)
-	}
-	if *shard != "" && *merge != "" {
-		fmt.Fprintln(os.Stderr, "coupbench: -shard and -merge are mutually exclusive")
-		os.Exit(2)
-	}
-	if *shard != "" && *store == "" {
-		fmt.Fprintln(os.Stderr, "coupbench: -shard needs -store DIR")
 		os.Exit(2)
 	}
 
@@ -123,115 +93,26 @@ func main() {
 		}
 	}
 
-	// Job plumbing for the sharded modes. One job serves every
-	// experiment; SetNamespace scopes it to each experiment's stores.
-	var job *coup.SweepJob
-	printTables := true
-	switch {
-	case *shard != "":
-		k, n, err := coup.ParseShard(*shard)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "coupbench: %v\n", err)
-			os.Exit(2)
-		}
-		if err := os.MkdirAll(*store, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "coupbench: %v\n", err)
-			os.Exit(1)
-		}
-		job, err = coup.NewShardJob(*store, p.Fingerprint(), k, n)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "coupbench: %v\n", err)
-			os.Exit(2)
-		}
-		// A shard's points are unaggregated (foreign shards own the
-		// rest), so its tables would be misleading.
-		printTables = n == 1
-	case *merge != "":
-		job = coup.NewMergeJob(*merge, p.Fingerprint())
-	}
-
-	failed := false
 	for _, e := range toRun {
-		if job != nil && !e.Shardable {
-			fmt.Fprintf(os.Stderr, "coupbench: skipping %s: wall-clock experiment cannot shard; run it in a single process\n", e.ID)
-			continue
-		}
 		start := time.Now()
 		fmt.Printf("### %s — %s\n", e.ID, e.Desc)
-		if job != nil {
-			if err := job.SetNamespace(e.ID); err != nil {
-				fmt.Fprintf(os.Stderr, "coupbench: %s: %v\n", e.ID, err)
-				os.Exit(1)
-			}
-			p.Job = job
-		}
-		tables, err := runExperiment(e, p)
-		if err != nil {
-			// Coverage failures list every missing/duplicated spec key; a
-			// partial merge must not render partial tables as results.
-			fmt.Fprintf(os.Stderr, "coupbench: %s: %v\n", e.ID, err)
-			var cov *coup.CoverageError
-			if errors.As(err, &cov) {
-				failed = true
-				continue
-			}
-			os.Exit(1)
-		}
-		if printTables {
-			for i, t := range tables {
-				fmt.Println(t.String())
-				if *csvDir != "" {
-					if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-						fmt.Fprintf(os.Stderr, "coupbench: %v\n", err)
-						os.Exit(1)
-					}
-					name := fmt.Sprintf("%s_%d.csv", e.ID, i)
-					path := filepath.Join(*csvDir, name)
-					if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
-						fmt.Fprintf(os.Stderr, "coupbench: %v\n", err)
-						os.Exit(1)
-					}
+		for i, t := range e.Run(p) {
+			fmt.Println(t.String())
+			if *csvDir != "" {
+				if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+					fmt.Fprintf(os.Stderr, "coupbench: %v\n", err)
+					os.Exit(1)
 				}
-			}
-		}
-		if job != nil {
-			// The job report surfaces panicked specs (done-with-error):
-			// they are stored and counted like completions, but their
-			// stats are zero and must never pass silently.
-			rep := job.Report()
-			fmt.Printf("[%s]\n", rep)
-			if len(rep.Panicked) > 0 || len(rep.Failed) > 0 {
-				failed = true
+				name := fmt.Sprintf("%s_%d.csv", e.ID, i)
+				path := filepath.Join(*csvDir, name)
+				if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
+					fmt.Fprintf(os.Stderr, "coupbench: %v\n", err)
+					os.Exit(1)
+				}
 			}
 		}
 		fmt.Printf("(%s in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
-	if job != nil {
-		if err := job.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "coupbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if failed {
-		os.Exit(1)
-	}
-}
-
-// runExperiment runs one experiment, converting the harness's panics —
-// including sweep-job failures like *coup.CoverageError, which grid.run
-// rethrows as wrapped error values — back into errors the CLI can
-// report per experiment.
-func runExperiment(e exp.Experiment, p exp.Params) (tables []*stats.Table, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			re, ok := r.(error)
-			if !ok {
-				panic(r)
-			}
-			err = re
-		}
-	}()
-	return e.Run(p), nil
 }
 
 // startProgress launches the stderr progress reporter over the sweep

@@ -38,25 +38,6 @@ type Params struct {
 	// never bites in practice. Progress affects telemetry only, never
 	// results.
 	Progress *obs.Registry
-	// Job, when non-nil, routes every grid sweep through the shard/
-	// resume/merge job model: a shard job runs only its round-robin slice
-	// of each grid (spilling results to its store, leaving the rest zero
-	// and the tables unaggregated), a merge job resolves every grid from
-	// the shard stores and yields the same tables a single-process run
-	// produces. Only Shardable experiments honor it — the harness must
-	// set the job's namespace to the experiment id before Run. Grids are
-	// enumerated identically with or without a Job, so shard membership
-	// and store keys are stable across processes.
-	Job *coup.SweepJob
-}
-
-// Fingerprint digests every Params field that changes the enumerated
-// specs — scale, reps, the core cap — for guarding SweepJob stores: a
-// store recorded at one parameterization never resumes or merges into
-// another. Parallel, Progress and Job are excluded; they never change
-// results.
-func (p Params) Fingerprint() string {
-	return fmt.Sprintf("scale=%g,reps=%d,maxcores=%d", p.Scale, p.Reps, p.MaxCores)
 }
 
 // DefaultParams returns the full-run parameters.
@@ -99,28 +80,16 @@ func (p Params) coreSweep() []int {
 	return out
 }
 
-// Experiment is one registered, named experiment. Shardable experiments
-// derive every data point from deterministic simulation grids, so their
-// sweeps can be partitioned across processes and merged (Params.Job);
-// the rest measure wall-clock behavior or run serial model checks, which
-// only make sense in one process.
+// Experiment is one registered, named experiment.
 type Experiment struct {
-	ID        string
-	Desc      string
-	Shardable bool
-	Run       func(p Params) []*stats.Table
+	ID   string
+	Desc string
+	Run  func(p Params) []*stats.Table
 }
 
 var registry []Experiment
 
 func register(id, desc string, run func(p Params) []*stats.Table) {
-	registry = append(registry, Experiment{ID: id, Desc: desc, Shardable: true, Run: run})
-}
-
-// registerSerial registers an experiment that cannot shard: its results
-// come from wall-clock measurement or serial exploration rather than a
-// deterministic simulation grid.
-func registerSerial(id, desc string, run func(p Params) []*stats.Table) {
 	registry = append(registry, Experiment{ID: id, Desc: desc, Run: run})
 }
 
@@ -187,13 +156,12 @@ func newGrid(p Params) *grid {
 }
 
 // add registers one data point — reps seeded runs of w's workload under
-// proto on cores — and returns the point run will fill in. Specs are
-// registry-keyed (workload name + params, never a closure), so every
-// grid spec has a durable content hash (coup.SpecKey) and sweeps can
-// shard, resume and merge across processes. A point whose specs equal a
-// registered point's is that point: a grid simulates each distinct spec
-// once, so a figure's 1-core baseline and the 1-core end of its core
-// sweep share one run.
+// proto on cores — and returns the point run will fill in. A point whose
+// specs equal a registered point's is that point: a grid simulates each
+// distinct spec once, so a figure's 1-core baseline and the 1-core end
+// of its core sweep share one run. Specs name their workload from the
+// registry, never by closure, so coup.SpecKey can hash them: equal
+// specs match however their options are spelled.
 func (g *grid) add(w wl, cores int, proto string, extra ...coup.Option) *point {
 	specs := make([]coup.RunSpec, g.reps)
 	for r := range specs {
@@ -232,7 +200,7 @@ var (
 	sweepers  = map[int]*coup.Sweeper{}
 )
 
-func sharedSweep(p Params, specs []coup.RunSpec) ([]coup.SweepResult, bool) {
+func sharedSweep(p Params, specs []coup.RunSpec) []coup.SweepResult {
 	sweeperMu.Lock()
 	defer sweeperMu.Unlock()
 	s, ok := sweepers[p.Parallel]
@@ -251,32 +219,18 @@ func sharedSweep(p Params, specs []coup.RunSpec) ([]coup.SweepResult, bool) {
 		}
 		sweepers[p.Parallel] = s
 	}
-	if p.Job != nil {
-		res, complete, err := p.Job.Sweep(s, specs)
-		if err != nil {
-			// Panic with the error value itself so harnesses that recover
-			// can still errors.As into *coup.CoverageError etc.
-			panic(fmt.Errorf("exp: sweep job: %w", err))
-		}
-		return res, complete
-	}
-	return s.Run(specs), true
+	return s.Run(specs)
 }
 
 // run fans the accumulated specs out across the worker pool and aggregates
 // per point. It panics on any failed run (an experiment must not silently
-// report results from a broken run). Under a shard job the sweep may be
-// incomplete — foreign shards own some specs — in which case aggregation
-// is skipped: points stay zero and the harness suppresses table output.
+// report results from a broken run).
 func (g *grid) run() {
-	results, complete := sharedSweep(g.p, g.specs)
+	results := sharedSweep(g.p, g.specs)
 	for i, res := range results {
 		if res.Err != nil {
 			panic(fmt.Sprintf("exp: sweep spec %d of %d: %v", i, len(results), res.Err))
 		}
-	}
-	if !complete {
-		return
 	}
 	for pi, pt := range g.pts {
 		cycles := make([]float64, g.reps)
@@ -330,7 +284,7 @@ func measure(w wl, cores int, proto string, p Params, extra ...coup.Option) poin
 // wl names a registered workload plus the parameters it runs with. Grids
 // are built from wl values rather than factory closures so every spec
 // carries its workload by registry name — the representation coup.SpecKey
-// can hash, which is what makes sweeps shardable and resumable.
+// can hash, which is what lets grid.add find repeated points.
 type wl struct {
 	name string
 	wp   coup.WorkloadParams

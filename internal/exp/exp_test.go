@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/pkg/coup"
@@ -150,119 +148,30 @@ func TestTablesIdenticalSerialVsParallel(t *testing.T) {
 	}
 }
 
-// TestShardMergeTablesIdentical is the sharding contract end to end:
-// running an experiment as four shard processes-worth of jobs (each
-// spilling its slice to a result store) and then merging must render
-// tables byte-identical to a plain single-process run. It also pins that
-// the wall-clock experiments are the exact non-Shardable set.
-func TestShardMergeTablesIdentical(t *testing.T) {
-	wallClock := map[string]bool{"fig8": true, "figsw": true, "figsvc": true}
-	for _, e := range All() {
-		if e.Shardable == wallClock[e.ID] {
-			t.Errorf("experiment %s: Shardable=%v, want %v", e.ID, e.Shardable, !wallClock[e.ID])
-		}
-	}
-
-	p := Params{Scale: 0.01, Reps: 2, MaxCores: 8}
-	ids := []string{"fig2", "traffic"}
-	if !testing.Short() {
-		ids = ids[:0]
-		for _, e := range All() {
-			if e.Shardable {
-				ids = append(ids, e.ID)
-			}
-		}
-	}
-	render := func(job *coup.SweepJob) map[string]string {
-		out := map[string]string{}
-		for _, id := range ids {
-			e, _ := ByID(id)
-			if job != nil {
-				if err := job.SetNamespace(id); err != nil {
-					t.Fatalf("%s: %v", id, err)
-				}
-			}
-			pp := p
-			pp.Job = job
-			var s string
-			for _, tb := range e.Run(pp) {
-				s += tb.String() + "\n"
-			}
-			out[id] = s
-		}
-		if job != nil {
-			if err := job.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return out
-	}
-
-	want := render(nil)
-	dir := t.TempDir()
-	const shards = 4
-	for k := 0; k < shards; k++ {
-		job, err := coup.NewShardJob(dir, p.Fingerprint(), k, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		render(job) // shard mode: tables are unaggregated, ignored
-	}
-	got := render(coup.NewMergeJob(dir, p.Fingerprint()))
-	for _, id := range ids {
-		if got[id] != want[id] {
-			t.Errorf("%s: merged tables differ from single-process run:\n--- single ---\n%s--- merged ---\n%s",
-				id, want[id], got[id])
-		}
-	}
-}
-
-// TestGridsSimulateEachSpecOnce: no shardable experiment simulates one
-// spec twice. coup.SpecKeys gives a repeated spec a "#j" ordinal suffix,
-// so a 1/1 shard job over every shardable experiment must store no such
-// key, at the quick parameters and at the nightly sweep's scale 0.02,
-// where small inputs round onto each other.
+// TestGridsSimulateEachSpecOnce: a grid simulates each distinct spec
+// once. grid.add hands back the registered point for a point the grid
+// already holds, however its protocol and options are spelled, and adds
+// no specs for it; a point that differs in one more option is a point of
+// its own.
 func TestGridsSimulateEachSpecOnce(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every shardable experiment twice")
+	p := tinyParams()
+	p.Reps = 2
+	w := histWorkload(p, 64, "hist")
+	g := newGrid(p)
+	base := g.add(w, 4, "MEUSI")
+	slow := g.add(w, 4, "MEUSI", coup.WithReductionALU(16, 16), coup.WithFlatReductions(false))
+	if again := g.add(w, 4, "meusi", coup.WithFlatReductions(false), coup.WithReductionALU(16, 16)); again != slow {
+		t.Error("the same point with its protocol case and option order changed got a point of its own")
 	}
-	nightly := BenchParams()
-	nightly.Scale, nightly.Reps = 0.02, 2
-	for _, p := range []Params{BenchParams(), nightly} {
-		dir := t.TempDir()
-		job, err := coup.NewShardJob(dir, p.Fingerprint(), 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range All() {
-			if !e.Shardable {
-				continue
-			}
-			if err := job.SetNamespace(e.ID); err != nil {
-				t.Fatal(err)
-			}
-			pp := p
-			pp.Job = job
-			e.Run(pp)
-		}
-		if err := job.Close(); err != nil {
-			t.Fatal(err)
-		}
-		stores, err := filepath.Glob(filepath.Join(dir, "*.json"))
-		if err != nil || len(stores) == 0 {
-			t.Fatalf("no result stores in %s (%v)", dir, err)
-		}
-		for _, path := range stores {
-			_, recs, err := coup.ReadResultStore(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs {
-				if strings.Contains(r.Key, "#") {
-					t.Errorf("%s: %s: spec %s simulated more than once", p.Fingerprint(), filepath.Base(path), r.Key)
-				}
-			}
-		}
+	if again := g.add(w, 4, "Meusi"); again != base {
+		t.Error("the same point with its protocol case changed got a point of its own")
+	}
+	flat := g.add(w, 4, "MEUSI", coup.WithFlatReductions(true))
+	if flat == base || flat == slow {
+		t.Error("a point with one more option shares another point's specs")
+	}
+	if want := 3 * g.reps; len(g.pts) != 3 || len(g.specs) != want {
+		t.Errorf("grid holds %d points and %d specs, want 3 points and %d specs", len(g.pts), len(g.specs), want)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	registerSerial("fig8", "exhaustive verification cost of 2- and 3-level MESI/MEUSI vs cores and #commutative ops", fig8)
+	register("fig8", "exhaustive verification cost of 2- and 3-level MESI/MEUSI vs cores and #commutative ops", fig8)
 	register("sec55", "sensitivity to reduction unit throughput (256-bit pipelined vs 64-bit unpipelined ALU)", sec55)
 	register("traffic", "Sec 5.2 off-chip traffic reduction of COUP over MESI at max cores", trafficExp)
 	register("table2", "Table 2/Sec 5.2: per-application op types, sequential run time, commutative-op fraction", table2)

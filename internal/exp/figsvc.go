@@ -12,7 +12,7 @@ import (
 )
 
 func init() {
-	registerSerial("figsvc",
+	register("figsvc",
 		"coupd service closed loop: in-process pkg/commute next to batched-HTTP coupd on the same Zipf traffic, plus the server's own reduce-latency telemetry",
 		figsvc)
 }

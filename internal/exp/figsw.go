@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	registerSerial("figsw",
+	register("figsw",
 		"software-vs-simulation cross-validation: pkg/commute on the real machine next to MESI-vs-MEUSI on the simulator, same workload shapes",
 		figsw)
 }

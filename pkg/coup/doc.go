@@ -60,25 +60,6 @@
 //     stay warm across Run calls. Invalid parallelism is a typed error,
 //     ErrInvalidParallelism.
 //
-//   - Job: the multi-process layer over Sweep. Because every spec is
-//     independent and seeded, a sweep can be partitioned across
-//     processes (or machines, or CI jobs) and reassembled exactly.
-//     ShardIndices deterministically round-robins a spec list into shard
-//     k of n; SpecKey gives each registry-named spec a durable content
-//     hash (workload, protocol, cores, seed, workload params — not its
-//     spelling); a ResultStore journals one JSON record per completed
-//     spec, fsync'd, tolerating a torn final line so a killed process
-//     resumes from its last completed spec instead of recomputing.
-//     SweepJob ties them together: a shard job (NewShardJob) runs and
-//     journals only its own slice, a merge job (NewMergeJob) verifies
-//     the union of stores covers every spec exactly once — missing or
-//     duplicated specs become a typed *CoverageError listing offenders —
-//     and rehydrates results byte-identical to a single-process sweep.
-//     Specs that fail or panic still count as done ("done-with-error"):
-//     they are journalled, never re-run on resume, and surfaced in the
-//     JobReport so zero stats can't silently pass as results. cmd/coupbench
-//     is the reference consumer (-shard k/n -store dir, -merge dir).
-//
 // # Quickstart
 //
 // Run a registered workload by name under two protocols and compare:

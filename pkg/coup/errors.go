@@ -26,18 +26,6 @@ var (
 	// WithParallelism(n) with n < 1. It wraps ErrInvalidOption, so callers
 	// matching the broader sentinel keep working.
 	ErrInvalidParallelism = fmt.Errorf("%w: invalid parallelism", ErrInvalidOption)
-	// ErrInvalidShard is returned by ShardIndices/ParseShard for shard
-	// coordinates outside 0 <= k < n (or unparseable "k/n" syntax).
-	ErrInvalidShard = errors.New("invalid shard")
-	// ErrSpecUnkeyed is returned by SpecKey for a RunSpec whose identity
-	// cannot be derived (a Make closure with no explicit Key); such specs
-	// cannot participate in store-backed sweeps.
-	ErrSpecUnkeyed = errors.New("spec has no durable key")
-	// ErrStoreMismatch is returned when opening or merging a result store
-	// whose header (namespace, fingerprint, shard coordinates) does not
-	// match what the job expects — results from a different grid or
-	// parameterization never silently mix.
-	ErrStoreMismatch = errors.New("result store mismatch")
 )
 
 // unknownNameError formats "unknown X "name" (have: a, b, c)" wrapping the

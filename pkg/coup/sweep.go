@@ -2,6 +2,7 @@ package coup
 
 import (
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"slices"
 	"sync"
@@ -26,23 +27,48 @@ type RunSpec struct {
 	Make func() (Workload, error)
 	// Options configure the machine, as in Run.
 	Options []Option
-	// Key overrides the spec's durable identity in result stores and
-	// merge coverage (see SpecKey). Registry specs derive a content hash
-	// automatically and can leave it empty; Make specs participating in
-	// store-backed sweeps must set it. Plain Sweep ignores it.
-	Key string
+}
+
+// SpecKey returns a content key for a registry-named spec: a hash over
+// everything that determines the run's results — the resolved workload
+// name, the protocol name, the full machine configuration and the
+// workload parameters. Two specs that would produce identical stats get
+// the same key no matter how their option lists are spelled, and any
+// change to a knob changes the key, so a caller can find the repeats in
+// a spec list before sweeping it. The key identifies a spec within one
+// process; it is not a format to store. A spec built around a Make
+// closure has no content to hash and is an ErrInvalidOption.
+func SpecKey(s RunSpec) (string, error) {
+	if s.Make != nil {
+		return "", fmt.Errorf("coup: %w: RunSpec with a Make closure has no content key", ErrInvalidOption)
+	}
+	if s.Workload == "" {
+		return "", fmt.Errorf("coup: %w: RunSpec needs Workload or Make", ErrInvalidOption)
+	}
+	info, err := LookupWorkload(s.Workload)
+	if err != nil {
+		return "", err
+	}
+	b, err := newBuilder(s.Options)
+	if err != nil {
+		return "", err
+	}
+	// Hash the protocol by name, not numeric id, so keys do not depend on
+	// the protocol table's order.
+	cfg := b.cfg
+	proto := cfg.Protocol.String()
+	cfg.Protocol = 0
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%s|%+v|%+v", info.Name, proto, cfg, b.wp)
+	return fmt.Sprintf("%s-%016x", info.Name, h.Sum64()), nil
 }
 
 // SweepResult pairs one spec's stats with its error. As with Run, Stats
 // may hold partial results even when Err is non-nil (e.g. a validation
-// failure after a completed simulation). Panicked distinguishes the
-// recovered-panic flavor of Err (a workload factory or kernel panic) so
-// store-backed sweeps and merge coverage can surface those specs
-// explicitly rather than passing their zero stats off as results.
+// failure after a completed simulation).
 type SweepResult struct {
-	Stats    Stats
-	Err      error
-	Panicked bool
+	Stats Stats
+	Err   error
 }
 
 // sweepConfig carries sweep-level knobs.
@@ -95,9 +121,10 @@ func WithSweepMetrics(reg *obs.Registry) SweepOption {
 // than one worker, specs start in descending order of core count (ties
 // in input order), so a sweep's largest machines, usually its longest
 // simulations, start first, and the last spec to start is a small one
-// instead of a large one that leaves the other workers idle. A Sweeper is safe for sequential reuse, not for
-// concurrent Run calls (the per-worker arenas are single-threaded by
-// design).
+// instead of a large one that leaves the other workers idle.
+//
+// A Sweeper is safe for sequential reuse, not for concurrent Run calls
+// (the per-worker arenas are single-threaded by design).
 type Sweeper struct {
 	parallelism int
 	arenas      []*sim.Arena // one per worker slot
@@ -143,38 +170,20 @@ func NewSweeper(opts ...SweepOption) (*Sweeper, error) {
 
 // Run executes every spec on its own isolated machine, fanning the runs
 // out across the Sweeper's worker pool, largest machines first, and
-// returns one result per spec in input order. Failures — bad specs,
-// option errors, validation failures, even panics out of a workload
-// factory or kernel — are captured as that spec's Err; one broken run
-// never takes down the sweep.
+// returns one result per spec in input order. The serial path (one
+// worker, or one spec) runs the specs in input order. Failures — bad
+// specs, option errors, validation failures, even panics out of a
+// workload factory or kernel — are captured as that spec's Err; one
+// broken run never takes down the sweep.
 func (s *Sweeper) Run(specs []RunSpec) []SweepResult {
-	return s.RunEach(specs, nil)
-}
-
-// RunEach is Run with a completion callback: done(i, r) fires once per
-// spec as its result lands, before Run returns, so callers can spill
-// results durably (the SweepJob result store) while the sweep is still
-// in flight — an interrupted sweep then keeps everything finished so
-// far. done fires in completion order, which is neither input order nor,
-// with several workers, dispatch order; i is the spec's input index. The
-// serial path (one worker, or one spec) runs specs in input order. done
-// may be called concurrently from worker goroutines and must be safe for
-// that. A nil done makes RunEach identical to Run.
-func (s *Sweeper) RunEach(specs []RunSpec, done func(i int, r SweepResult)) []SweepResult {
 	out := make([]SweepResult, len(specs))
-	finish := func(i int, r SweepResult) {
-		out[i] = r
-		if done != nil {
-			done(i, r)
-		}
-	}
 	workers := s.parallelism
 	if workers > len(specs) {
 		workers = len(specs)
 	}
 	if workers <= 1 {
 		for i := range specs {
-			finish(i, s.runCounted(0, specs[i]))
+			out[i] = s.runCounted(0, specs[i])
 		}
 		return out
 	}
@@ -185,7 +194,7 @@ func (s *Sweeper) RunEach(specs []RunSpec, done func(i int, r SweepResult)) []Sw
 		go func(w int) {
 			defer wg.Done()
 			for i := range idx {
-				finish(i, s.runCounted(w, specs[i]))
+				out[i] = s.runCounted(w, specs[i])
 			}
 		}(w)
 	}
@@ -222,10 +231,8 @@ func largestFirst(specs []RunSpec) []int {
 //
 // "Done" deliberately includes failures: a spec that errored — or
 // panicked and was recovered — counts in coup_sweep_specs_total exactly
-// like a clean run, and the result store records it the same way
-// (done-with-error). The counter, the store and the merge coverage
-// report therefore always agree on how many specs finished;
-// TestSweepPanickedSpecIsDone pins this.
+// like a clean run, so the counter always reaches the number of specs
+// swept; TestSweepMetrics pins this.
 func (s *Sweeper) runCounted(w int, spec RunSpec) SweepResult {
 	a := s.arenas[w]
 	if s.specsDone == nil {
@@ -267,7 +274,6 @@ func runSpec(arena *sim.Arena, s RunSpec) (res SweepResult) {
 			} else {
 				res.Err = fmt.Errorf("coup: sweep run panicked: %v", r)
 			}
-			res.Panicked = true
 		}
 	}()
 	switch {

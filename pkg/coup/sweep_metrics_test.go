@@ -9,12 +9,20 @@ import (
 // TestSweepMetrics pins the progress-metrics contract: a metered sweep
 // publishes one spec completion per spec, busy time, and arena pool
 // stats whose warm+cold total equals the machines built — while results
-// stay identical to an unmetered sweep.
+// stay identical to an unmetered sweep. A spec that fails or panics is
+// done like any other: it counts in coup_sweep_specs_total, and its
+// neighbours' results do not move.
 func TestSweepMetrics(t *testing.T) {
 	var specs []RunSpec
 	for i := 0; i < 6; i++ {
 		specs = append(specs, counterSpec(2, uint64(i+1)))
 	}
+	healthy := len(specs)
+	// Neither broken spec gets as far as building a machine.
+	specs = append(specs,
+		RunSpec{Make: func() (Workload, error) { panic("factory bug") }},
+		RunSpec{Workload: "no-such-workload", Options: []Option{WithCores(2)}},
+	)
 
 	reg := obs.NewRegistry()
 	s, err := NewSweeper(WithParallelism(2), WithSweepMetrics(reg))
@@ -27,6 +35,12 @@ func TestSweepMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range specs {
+		if i >= healthy {
+			if metered[i].Err == nil || bare[i].Err == nil {
+				t.Errorf("broken spec %d did not fail: metered=%v bare=%v", i, metered[i].Err, bare[i].Err)
+			}
+			continue
+		}
 		if metered[i].Err != nil || bare[i].Err != nil {
 			t.Fatalf("spec %d errored: metered=%v bare=%v", i, metered[i].Err, bare[i].Err)
 		}
@@ -43,8 +57,8 @@ func TestSweepMetrics(t *testing.T) {
 	}
 	warm := reg.Counter("coup_sweep_arena_warm_total", "").Value()
 	cold := reg.Counter("coup_sweep_arena_cold_total", "").Value()
-	if warm+cold != int64(len(specs)) {
-		t.Errorf("arena warm+cold = %d+%d, want %d machine constructions", warm, cold, len(specs))
+	if warm+cold != int64(healthy) {
+		t.Errorf("arena warm+cold = %d+%d, want %d machine constructions", warm, cold, healthy)
 	}
 	if cold < 1 {
 		t.Errorf("arena cold = %d, want >= 1 (first build per worker is always cold)", cold)
@@ -64,8 +78,8 @@ func TestSweepMetrics(t *testing.T) {
 	warm = reg.Counter("coup_sweep_arena_warm_total", "").Value()
 	cold = reg.Counter("coup_sweep_arena_cold_total", "").Value()
 	idle := int64(s.parallelism) - coldBefore
-	if cold-coldBefore > idle || warm-warmBefore != int64(len(specs))-(cold-coldBefore) {
+	if cold-coldBefore > idle || warm-warmBefore != int64(healthy)-(cold-coldBefore) {
 		t.Errorf("reused sweep warm+cold = %d+%d, want %d with at most %d cold (workers idle in the first run)",
-			warm-warmBefore, cold-coldBefore, len(specs), idle)
+			warm-warmBefore, cold-coldBefore, healthy, idle)
 	}
 }

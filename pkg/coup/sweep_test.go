@@ -147,6 +147,59 @@ func TestSweepMakeSpecs(t *testing.T) {
 	}
 }
 
+// TestSpecKeyContent pins the content-hash contract: keys depend on what
+// the spec runs, not how it is spelled; any knob change changes the key.
+func TestSpecKeyContent(t *testing.T) {
+	base := RunSpec{
+		Workload: "hist",
+		Options: []Option{
+			WithCores(4),
+			WithProtocol("MEUSI"),
+			WithSeed(3),
+			WithWorkloadParams(WorkloadParams{Size: 100, Bins: 16}),
+		},
+	}
+	k1, err := SpecKey(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Same content, different spelling: reordered options, case-folded
+	// names.
+	respelled := RunSpec{
+		Workload: "HIST",
+		Options: []Option{
+			WithWorkloadParams(WorkloadParams{Size: 100, Bins: 16}),
+			WithSeed(3),
+			WithProtocol("meusi"),
+			WithCores(4),
+		},
+	}
+	if k2, _ := SpecKey(respelled); k2 != k1 {
+		t.Errorf("respelled spec hashes differently: %s vs %s", k1, k2)
+	}
+	// Any knob change must change the key.
+	variants := map[string]RunSpec{
+		"cores": {Workload: "hist", Options: []Option{WithCores(8), WithProtocol("MEUSI"), WithSeed(3), WithWorkloadParams(WorkloadParams{Size: 100, Bins: 16})}},
+		"proto": {Workload: "hist", Options: []Option{WithCores(4), WithProtocol("MESI"), WithSeed(3), WithWorkloadParams(WorkloadParams{Size: 100, Bins: 16})}},
+		"seed":  {Workload: "hist", Options: []Option{WithCores(4), WithProtocol("MEUSI"), WithSeed(4), WithWorkloadParams(WorkloadParams{Size: 100, Bins: 16})}},
+		"wp":    {Workload: "hist", Options: []Option{WithCores(4), WithProtocol("MEUSI"), WithSeed(3), WithWorkloadParams(WorkloadParams{Size: 100, Bins: 32})}},
+		"wl":    {Workload: "counter", Options: []Option{WithCores(4), WithProtocol("MEUSI"), WithSeed(3), WithWorkloadParams(WorkloadParams{Size: 100, Bins: 16})}},
+	}
+	for what, s := range variants {
+		kv, err := SpecKey(s)
+		if err != nil {
+			t.Fatalf("%s variant: %v", what, err)
+		}
+		if kv == k1 {
+			t.Errorf("changing %s did not change the key %s", what, k1)
+		}
+	}
+	// A Make closure has no content to hash.
+	if _, err := SpecKey(RunSpec{Make: func() (Workload, error) { return nil, nil }}); !errors.Is(err, ErrInvalidOption) {
+		t.Errorf("Make spec: err=%v, want ErrInvalidOption", err)
+	}
+}
+
 // TestSweepDispatchLargestFirst: a parallel sweep starts its largest
 // machines first, so the last spec to start is a small one, while each
 // result still lands at its input index and equals the serial sweep's.
@@ -184,12 +237,7 @@ func TestSweepDispatchLargestFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fired := make([]int, len(specs))
-	parallel := s.RunEach(specs, func(i int, _ SweepResult) {
-		mu.Lock()
-		fired[i]++
-		mu.Unlock()
-	})
+	parallel := s.Run(specs)
 	// The two workers take the 16- and 8-core specs first; which of the
 	// two calls its factory first is up to the scheduler.
 	if first := slices.Sorted(slices.Values(started[:2])); !slices.Equal(first, []int{3, 5}) {
@@ -201,9 +249,6 @@ func TestSweepDispatchLargestFirst(t *testing.T) {
 		}
 		if parallel[i].Stats.Cores != c || parallel[i] != serial[i] {
 			t.Errorf("result %d (%d cores) differs from the serial sweep's:\nparallel %+v\nserial   %+v", i, c, parallel[i], serial[i])
-		}
-		if fired[i] != 1 {
-			t.Errorf("done fired %d times for spec %d, want once", fired[i], i)
 		}
 	}
 }
