@@ -232,7 +232,7 @@ func largestFirst(specs []RunSpec) []int {
 // "Done" deliberately includes failures: a spec that errored — or
 // panicked and was recovered — counts in coup_sweep_specs_total exactly
 // like a clean run, so the counter always reaches the number of specs
-// swept; TestSweepMetrics pins this.
+// swept; TestSweepMetrics and TestSweepPanickedSpecIsDone pin this.
 func (s *Sweeper) runCounted(w int, spec RunSpec) SweepResult {
 	a := s.arenas[w]
 	if s.specsDone == nil {

@@ -1,6 +1,7 @@
 package coup
 
 import (
+	"errors"
 	"testing"
 
 	"repro/pkg/obs"
@@ -81,5 +82,65 @@ func TestSweepMetrics(t *testing.T) {
 	if cold-coldBefore > idle || warm-warmBefore != int64(healthy)-(cold-coldBefore) {
 		t.Errorf("reused sweep warm+cold = %d+%d, want %d with at most %d cold (workers idle in the first run)",
 			warm-warmBefore, cold-coldBefore, healthy, idle)
+	}
+}
+
+// TestSweepPanickedSpecIsDone pins the done-with-error contract for
+// panics: a kernel that panics mid-run and a factory that panics are
+// each recovered into that spec's Err, count in coup_sweep_specs_total
+// exactly like a clean run, and move neither their neighbours' results
+// nor, on a second Run, the results of the workers that recovered them.
+func TestSweepPanickedSpecIsDone(t *testing.T) {
+	specs := []RunSpec{
+		counterSpec(2, 1),
+		{
+			Make:    func() (Workload, error) { return &faultyKernel{panicWith: errors.New("kernel bug")}, nil },
+			Options: []Option{WithCores(2)},
+		},
+		counterSpec(2, 2),
+		{Make: func() (Workload, error) { panic("factory bug") }},
+		counterSpec(2, 3),
+	}
+	panics := map[int]string{
+		1: "coup: sweep run panicked: kernel bug",
+		3: "coup: sweep run panicked: factory bug",
+	}
+
+	reg := obs.NewRegistry()
+	s, err := NewSweeper(WithParallelism(2), WithSweepMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 2; run++ {
+		res := s.Run(specs)
+		for i, spec := range specs {
+			if msg, ok := panics[i]; ok {
+				if res[i].Err == nil || res[i].Err.Error() != msg {
+					t.Errorf("run %d spec %d: err = %v, want %q", run, i, res[i].Err, msg)
+				}
+				continue
+			}
+			alone, err := Sweep([]RunSpec{spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[i].Err != nil || alone[0].Err != nil {
+				t.Fatalf("run %d spec %d errored: swept=%v alone=%v", run, i, res[i].Err, alone[0].Err)
+			}
+			if res[i].Stats != alone[0].Stats {
+				t.Errorf("run %d spec %d: stats differ from the spec run alone", run, i)
+			}
+		}
+		if got := reg.Counter("coup_sweep_specs_total", "").Value(); got != int64(run*len(specs)) {
+			t.Errorf("after run %d, coup_sweep_specs_total = %d, want %d (a panicked spec counts as done)",
+				run, got, run*len(specs))
+		}
+	}
+	// Only the factory panic stops short of a machine: the kernel panic
+	// built one, like each healthy spec, in each of the two runs.
+	warm := reg.Counter("coup_sweep_arena_warm_total", "").Value()
+	cold := reg.Counter("coup_sweep_arena_cold_total", "").Value()
+	if want := int64(2 * (len(specs) - 1)); warm+cold != want {
+		t.Errorf("arena warm+cold = %d+%d, want %d machine constructions", warm, cold, want)
 	}
 }
