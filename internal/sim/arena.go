@@ -20,7 +20,7 @@ package sim
 //     backing-store pages and grown bank tables stay allocated (that is
 //     the point — their contents are cleared, their capacity is kept; a
 //     set's block keeps the size of the most ways it ever held), and
-//   - the partial-update buffer pools keep their high-water population.
+//   - each core's partial-update buffer slab keeps its pages.
 //
 // Neither affects timing or statistics: an allocated-but-empty block or
 // page behaves identically to an unallocated one, and table capacity never
@@ -167,22 +167,17 @@ func (h *hierarchy) reset(cfg *Config, st *Stats) {
 	h.now = 0
 	h.store.reset()
 	for _, pc := range h.priv {
-		pc.l1.reset(nil)
-		// Harvest the partial-update buffers of still-resident U lines into
-		// the pool as their lines are wiped, so buffers survive reuse.
-		pc.l2.reset(func(p *privLine) {
-			if p.buf != nil {
-				pc.bufPool = append(pc.bufPool, p.buf)
-			}
-		})
+		pc.l1.reset()
+		pc.l2.reset()
+		pc.bufUsed, pc.bufFree = 0, 0
 	}
 	for _, ch := range h.chips {
-		ch.arr.reset(nil)
+		ch.arr.reset()
 		for _, b := range ch.banks {
 			b.reset()
 		}
 	}
-	h.l4.arr.reset(nil)
+	h.l4.arr.reset()
 	for _, b := range h.l4.banks {
 		b.reset()
 	}

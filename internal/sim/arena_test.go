@@ -24,24 +24,34 @@ func arenaKernel(input, hist uint64, n, lines int) func(c *Ctx) {
 	}
 }
 
-func runArenaKernel(t *testing.T, a *Arena, cfg Config) Stats {
+// arenaRun is what a run of arenaKernel leaves: its stats, and the words
+// its commutative updates hit, read once the run drained every buffer.
+type arenaRun struct {
+	st   Stats
+	hist [64]uint64
+}
+
+func runArenaKernel(t *testing.T, a *Arena, cfg Config) arenaRun {
 	t.Helper()
 	return runArenaFootprint(t, a, cfg, 200, 512)
 }
 
 // runArenaFootprint runs arenaKernel with n loads per core over an input
 // of the given number of lines.
-func runArenaFootprint(t *testing.T, a *Arena, cfg Config, n, lines int) Stats {
+func runArenaFootprint(t *testing.T, a *Arena, cfg Config, n, lines int) arenaRun {
 	t.Helper()
 	m := NewIn(a, cfg)
 	input := m.Alloc(uint64(lines)*64, 64)
 	hist := m.Alloc(64*8, 64)
-	st := m.Run(arenaKernel(input, hist, n, lines))
+	r := arenaRun{st: m.Run(arenaKernel(input, hist, n, lines))}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
+	for i := range r.hist {
+		r.hist[i] = m.ReadWord64(hist + uint64(i)*8)
+	}
 	m.Release()
-	return st
+	return r
 }
 
 func arenaConfigs() []Config {
@@ -63,11 +73,14 @@ func arenaConfigs() []Config {
 
 // TestArenaReuseIdentical pins the arena's zero-on-reuse contract: a
 // machine recycled through an arena — across protocol, seed AND shape
-// changes — must produce byte-identical Stats to a fresh machine for
-// every config. The config list deliberately interleaves shapes so the
-// pool must reset rather than rebuild.
+// changes — must produce byte-identical Stats and the same updated words
+// as a fresh machine for every config. The config list deliberately
+// interleaves shapes so the pool must reset rather than rebuild. Under
+// MEUSI and MUSI each run ends with U lines in its L2s, so a machine goes
+// back to the pool with live partial-update buffers, and its slabs hold
+// the partial sums of the buffers its reductions freed.
 func TestArenaReuseIdentical(t *testing.T) {
-	fresh := map[int]Stats{}
+	fresh := map[int]arenaRun{}
 	for i, cfg := range arenaConfigs() {
 		fresh[i] = runArenaKernel(t, nil, cfg)
 	}
@@ -79,7 +92,7 @@ func TestArenaReuseIdentical(t *testing.T) {
 		for i, cfg := range arenaConfigs() {
 			got := runArenaKernel(t, a, cfg)
 			if got != fresh[i] {
-				t.Fatalf("pass %d cfg %d (%v, %d cores, seed %d): arena stats differ from fresh machine\narena: %+v\nfresh: %+v",
+				t.Fatalf("pass %d cfg %d (%v, %d cores, seed %d): arena run differs from fresh machine\narena: %+v\nfresh: %+v",
 					pass, i, cfg.Protocol, cfg.Cores, cfg.Seed, got, fresh[i])
 			}
 		}
@@ -91,7 +104,7 @@ func TestArenaReuseIdentical(t *testing.T) {
 	type footprint struct{ n, lines int }
 	wide, narrow := footprint{4096, 4096}, footprint{200, 8}
 	for _, cfg := range []Config{DefaultConfig(4, MEUSI), DefaultConfig(17, MESI)} {
-		want := map[footprint]Stats{}
+		want := map[footprint]arenaRun{}
 		for _, f := range []footprint{wide, narrow} {
 			want[f] = runArenaFootprint(t, nil, cfg, f.n, f.lines)
 		}
@@ -99,7 +112,7 @@ func TestArenaReuseIdentical(t *testing.T) {
 			a := NewArena()
 			for _, f := range order {
 				if got := runArenaFootprint(t, a, cfg, f.n, f.lines); got != want[f] {
-					t.Fatalf("%v, %d cores, %d-line run of order %v: arena stats differ from fresh machine\narena: %+v\nfresh: %+v",
+					t.Fatalf("%v, %d cores, %d-line run of order %v: arena run differs from fresh machine\narena: %+v\nfresh: %+v",
 						cfg.Protocol, cfg.Cores, f.lines, order, got, want[f])
 				}
 			}

@@ -1,15 +1,20 @@
 package sim
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // array is a set-associative cache array with LRU replacement, generic over
 // the per-line payload (private-cache coherence state, or directory state at
 // the shared levels).
 //
-// Slots are stored structure-of-arrays: tags, LRU stamps and payloads in
-// three parallel slices of an arrayPage, with a set's ways contiguous. A
-// lookup therefore scans only a set's tag words instead of dragging every
-// way's full slot through the cache. There are two layouts:
+// Each way is one word packing its tag and LRU stamp, plus a payload, kept
+// in two parallel slices of an arrayPage with a set's ways contiguous. A
+// lookup therefore scans only a set's way words, an 8-way set's in one
+// 64-byte host line, instead of dragging every way's payload through the
+// cache. No payload type holds a pointer (TestSlotBudget checks), so the
+// garbage collector never scans an array's slots. There are two layouts:
 //
 //   - Dense, for small geometries (every L1/L2, and the shrunk shared
 //     caches tests use): one page, allocated at construction, holds every
@@ -34,7 +39,7 @@ type array[P any] struct {
 	ways    int
 	setMask uint64
 	setBits uint   // log2(sets); tag = line >> setBits
-	tick    uint64 // LRU clock
+	tick    uint32 // LRU clock, advanced only by step
 	// dense holds every slot of a dense array. A sparse array leaves it
 	// empty and hands it out for sets that have no block yet.
 	dense arrayPage[P]
@@ -50,22 +55,26 @@ type array[P any] struct {
 	touched []uint64
 }
 
-// arrayPage holds slots as parallel slices. A tag word is the line address
-// with the set-index bits stripped (hardware-style) plus validBit; zero
-// means empty, and the LRU stamp and payload of an empty way are always
-// zero. 32-bit tags keep a whole 16-way set's tags in a single cache line;
-// they are exact because simulated physical addresses are bounded
+// arrayPage holds slots as two parallel slices: a way word and a payload
+// per way. A way word holds the way's tag word in its low 32 bits and its
+// LRU stamp in its high 32 bits. The tag word is the line address with the
+// set-index bits stripped (hardware-style) plus validBit. A zero word is an
+// empty way, and an empty way's payload is always zero. 32-bit tag words
+// are exact because simulated physical addresses are bounded
 // (Machine.Alloc caps the address space at 2^36 bytes, so line >> setBits
-// always fits 31 bits).
+// always fits 31 bits). Stamps are distinct within a set, so comparing the
+// valid ways' whole words orders them by stamp.
 type arrayPage[P any] struct {
-	tags []uint32
-	lru  []uint64
-	pay  []P
+	words []uint64
+	pay   []P
 }
 
 func newPage[P any](n int) arrayPage[P] {
-	return arrayPage[P]{tags: make([]uint32, n), lru: make([]uint64, n), pay: make([]P, n)}
+	return arrayPage[P]{words: make([]uint64, n), pay: make([]P, n)}
 }
+
+// wayWord packs a valid way's tag word and LRU stamp.
+func wayWord(key, stamp uint32) uint64 { return uint64(stamp)<<32 | uint64(key) }
 
 // setBlock locates a sparse set's block: its first slot, numbered across
 // all chunks (chunk index × chunkSlots + offset), and its size in ways,
@@ -148,9 +157,8 @@ func (a *array[P]) slots(s uint64) (*arrayPage[P], uint64, uint64) {
 func (a *array[P]) peek(line uint64) *P {
 	pg, base, n := a.setAt(line)
 	key := uint32(line>>a.setBits) | validBit
-	tags := pg.tags[base : base+n]
-	for w := range tags {
-		if tags[w] == key {
+	for w, x := range pg.words[base : base+n] {
+		if uint32(x) == key {
 			return &pg.pay[base+uint64(w)]
 		}
 	}
@@ -165,14 +173,15 @@ func (a *array[P]) peek(line uint64) *P {
 // set survives it: callers re-derive theirs afterwards.
 func (a *array[P]) insert(line uint64) (p *P, victimTag uint64, victim P, evicted bool, way uint8) {
 	pg, base, n := a.setAt(line)
-	vi, vlru := n, ^uint64(0)
+	vi, vmin := n, ^uint64(0)
 	for w := uint64(0); w < n; w++ {
-		if pg.tags[base+w]&validBit == 0 {
+		x := pg.words[base+w]
+		if x == 0 {
 			vi, evicted = w, false
 			break
 		}
-		if s := pg.lru[base+w]; s < vlru {
-			vi, vlru = w, s
+		if x < vmin {
+			vi, vmin = w, x
 			evicted = true
 		}
 	}
@@ -193,14 +202,12 @@ func (a *array[P]) fill(line uint64, pg *arrayPage[P], base, n, w uint64, evict 
 	}
 	i := base + w
 	if evict {
-		victimTag = uint64(pg.tags[i]&^validBit)<<a.setBits | (line & a.setMask)
+		victimTag = uint64(uint32(pg.words[i])&^validBit)<<a.setBits | (line & a.setMask)
 		victim = pg.pay[i]
 		evicted = true
 	}
-	a.tick++
 	var zero P
-	pg.tags[i] = uint32(line>>a.setBits) | validBit
-	pg.lru[i] = a.tick
+	pg.words[i] = wayWord(uint32(line>>a.setBits)|validBit, a.step())
 	pg.pay[i] = zero
 	a.mark(line)
 	return &pg.pay[i], victimTag, victim, evicted, uint8(w)
@@ -224,11 +231,9 @@ func (a *array[P]) grow(s, n uint64) (*arrayPage[P], uint64) {
 	pg, base := &a.chunks[nb/chunkSlots], uint64(nb%chunkSlots)
 	if n > 0 {
 		old, ob := &a.chunks[b.base/chunkSlots], uint64(b.base%chunkSlots)
-		copy(pg.tags[base:base+n], old.tags[ob:ob+n])
-		copy(pg.lru[base:base+n], old.lru[ob:ob+n])
+		copy(pg.words[base:base+n], old.words[ob:ob+n])
 		copy(pg.pay[base:base+n], old.pay[ob:ob+n])
-		clear(old.tags[ob : ob+n])
-		clear(old.lru[ob : ob+n])
+		clear(old.words[ob : ob+n])
 		clear(old.pay[ob : ob+n])
 		c := sizeClass(n)
 		a.free[c] = append(a.free[c], b.base)
@@ -261,7 +266,7 @@ func (a *array[P]) mark(line uint64) {
 	a.touched[s>>6] |= 1 << (s & 63)
 }
 
-// invalidate removes line from the array if present. The tick bump marks
+// invalidate removes line from the array if present. The clock step marks
 // the mutation so outstanding slot handles (see probe) notice the set may
 // have changed; it never reorders LRU decisions, because stored stamps are
 // untouched and future stamps only grow.
@@ -269,13 +274,55 @@ func (a *array[P]) invalidate(line uint64) {
 	pg, base, n := a.setAt(line)
 	key := uint32(line>>a.setBits) | validBit
 	for i := base; i < base+n; i++ {
-		if pg.tags[i] == key {
+		if uint32(pg.words[i]) == key {
 			var zero P
-			pg.tags[i] = 0
-			pg.lru[i] = 0
+			pg.words[i] = 0
 			pg.pay[i] = zero
-			a.tick++
+			a.step()
 			return
+		}
+	}
+}
+
+// step advances the LRU clock and returns the new stamp. Every hit, fill
+// and invalidation steps it once, which is how outstanding slot handles
+// notice a mutation. Where the 32-bit clock would wrap, renumber first
+// compacts every set's stamps, so a new stamp is always the set's newest.
+func (a *array[P]) step() uint32 {
+	if a.tick == math.MaxUint32 {
+		a.renumber()
+	}
+	a.tick++
+	return a.tick
+}
+
+// renumber gives the valid ways of each touched set the stamps 1…k in
+// their LRU order and restarts the clock at the largest k. Stamps are only
+// compared within a set, so no victim changes; an outstanding slot handle
+// no longer matches the clock and falls back to a fresh scan.
+//
+//go:noinline
+func (a *array[P]) renumber() {
+	a.tick = 0
+	var rank [maxWays]uint32
+	for wi, w := range a.touched {
+		for ; w != 0; w &= w - 1 {
+			_, pg, base, n := a.markedSet(wi, w)
+			ws := pg.words[base : base+n]
+			for i, x := range ws {
+				rank[i] = 1 // 1 + the valid ways with an older stamp
+				for _, y := range ws {
+					if y != 0 && y < x {
+						rank[i]++
+					}
+				}
+			}
+			for i, x := range ws {
+				if x != 0 {
+					ws[i] = wayWord(uint32(x), rank[i])
+					a.tick = max(a.tick, rank[i])
+				}
+			}
 		}
 	}
 }
@@ -289,9 +336,11 @@ func (a *array[P]) invalidate(line uint64) {
 //
 // The handle is one packed word so the hot paths that produce one but
 // rarely use it (every private-cache probe) pay a single register, not a
-// struct spill: [tick:32][way:8][flags:8]. The truncated tick is compared
-// for equality only, and wrapping exactly 2^32 ticks inside one directory
-// transaction is impossible.
+// struct spill: [tick:32][way:8][flags:8]. The tick is compared for
+// equality only. For a handle to match again after the clock moved, the
+// clock must run through nearly 2^32 steps (a renumbering restarts it at
+// most at the associativity), far more than one directory transaction
+// makes.
 type slotRef = uint64
 
 const (
@@ -299,11 +348,11 @@ const (
 	slotEvict = 1 << 1 // staged miss in a full set: way holds the LRU victim
 )
 
-func packSlot(tick uint64, way uint8, flags uint8) slotRef {
-	return uint64(uint32(tick))<<32 | uint64(way)<<8 | uint64(flags)
+func packSlot(tick uint32, way uint8, flags uint8) slotRef {
+	return uint64(tick)<<32 | uint64(way)<<8 | uint64(flags)
 }
 
-func (a *array[P]) slotCurrent(h slotRef) bool { return uint32(h>>32) == uint32(a.tick) }
+func (a *array[P]) slotCurrent(h slotRef) bool { return uint32(h>>32) == a.tick }
 
 // slotWay returns the way index recorded in a probe/peekSlot handle.
 func slotWay(h slotRef) uint8 { return uint8(h >> 8) }
@@ -318,23 +367,21 @@ const wayUnknown = ^uint8(0)
 // stamp and returns the payload plus a handle to the hit way; on a miss
 // it returns nil plus a handle staging the insertion — the way a fresh
 // insert would choose — which commit turns into the actual insert without
-// rescanning the tags. The hit path pays only a first-empty-way test over
-// a plain tag scan; LRU stamps are consulted only for a miss in a full
-// set, where insert would have read them anyway.
+// rescanning the set. The hit path pays only a first-empty-way test over
+// a plain tag scan; only a miss in a full set compares LRU stamps, as
+// insert would have.
 func (a *array[P]) probe(line uint64) (*P, slotRef) {
 	pg, base, n := a.setAt(line)
 	key := uint32(line>>a.setBits) | validBit
-	tags := pg.tags[base : base+n]
+	ws := pg.words[base : base+n]
 	empty := -1
-	for w := range tags {
-		t := tags[w]
-		if t == key {
+	for w, x := range ws {
+		if uint32(x) == key {
 			i := base + uint64(w)
-			a.tick++
-			pg.lru[i] = a.tick
+			pg.words[i] = wayWord(key, a.step())
 			return &pg.pay[i], packSlot(a.tick, uint8(w), slotHit)
 		}
-		if empty < 0 && t&validBit == 0 {
+		if empty < 0 && x == 0 {
 			empty = w
 		}
 	}
@@ -347,11 +394,10 @@ func (a *array[P]) probe(line uint64) (*P, slotRef) {
 		return nil, packSlot(a.tick, uint8(n), 0)
 	}
 	// Full set: pick the LRU way, exactly as insert would.
-	lru := pg.lru[base : base+n]
-	vi, vlru := 0, lru[0]
-	for w := 1; w < len(lru); w++ {
-		if s := lru[w]; s < vlru {
-			vi, vlru = w, s
+	vi, vmin := 0, ws[0]
+	for w := 1; w < len(ws); w++ {
+		if x := ws[w]; x < vmin {
+			vi, vmin = w, x
 		}
 	}
 	return nil, packSlot(a.tick, uint8(vi), slotEvict)
@@ -391,7 +437,7 @@ func (a *array[P]) peekAt(line uint64, way uint8) *P {
 	pg, base, n := a.setAt(line)
 	if uint64(way) < n {
 		i := base + uint64(way)
-		if pg.tags[i] == uint32(line>>a.setBits)|validBit {
+		if uint32(pg.words[i]) == uint32(line>>a.setBits)|validBit {
 			return &pg.pay[i]
 		}
 	}
@@ -403,9 +449,8 @@ func (a *array[P]) peekAt(line uint64, way uint8) *P {
 func (a *array[P]) peekSlot(line uint64) (*P, slotRef) {
 	pg, base, n := a.setAt(line)
 	key := uint32(line>>a.setBits) | validBit
-	tags := pg.tags[base : base+n]
-	for w := range tags {
-		if tags[w] == key {
+	for w, x := range pg.words[base : base+n] {
+		if uint32(x) == key {
 			return &pg.pay[base+uint64(w)], packSlot(a.tick, uint8(w), slotHit)
 		}
 	}
@@ -425,35 +470,23 @@ func (a *array[P]) invalidateAt(line uint64, h slotRef) {
 	pg, base, _ := a.setAt(line)
 	i := base + uint64(slotWay(h))
 	var zero P
-	pg.tags[i] = 0
-	pg.lru[i] = 0
+	pg.words[i] = 0
 	pg.pay[i] = zero
-	a.tick++
+	a.step()
 }
 
 // reset returns the array to its post-newArray state while keeping its
 // storage for reuse (the arena's zero-on-reuse contract): the dense page,
 // or a sparse array's header groups, chunks and every set's block, whose
 // size only ever grows. Only the sets marked in touched can hold a valid
-// way, and within them only occupied ways need clearing: insert and
-// invalidate maintain the invariant that an empty way's tag, LRU stamp and
-// payload are all zero. visit, when non-nil, sees each valid way's payload
-// just before the way is cleared, in forEach's order.
-func (a *array[P]) reset(visit func(p *P)) {
-	var zero P
+// way, and an empty way's word and payload are always zero, so clearing
+// the marked sets leaves every slot zero.
+func (a *array[P]) reset() {
 	for wi, w := range a.touched {
 		for ; w != 0; w &= w - 1 {
 			_, pg, base, n := a.markedSet(wi, w)
-			for i := base; i < base+n; i++ {
-				if pg.tags[i] != 0 {
-					if visit != nil {
-						visit(&pg.pay[i])
-					}
-					pg.tags[i] = 0
-					pg.lru[i] = 0
-					pg.pay[i] = zero
-				}
-			}
+			clear(pg.words[base : base+n])
+			clear(pg.pay[base : base+n])
 		}
 		a.touched[wi] = 0
 	}
@@ -468,8 +501,8 @@ func (a *array[P]) forEach(f func(tag uint64, p *P)) {
 		for ; w != 0; w &= w - 1 {
 			set, pg, base, n := a.markedSet(wi, w)
 			for i := base; i < base+n; i++ {
-				if t := pg.tags[i]; t&validBit != 0 {
-					f(uint64(t&^validBit)<<a.setBits|set, &pg.pay[i])
+				if x := pg.words[i]; x != 0 {
+					f(uint64(uint32(x)&^validBit)<<a.setBits|set, &pg.pay[i])
 				}
 			}
 		}

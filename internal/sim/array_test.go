@@ -2,8 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // slotScan lists every valid way of a by reading the slots of every set,
@@ -13,8 +16,8 @@ func slotScan[P any](a *array[P]) (lines []uint64, pays []*P) {
 	for s := uint64(0); s <= a.setMask; s++ {
 		pg, base, n := a.slots(s)
 		for i := base; i < base+n; i++ {
-			if t := pg.tags[i]; t&validBit != 0 {
-				lines = append(lines, uint64(t&^validBit)<<a.setBits|s)
+			if x := pg.words[i]; x != 0 {
+				lines = append(lines, uint64(uint32(x)&^validBit)<<a.setBits|s)
 				pays = append(pays, &pg.pay[i])
 			}
 		}
@@ -43,16 +46,16 @@ func checkForEach(t *testing.T, a *array[int], step string) {
 	}
 }
 
-// checkReset fails unless every tag, LRU stamp and payload the array
-// stores is zero — the dense page, or every chunk of a sparse array: its
-// blocks in use, its freed blocks and the uncut tail — no set is marked
-// and the clock is back at zero.
+// checkReset fails unless every way word and payload the array stores is
+// zero — the dense page, or every chunk of a sparse array: its blocks in
+// use, its freed blocks and the uncut tail — no set is marked and the
+// clock is back at zero.
 func checkReset(t *testing.T, a *array[int], step string) {
 	t.Helper()
 	for pi, pg := range append([]arrayPage[int]{a.dense}, a.chunks...) {
-		for i := range pg.tags {
-			if pg.tags[i] != 0 || pg.lru[i] != 0 || pg.pay[i] != 0 {
-				t.Fatalf("%s: page %d slot %d holds tag %#x, lru %d, payload %d after reset", step, pi, i, pg.tags[i], pg.lru[i], pg.pay[i])
+		for i := range pg.words {
+			if pg.words[i] != 0 || pg.pay[i] != 0 {
+				t.Fatalf("%s: page %d slot %d holds word %#x, payload %d after reset", step, pi, i, pg.words[i], pg.pay[i])
 			}
 		}
 	}
@@ -147,200 +150,300 @@ func (r *refArray) contents() (lines []uint64, pays []int) {
 	return lines, pays
 }
 
+// arrayCase is an array for the random model steps of runArrayModel. The
+// eager case is a dense 8-way array on one page. The lazy cases are sparse
+// 16- and 12-way arrays: half of their lines crowd five hot sets, whose
+// blocks grow to the full associativity and then evict, and half spread
+// thinly over the first 256 sets, whose first fills reuse the blocks that
+// growth frees. Sets 256-510 stay empty, so their header groups are never
+// allocated.
+type arrayCase struct {
+	name   string
+	a      *array[int]
+	hot    []uint64 // sets that overflow
+	cold   uint64   // lines also fall in sets [0, cold), 3 tags each
+	sparse bool
+}
+
+func arrayCases() []arrayCase {
+	return []arrayCase{
+		{name: "eager-8way", a: newArray[int](16*8*64, 8), hot: []uint64{0, 1, 2, 5, 9, 15}, cold: 16},
+		{name: "lazy-16way", a: newArray[int](512*16*64, 16), hot: []uint64{0, 63, 64, 200, 511}, cold: 256, sparse: true},
+		{name: "lazy-12way", a: newArray[int](512*12*64, 12), hot: []uint64{0, 63, 64, 200, 511}, cold: 256, sparse: true},
+	}
+}
+
 // TestArrayTouchedSets drives random probe, commit, insert, invalidate,
 // invalidateAt, peekAt and reset steps into an array and into refArray,
 // which knows nothing of layouts. Every step must return the same hits,
 // staged and filled ways, victims and payloads; afterwards forEach must
 // yield the model's lines in the model's order, a full slot scan must
 // agree with forEach, which reads only the sets the touched bitmap marks,
-// and reset must leave every stored slot zero. The eager case is a dense
-// 8-way array on one page. The lazy cases are sparse 16- and 12-way
-// arrays: half of their lines crowd five hot sets, whose blocks grow to
-// the full associativity and then evict, and half spread thinly over the
-// first 256 sets, whose first fills reuse the blocks that growth frees.
-// Sets 256-510 stay empty, so their header groups are never allocated.
+// and reset must leave every stored slot zero.
 func TestArrayTouchedSets(t *testing.T) {
-	cases := []struct {
-		name   string
-		a      *array[int]
-		hot    []uint64 // sets that overflow
-		cold   uint64   // lines also fall in sets [0, cold), 3 tags each
-		sparse bool
-	}{
-		{name: "eager-8way", a: newArray[int](16*8*64, 8), hot: []uint64{0, 1, 2, 5, 9, 15}, cold: 16},
-		{name: "lazy-16way", a: newArray[int](512*16*64, 16), hot: []uint64{0, 63, 64, 200, 511}, cold: 256, sparse: true},
-		{name: "lazy-12way", a: newArray[int](512*12*64, 12), hot: []uint64{0, 63, 64, 200, 511}, cold: 256, sparse: true},
+	for _, tc := range arrayCases() {
+		t.Run(tc.name, func(t *testing.T) { runArrayModel(t, tc, 0) })
 	}
-	for _, tc := range cases {
+}
+
+// TestArrayLRUWrap runs the model steps with the array's 32-bit LRU clock
+// set 200 steps below its wrap at the start and after every reset, while
+// refArray's 64-bit clock runs on. Each wrap renumbers the array's stamps;
+// hits, staged ways and victims must still match the model's, also after
+// a wrap that found a set full.
+func TestArrayLRUWrap(t *testing.T) {
+	for _, tc := range arrayCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			a := tc.a
-			if sparse := a.groups != nil; sparse != tc.sparse {
-				t.Fatalf("sparse layout %v, the case needs %v", sparse, tc.sparse)
+			wraps, full := runArrayModel(t, tc, 200)
+			if wraps < 3 || full == 0 {
+				t.Fatalf("%d wraps, %d with a full set; want at least 3 and 1", wraps, full)
 			}
-			nsets := a.setMask + 1
-			ref := newRefArray(nsets, a.ways)
-			r := newRNG(7)
-			line := func() uint64 {
-				if r.intn(2) == 0 {
-					return r.intn(2*uint64(a.ways))*nsets + tc.hot[r.intn(uint64(len(tc.hot)))]
-				}
-				return r.intn(3)*nsets + r.intn(tc.cold)
-			}
-			var pending uint64 // a line whose missing probe staged a fill
-			var pendH slotRef
-			hasPending := false
-			fills, evictions, reuses := 0, 0, 0
-			grownTo := map[uint64]bool{}
-			// fill checks one insert or commit of ln against the model and
-			// stamps the new way's payload.
-			fill := func(what string, ln uint64, do func() (*int, uint64, int, bool, uint8)) {
-				t.Helper()
-				_, _, n0 := a.setAt(ln)
-				free := make([]int, len(a.free))
-				for c, f := range a.free {
-					free[c] = len(f)
-				}
-				p, vtag, vp, ev, way := do()
-				w, old := ref.insert(ln)
-				if int(way) != w || ev != old.valid || ev && (vtag != old.line || vp != old.pay) {
-					t.Fatalf("%s: way %d, evicted %v (line %#x, payload %d); the model fills way %d over %+v", what, way, ev, vtag, vp, w, old)
-				}
-				*p = fills + 1
-				ref.set(ln)[w].pay = *p
-				fills++
-				if ev {
-					evictions++
-				}
-				if _, _, n := a.setAt(ln); n != n0 {
-					grownTo[n] = true
-				}
-				for c, f := range a.free {
-					if len(f) < free[c] {
-						reuses++
-					}
-				}
-			}
-			for step := 0; step < 6000; step++ {
-				var what string
-				switch op := r.intn(1000); {
-				case op < 300:
-					ln := line()
-					what = fmt.Sprintf("step %d: probe %#x", step, ln)
-					p, h := a.probe(ln)
-					if w := ref.find(ln); w >= 0 {
-						ref.tick++
-						ref.set(ln)[w].lru = ref.tick
-						if p == nil || *p != ref.set(ln)[w].pay || h&slotHit == 0 || int(slotWay(h)) != w {
-							t.Fatalf("%s: got (%v, %#x), the model hits way %d", what, p, h, w)
-						}
-						break
-					}
-					w, ev := ref.victim(ln)
-					if p != nil || h&slotHit != 0 || int(slotWay(h)) != w || (h&slotEvict != 0) != ev {
-						t.Fatalf("%s: got (%v, %#x), the model misses and stages way %d (evict %v)", what, p, h, w, ev)
-					}
-					pending, pendH, hasPending = ln, h, true
-				case op < 550:
-					if !hasPending || ref.find(pending) >= 0 {
-						hasPending = false
-						continue
-					}
-					what, hasPending = fmt.Sprintf("step %d: commit %#x", step, pending), false
-					fill(what, pending, func() (*int, uint64, int, bool, uint8) { return a.commit(pending, pendH) })
-				case op < 800:
-					ln := line()
-					if ref.find(ln) >= 0 {
-						continue
-					}
-					what = fmt.Sprintf("step %d: insert %#x", step, ln)
-					fill(what, ln, func() (*int, uint64, int, bool, uint8) { return a.insert(ln) })
-				case op < 860:
-					ln := line()
-					what = fmt.Sprintf("step %d: invalidate %#x", step, ln)
-					a.invalidate(ln)
-					ref.invalidate(ln)
-				case op < 920:
-					ln := line()
-					what = fmt.Sprintf("step %d: invalidateAt %#x", step, ln)
-					p, h := a.peekSlot(ln)
-					if w := ref.find(ln); (p != nil) != (w >= 0) || w >= 0 && (*p != ref.set(ln)[w].pay || int(slotWay(h)) != w) {
-						t.Fatalf("%s: peekSlot got (%v, %#x), the model finds way %d", what, p, h, w)
-					}
-					if r.intn(2) == 0 {
-						a.tick++ // a stale handle takes the rescan path
-						ref.tick++
-					}
-					a.invalidateAt(ln, h)
-					ref.invalidate(ln)
-				case op < 998:
-					ln := line()
-					way := uint8(r.intn(uint64(a.ways) + 2))
-					if way > uint8(a.ways) {
-						way = wayUnknown
-					}
-					what = fmt.Sprintf("step %d: peekAt %#x way %d", step, ln, way)
-					p := a.peekAt(ln, way)
-					if p != a.peek(ln) {
-						t.Fatalf("%s: got %v, peek finds %v", what, p, a.peek(ln))
-					}
-					if w := ref.find(ln); (p != nil) != (w >= 0) || w >= 0 && *p != ref.set(ln)[w].pay {
-						t.Fatalf("%s: got %v, the model finds way %d", what, p, w)
-					}
-				default:
-					what, hasPending = fmt.Sprintf("step %d: reset", step), false
-					var want, got []int
-					a.forEach(func(_ uint64, p *int) { want = append(want, *p) })
-					a.reset(func(p *int) { got = append(got, *p) })
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s: visits payloads %v, forEach saw %v", what, got, want)
-					}
-					clear(ref.slots)
-					ref.tick = 0
-					checkReset(t, a, what)
-				}
-				var lines []uint64
-				var pays []int
-				a.forEach(func(tag uint64, p *int) {
-					lines = append(lines, tag)
-					pays = append(pays, *p)
-				})
-				wantLines, wantPays := ref.contents()
-				if !slices.Equal(lines, wantLines) || !slices.Equal(pays, wantPays) {
-					t.Fatalf("%s: forEach yields %#x %v, the model holds %#x %v", what, lines, pays, wantLines, wantPays)
-				}
-				if a.tick != ref.tick {
-					t.Fatalf("%s: tick %d, the model's %d", what, a.tick, ref.tick)
-				}
-				checkForEach(t, a, what)
-			}
-			if fills < 1000 || evictions < 50 {
-				t.Fatalf("only %d fills and %d evictions in 6000 steps", fills, evictions)
-			}
-			if tc.sparse {
-				for n := uint64(1); ; n = min(2*n, uint64(a.ways)) {
-					if !grownTo[n] {
-						t.Errorf("no block grew to %d ways", n)
-					}
-					if n == uint64(a.ways) {
-						break
-					}
-				}
-				if reuses == 0 {
-					t.Error("no fill reused a freed block")
-				}
-				allocated := 0
-				for _, g := range a.groups {
-					if g != nil {
-						allocated++
-					}
-				}
-				if allocated == len(a.groups) {
-					t.Errorf("all %d header groups allocated; the lines should leave some untouched", allocated)
-				}
-			}
-			a.reset(nil)
-			checkReset(t, a, "final reset")
-			checkForEach(t, a, "final reset")
 		})
 	}
+}
+
+// runArrayModel checks tc.a against refArray over 6000 random steps. With
+// left > 0 it sets the array's clock left steps below its wrap at the
+// start and after every reset, and the model's clock to the same value,
+// and it returns how many times the clock wrapped and how many of those
+// wraps found a hot set full.
+func runArrayModel(t *testing.T, tc arrayCase, left uint32) (wraps, full int) {
+	t.Helper()
+	a := tc.a
+	if sparse := a.groups != nil; sparse != tc.sparse {
+		t.Fatalf("sparse layout %v, the case needs %v", sparse, tc.sparse)
+	}
+	nsets := a.setMask + 1
+	ref := newRefArray(nsets, a.ways)
+	wrapped := false
+	arm := func() {
+		if left > 0 {
+			a.tick = math.MaxUint32 - left
+			ref.tick = uint64(a.tick)
+			wrapped = false
+		}
+	}
+	arm()
+	r := newRNG(7)
+	line := func() uint64 {
+		if r.intn(2) == 0 {
+			return r.intn(2*uint64(a.ways))*nsets + tc.hot[r.intn(uint64(len(tc.hot)))]
+		}
+		return r.intn(3)*nsets + r.intn(tc.cold)
+	}
+	var pending uint64 // a line whose missing probe staged a fill
+	var pendH slotRef
+	hasPending := false
+	fills, evictions, reuses := 0, 0, 0
+	grownTo := map[uint64]bool{}
+	// fill checks one insert or commit of ln against the model and
+	// stamps the new way's payload.
+	fill := func(what string, ln uint64, do func() (*int, uint64, int, bool, uint8)) {
+		t.Helper()
+		_, _, n0 := a.setAt(ln)
+		free := make([]int, len(a.free))
+		for c, f := range a.free {
+			free[c] = len(f)
+		}
+		p, vtag, vp, ev, way := do()
+		w, old := ref.insert(ln)
+		if int(way) != w || ev != old.valid || ev && (vtag != old.line || vp != old.pay) {
+			t.Fatalf("%s: way %d, evicted %v (line %#x, payload %d); the model fills way %d over %+v", what, way, ev, vtag, vp, w, old)
+		}
+		*p = fills + 1
+		ref.set(ln)[w].pay = *p
+		fills++
+		if ev {
+			evictions++
+		}
+		if _, _, n := a.setAt(ln); n != n0 {
+			grownTo[n] = true
+		}
+		for c, f := range a.free {
+			if len(f) < free[c] {
+				reuses++
+			}
+		}
+	}
+	for step := 0; step < 6000; step++ {
+		var what string
+		switch op := r.intn(1000); {
+		case op < 300:
+			ln := line()
+			what = fmt.Sprintf("step %d: probe %#x", step, ln)
+			p, h := a.probe(ln)
+			if w := ref.find(ln); w >= 0 {
+				ref.tick++
+				ref.set(ln)[w].lru = ref.tick
+				if p == nil || *p != ref.set(ln)[w].pay || h&slotHit == 0 || int(slotWay(h)) != w {
+					t.Fatalf("%s: got (%v, %#x), the model hits way %d", what, p, h, w)
+				}
+				break
+			}
+			w, ev := ref.victim(ln)
+			if p != nil || h&slotHit != 0 || int(slotWay(h)) != w || (h&slotEvict != 0) != ev {
+				t.Fatalf("%s: got (%v, %#x), the model misses and stages way %d (evict %v)", what, p, h, w, ev)
+			}
+			pending, pendH, hasPending = ln, h, true
+		case op < 550:
+			if !hasPending || ref.find(pending) >= 0 {
+				hasPending = false
+				continue
+			}
+			what, hasPending = fmt.Sprintf("step %d: commit %#x", step, pending), false
+			fill(what, pending, func() (*int, uint64, int, bool, uint8) { return a.commit(pending, pendH) })
+		case op < 800:
+			ln := line()
+			if ref.find(ln) >= 0 {
+				continue
+			}
+			what = fmt.Sprintf("step %d: insert %#x", step, ln)
+			fill(what, ln, func() (*int, uint64, int, bool, uint8) { return a.insert(ln) })
+		case op < 860:
+			ln := line()
+			what = fmt.Sprintf("step %d: invalidate %#x", step, ln)
+			a.invalidate(ln)
+			ref.invalidate(ln)
+		case op < 920:
+			ln := line()
+			what = fmt.Sprintf("step %d: invalidateAt %#x", step, ln)
+			p, h := a.peekSlot(ln)
+			if w := ref.find(ln); (p != nil) != (w >= 0) || w >= 0 && (*p != ref.set(ln)[w].pay || int(slotWay(h)) != w) {
+				t.Fatalf("%s: peekSlot got (%v, %#x), the model finds way %d", what, p, h, w)
+			}
+			if r.intn(2) == 0 {
+				a.step() // a stale handle takes the rescan path
+				ref.tick++
+			}
+			a.invalidateAt(ln, h)
+			ref.invalidate(ln)
+		case op < 998:
+			ln := line()
+			way := uint8(r.intn(uint64(a.ways) + 2))
+			if way > uint8(a.ways) {
+				way = wayUnknown
+			}
+			what = fmt.Sprintf("step %d: peekAt %#x way %d", step, ln, way)
+			p := a.peekAt(ln, way)
+			if p != a.peek(ln) {
+				t.Fatalf("%s: got %v, peek finds %v", what, p, a.peek(ln))
+			}
+			if w := ref.find(ln); (p != nil) != (w >= 0) || w >= 0 && *p != ref.set(ln)[w].pay {
+				t.Fatalf("%s: got %v, the model finds way %d", what, p, w)
+			}
+		default:
+			what, hasPending = fmt.Sprintf("step %d: reset", step), false
+			a.reset()
+			clear(ref.slots)
+			ref.tick = 0
+			checkReset(t, a, what)
+			arm()
+		}
+		var lines []uint64
+		var pays []int
+		a.forEach(func(tag uint64, p *int) {
+			lines = append(lines, tag)
+			pays = append(pays, *p)
+		})
+		wantLines, wantPays := ref.contents()
+		if !slices.Equal(lines, wantLines) || !slices.Equal(pays, wantPays) {
+			t.Fatalf("%s: forEach yields %#x %v, the model holds %#x %v", what, lines, pays, wantLines, wantPays)
+		}
+		if ref.tick <= math.MaxUint32 && uint64(a.tick) != ref.tick {
+			t.Fatalf("%s: tick %d, the model's %d", what, a.tick, ref.tick)
+		}
+		if ref.tick > math.MaxUint32 && !wrapped {
+			wrapped = true
+			wraps++
+			for _, s := range tc.hot {
+				if _, ev := ref.victim(s); ev {
+					full++
+					break
+				}
+			}
+		}
+		checkForEach(t, a, what)
+	}
+	if fills < 1000 || evictions < 50 {
+		t.Fatalf("only %d fills and %d evictions in 6000 steps", fills, evictions)
+	}
+	if tc.sparse {
+		for n := uint64(1); ; n = min(2*n, uint64(a.ways)) {
+			if !grownTo[n] {
+				t.Errorf("no block grew to %d ways", n)
+			}
+			if n == uint64(a.ways) {
+				break
+			}
+		}
+		if reuses == 0 {
+			t.Error("no fill reused a freed block")
+		}
+		allocated := 0
+		for _, g := range a.groups {
+			if g != nil {
+				allocated++
+			}
+		}
+		if allocated == len(a.groups) {
+			t.Errorf("all %d header groups allocated; the lines should leave some untouched", allocated)
+		}
+	}
+	a.reset()
+	checkReset(t, a, "final reset")
+	checkForEach(t, a, "final reset")
+	return wraps, full
+}
+
+// TestSlotBudget pins what one slot of each cache array costs, its way
+// word plus its payload, and that nothing the arrays or the buffer slabs
+// store holds a pointer, which would make the garbage collector scan them.
+func TestSlotBudget(t *testing.T) {
+	for _, c := range []struct {
+		level     string
+		got, want uintptr
+	}{
+		{"L1", slotBytes[struct{}](), 8},
+		{"L2", slotBytes[privLine](), 16},
+		{"L3/L4", slotBytes[dirLine](), 24},
+	} {
+		if c.got != c.want {
+			t.Errorf("an %s slot costs %d bytes, want %d", c.level, c.got, c.want)
+		}
+	}
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[privLine](),
+		reflect.TypeFor[dirLine](),
+		reflect.TypeOf(arrayPage[privLine]{}.words).Elem(),
+		reflect.TypeFor[bufPage](),
+	} {
+		if !pointerFree(typ) {
+			t.Errorf("%v holds a pointer, slice, map, string, interface, func or chan", typ)
+		}
+	}
+}
+
+func slotBytes[P any]() uintptr {
+	var pg arrayPage[P]
+	return unsafe.Sizeof(pg.words[0]) + unsafe.Sizeof(pg.pay[0])
+}
+
+// pointerFree reports whether a value of type t holds no pointer, slice,
+// map, string, interface, func or chan.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.String, reflect.Interface, reflect.Func, reflect.Chan:
+		return false
+	}
+	return true
 }

@@ -47,9 +47,11 @@
 // run ahead — operations below that horizon are serviced inline in
 // Ctx.exec or Ctx.post with no coroutine switch at all (a single-core
 // machine runs its whole kernel that way); the cache and directory arrays
-// store 31-bit hardware-style tags structure-of-arrays, the private caches
-// in one page each and the full-size L3 and L4 in per-set blocks sized to
-// the most ways each set has held; and the backing memory image is a
+// pack each way's 31-bit hardware-style tag and 32-bit LRU stamp into one
+// word beside a pointer-free payload, the private caches in one page each
+// and the full-size L3 and L4 in per-set blocks sized to the most ways
+// each set has held, and each core's partial-update buffers sit in a slab
+// its L2 lines name by handle; and the backing memory image is a
 // two-level paged table with lines embedded by value. The loser tree is
 // the only scheduler: it covers every machine the package can build,
 // because the hierarchy tracks sharers in uint64 bitvectors — one bit per

@@ -202,9 +202,9 @@ func (m *Machine) Alloc(size, align uint64) uint64 {
 	m.allocPtr = (m.allocPtr + align - 1) &^ (align - 1)
 	base := m.allocPtr
 	m.allocPtr += size
-	// The cache arrays store 31-bit hardware-style tags (line >> setBits),
-	// exact only while line addresses fit 30 bits; cap the simulated
-	// physical address space accordingly.
+	// The cache arrays keep a 31-bit hardware-style tag (line >> setBits)
+	// in each way word, exact only while line addresses fit 30 bits; cap
+	// the simulated physical address space accordingly.
 	if m.allocPtr > 1<<36 {
 		panic("sim: simulated address space exceeds 64 GB")
 	}

@@ -111,12 +111,14 @@ func (s lineState) Exclusive() bool { return s == stateE || s == stateM }
 // remembers which way of the L3 set held the line's directory entry when
 // the line was filled — a best-effort hint (validated by tag on use, see
 // array.peekAt) that lets the eviction path find the entry without a
-// 16-way scan. It fits the struct's existing padding, costing nothing.
+// 16-way scan. buf is a handle into the core's buffer slab, not a
+// pointer, so an L2 slot costs 16 bytes with its way word and the garbage
+// collector never scans an L2 page.
 type privLine struct {
 	state  lineState
 	otype  ops.Type // operation type when state == U
 	dirWay uint8
-	buf    *ops.Line // partial updates when state == U
+	buf    uint32 // partial-update buffer (privCache.buf) when state == U; 0 = none
 }
 
 // dirLine is the payload of an L3/L4 in-cache-directory entry. At the L3 it
@@ -308,27 +310,61 @@ func (t *busyTable) grow() {
 	t.gen++
 }
 
+// privCache is one core's private L1 and L2, plus the slab holding the
+// partial-update buffers of the core's U lines. Every U grant needs a
+// buffer, and contended workloads cycle through grants constantly, so a
+// freed buffer goes on a free list threaded through the buffers' first
+// words, and the steady state allocates nothing.
 type privCache struct {
 	l1 *array[struct{}]
 	l2 *array[privLine]
-	// bufPool recycles partial-update buffers: every U grant needs an
-	// identity-initialized line buffer, and contended workloads cycle
-	// through grants constantly. Pooling keeps the steady state free of
-	// per-grant heap allocations.
-	bufPool []*ops.Line
+	// bufs are the slab's pages. Handle h > 0 names line (h-1) %
+	// bufPageLines of page (h-1) / bufPageLines; pages never move, so a
+	// handle stays valid while the line holds it.
+	bufs    []*bufPage
+	bufUsed uint32 // handles cut from the pages so far
+	bufFree uint32 // first freed handle, 0 when none
 }
 
-// newBuf returns an identity-initialized partial-update buffer for t,
-// reusing a pooled one when available.
-func (pc *privCache) newBuf(t ops.Type) *ops.Line {
-	if n := len(pc.bufPool); n > 0 {
-		b := pc.bufPool[n-1]
-		pc.bufPool = pc.bufPool[:n-1]
-		*b = ops.IdentityLine(t)
-		return b
+// bufPageLines is the size of a slab page: 1 KB of buffers. In the
+// contended workloads a core holds at most a few lines in U at once, so a
+// small page keeps a 128-core machine's slabs small; a core that holds
+// many takes more pages.
+const bufPageLines = 16
+
+type bufPage [bufPageLines]ops.Line
+
+// buf returns the partial-update buffer with handle h.
+func (pc *privCache) buf(h uint32) *ops.Line {
+	i := h - 1
+	return &pc.bufs[i/bufPageLines][i%bufPageLines]
+}
+
+// newBuf returns the handle of a partial-update buffer for t, holding t's
+// identity element in every word: a freed buffer when there is one, else
+// the next unused line of the slab.
+func (pc *privCache) newBuf(t ops.Type) uint32 {
+	h := pc.bufFree
+	if h != 0 {
+		pc.bufFree = uint32(pc.buf(h)[0])
+	} else {
+		if pc.bufUsed == uint32(len(pc.bufs))*bufPageLines {
+			pc.bufs = append(pc.bufs, new(bufPage))
+		}
+		pc.bufUsed++
+		h = pc.bufUsed
 	}
-	b := ops.IdentityLine(t)
-	return &b
+	b, id := pc.buf(h), t.Identity()
+	for i := range b {
+		b[i] = id
+	}
+	return h
+}
+
+// freeBuf puts buffer h on the free list.
+func (pc *privCache) freeBuf(h uint32) {
+	pc.buf(h)[0] = uint64(pc.bufFree)
+	pc.bufFree = h
 }
 
 type l3cache struct {
@@ -539,8 +575,8 @@ func (h *hierarchy) access(c *core, r *request) uint64 {
 		if r.kind == opComm && l2s.state == stateU {
 			// COUP's hot loop — buffer and coalesce locally (Sec 3.1.2),
 			// inlined here to spare the applyPriv dispatch.
-			w := (r.addr >> 3) & 7
-			l2s.buf[w] = ops.ApplyAt(r.otype, l2s.buf[w], uint(r.addr&7), r.val)
+			w, b := (r.addr>>3)&7, pc.buf(l2s.buf)
+			b[w] = ops.ApplyAt(r.otype, b[w], uint(r.addr&7), r.val)
 			return lat
 		}
 		h.applyPriv(c, l2s, r)
@@ -625,8 +661,8 @@ func setWord32(w *uint64, addr uint64, v uint32) {
 func (h *hierarchy) applyPriv(c *core, p *privLine, r *request) {
 	if r.kind == opComm && p.state == stateU {
 		// Buffer and coalesce locally (Sec 3.1.2).
-		w := (r.addr >> 3) & 7
-		p.buf[w] = ops.ApplyAt(r.otype, p.buf[w], uint(r.addr&7), r.val)
+		w, b := (r.addr>>3)&7, c.pc.buf(p.buf)
+		b[w] = ops.ApplyAt(r.otype, b[w], uint(r.addr&7), r.val)
 		return
 	}
 	ln := h.store.lineOf(r.addr)
@@ -762,16 +798,16 @@ func (h *hierarchy) evictPrivLine(c *core, line uint64, p *privLine) {
 }
 
 // foldBufferAt folds the partial updates of a U line into the backing
-// image and returns the buffer to pc's pool.
+// image and frees the buffer.
 func (h *hierarchy) foldBufferAt(pc *privCache, line uint64, p *privLine) {
-	if p.buf == nil {
+	if p.buf == 0 {
 		return
 	}
 	if p.otype.IsUpdate() {
-		ops.Reduce(p.otype, h.store.line(line), p.buf)
+		ops.Reduce(p.otype, h.store.line(line), pc.buf(p.buf))
 	}
-	pc.bufPool = append(pc.bufPool, p.buf)
-	p.buf = nil
+	pc.freeBuf(p.buf)
+	p.buf = 0
 }
 
 func (h *hierarchy) onChip(bytes uint64) {
@@ -971,7 +1007,7 @@ func (h *hierarchy) downgradeCore(chip, ci int, line uint64, to lineState, t ops
 		s.buf = pc.newBuf(t)
 		s.otype = t
 	} else {
-		s.buf = nil
+		s.buf = 0
 		s.otype = ops.Read
 	}
 }
@@ -1251,7 +1287,9 @@ func (h *hierarchy) downgradeChip(q int, line uint64, to lineState, t ops.Type, 
 // L3 entry), folding partial updates.
 func (h *hierarchy) invalidateChip(q int, line uint64, tx *txn) uint64 {
 	ch := h.chips[q]
-	e := ch.arr.peek(line)
+	// Only the chip's private caches change before the entry is removed,
+	// so the handle stays current and invalidateAt skips a second scan.
+	e, eh := ch.arr.peekSlot(line)
 	if e == nil {
 		panic(fmt.Sprintf("sim: L4 thinks chip %d holds %#x but L3 misses", q, line))
 	}
@@ -1275,7 +1313,7 @@ func (h *hierarchy) invalidateChip(q int, line uint64, tx *txn) uint64 {
 		cost += h.cfg.ReduceLatency + uint64(nU)*h.cfg.ReduceCyclesPerLine
 	}
 	dirty := e.dirty || e.cstate == stateU || nU > 0
-	ch.arr.invalidate(line)
+	ch.arr.invalidateAt(line, eh)
 	h.st.Invalidations++
 	if dirty {
 		h.offChip(dataBytes)
@@ -1474,7 +1512,7 @@ func (h *hierarchy) rmoUpdate(c *core, r *request) uint64 {
 func (h *hierarchy) drain() {
 	for _, pc := range h.priv {
 		pc.l2.forEach(func(tag uint64, p *privLine) {
-			if p.state == stateU && p.buf != nil {
+			if p.state == stateU && p.buf != 0 {
 				h.foldBufferAt(pc, tag, p)
 				// Keep the line resident in U with a fresh identity buffer so
 				// structural invariants still hold after draining.
@@ -1515,7 +1553,7 @@ func (h *hierarchy) checkInvariants() error {
 				if e.sharers&bit(ci) == 0 || e.otype != p.otype {
 					err = fmt.Errorf("core %d holds %#x in U(%v) but dir sharers=%#x type=%v", cid, tag, p.otype, e.sharers, e.otype)
 				}
-				if p.buf == nil {
+				if p.buf == 0 {
 					err = fmt.Errorf("core %d U line %#x has no buffer", cid, tag)
 				}
 			}

@@ -44,11 +44,11 @@ func Run(w Workload, cfg sim.Config) (sim.Stats, error) { return RunIn(nil, w, c
 // repeated runs of same-geometry machines — a sweep worker's steady state
 // — recycle all machine-sized scratch instead of reallocating it. A nil
 // arena builds a fresh machine, exactly like Run. The machine returns to
-// the pool only after it passed validation and the coherence invariants;
-// a failed (or panicked) run's machine is dropped, so a suspect machine
-// never re-enters the pool. A kernel write to memory its Setup froze
-// (sim.Machine.Freeze) returns the *sim.FrozenWriteError, wrapped; any
-// other panic propagates.
+// the pool once the run completes, also when it fails validation or the
+// coherence invariants: NewIn's reset clears every set the run touched.
+// A panicked run's machine is dropped. A kernel write to memory its Setup
+// froze (sim.Machine.Freeze) returns the *sim.FrozenWriteError, wrapped;
+// any other panic propagates.
 func RunIn(arena *sim.Arena, w Workload, cfg sim.Config) (st sim.Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -62,14 +62,13 @@ func RunIn(arena *sim.Arena, w Workload, cfg sim.Config) (st sim.Stats, err erro
 	m := sim.NewIn(arena, cfg)
 	w.Setup(m)
 	st = m.Run(w.Kernel)
-	if err := w.Validate(m); err != nil {
-		return st, fmt.Errorf("%s: %w", w.Name(), err)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		return st, fmt.Errorf("%s: coherence invariants: %w", w.Name(), err)
+	if err = w.Validate(m); err != nil {
+		err = fmt.Errorf("%s: %w", w.Name(), err)
+	} else if err = m.CheckInvariants(); err != nil {
+		err = fmt.Errorf("%s: coherence invariants: %w", w.Name(), err)
 	}
 	m.Release()
-	return st, nil
+	return st, err
 }
 
 // chunk returns the [lo, hi) range of n items assigned to thread tid of

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/pkg/obs"
 )
 
@@ -142,5 +143,55 @@ func TestSweepPanickedSpecIsDone(t *testing.T) {
 	cold := reg.Counter("coup_sweep_arena_cold_total", "").Value()
 	if want := int64(2 * (len(specs) - 1)); warm+cold != want {
 		t.Errorf("arena warm+cold = %d+%d, want %d machine constructions", warm, cold, want)
+	}
+}
+
+// failsValidate is a workload whose run completes but whose result fails
+// its check.
+type failsValidate struct{ Workload }
+
+func (failsValidate) Validate(*sim.Machine) error { return errors.New("wrong result") }
+
+// TestSweepPoolsFailedRun: a spec whose run completed but failed its
+// check returns its machine to the worker's arena, so the next spec of
+// the same geometry is served warm, with the stats a fresh Sweeper gives
+// it.
+func TestSweepPoolsFailedRun(t *testing.T) {
+	healthy := counterSpec(4, 1)
+	failing := RunSpec{
+		Make: func() (Workload, error) {
+			info, err := LookupWorkload("counter")
+			if err != nil {
+				return nil, err
+			}
+			w, err := info.New(WorkloadParams{Size: 50})
+			return failsValidate{w}, err
+		},
+		Options: healthy.Options,
+	}
+	reg := obs.NewRegistry()
+	s, err := NewSweeper(WithParallelism(1), WithSweepMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := s.Run([]RunSpec{failing}); res[0].Err == nil {
+		t.Fatal("the failing spec returned no error")
+	}
+	warm := reg.Counter("coup_sweep_arena_warm_total", "")
+	cold := reg.Counter("coup_sweep_arena_cold_total", "")
+	warm0, cold0 := warm.Value(), cold.Value()
+	res := s.Run([]RunSpec{healthy})
+	if dw, dc := warm.Value()-warm0, cold.Value()-cold0; dw != 1 || dc != 0 {
+		t.Errorf("after a failed check the next spec raised warm by %d and cold by %d, want 1 and 0", dw, dc)
+	}
+	fresh, err := Sweep([]RunSpec{healthy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err != nil || fresh[0].Err != nil {
+		t.Fatalf("healthy spec errored: pooled=%v fresh=%v", res[0].Err, fresh[0].Err)
+	}
+	if res[0].Stats != fresh[0].Stats {
+		t.Errorf("the healthy spec on the pooled machine differs from a fresh Sweeper's run:\npooled: %+v\nfresh:  %+v", res[0].Stats, fresh[0].Stats)
 	}
 }
