@@ -80,9 +80,6 @@ func (t Type) String() string {
 // Read).
 func (t Type) IsUpdate() bool { return t != Read }
 
-// Valid reports whether t is one of the defined operation types.
-func (t Type) Valid() bool { return t < NumTypes }
-
 // Width returns the operand width in bytes for t. Read has no operand and
 // returns 0.
 func (t Type) Width() int {
@@ -226,19 +223,6 @@ const LineBytes = 64
 // Line is the raw contents of one cache line as eight 64-bit words.
 type Line [WordsPerLine]uint64
 
-// IdentityLine returns a line with every word initialized to t's identity
-// element. Lines transitioning into U are always initialized this way, even
-// if they held valid data, which avoids tracking which cache holds the
-// original copy (Sec 3.1.2).
-func IdentityLine(t Type) Line {
-	var l Line
-	id := t.Identity()
-	for i := range l {
-		l[i] = id
-	}
-	return l
-}
-
 // Reduce folds the partial-update line p into the base line dst under
 // operation type t, element-wise across every word. Words of p that still
 // hold the identity element leave the corresponding dst word bit-identical,
@@ -248,25 +232,4 @@ func Reduce(t Type, dst *Line, p *Line) {
 	for i := range dst {
 		dst[i] = Apply(t, p[i], dst[i])
 	}
-}
-
-// ReduceAll folds any number of partial-update lines into base and returns
-// the result. It is what a reduction unit computes on a full reduction.
-func ReduceAll(t Type, base Line, parts ...*Line) Line {
-	for _, p := range parts {
-		Reduce(t, &base, p)
-	}
-	return base
-}
-
-// IsIdentityLine reports whether every word of l equals t's identity
-// element. Reduction units may skip such lines.
-func IsIdentityLine(t Type, l *Line) bool {
-	id := t.Identity()
-	for _, w := range l {
-		if w != id {
-			return false
-		}
-	}
-	return true
 }

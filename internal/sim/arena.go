@@ -40,8 +40,7 @@ package sim
 // the duration of the sweep. Dropping the Arena releases everything it
 // holds to the garbage collector.
 type Arena struct {
-	free   map[machineShape][]*Machine
-	pooled int // machines currently held across all shapes
+	free map[machineShape][]*Machine
 	// Pool effectiveness counters, read via PoolStats. Plain words: an
 	// Arena is single-worker by contract, so these need no atomics; the
 	// sweep layer reduces per-worker deltas into shared metrics.
@@ -58,9 +57,6 @@ func NewArena() *Arena {
 // (warm) versus by building a fresh machine (cold). Monotonic over the
 // arena's lifetime.
 func (a *Arena) PoolStats() (warm, cold uint64) { return a.warm, a.cold }
-
-// Pooled reports how many released machines the arena currently holds.
-func (a *Arena) Pooled() int { return a.pooled }
 
 // machineShape is the geometry key under which an Arena pools machines:
 // every Config field that determines allocation sizes. Two configs with
@@ -96,7 +92,6 @@ func NewIn(a *Arena, cfg Config) *Machine {
 	shape := shapeOf(&cfg)
 	if list := a.free[shape]; len(list) > 0 {
 		a.warm++
-		a.pooled--
 		m := list[len(list)-1]
 		list[len(list)-1] = nil
 		a.free[shape] = list[:len(list)-1]
@@ -124,7 +119,6 @@ func (m *Machine) Release() {
 	m.released = true
 	a := m.arena
 	a.free[m.shape] = append(a.free[m.shape], m)
-	a.pooled++
 }
 
 // reset returns a pooled machine to the state New(cfg) would produce,
@@ -197,7 +191,6 @@ func (t *busyTable) reset() {
 	clear(t.keys)
 	clear(t.vals)
 	t.n = 0
-	t.gen++
 }
 
 // reset zeroes every materialized page, keeping them mapped for reuse.

@@ -13,8 +13,10 @@ import (
 // in two parallel slices of an arrayPage with a set's ways contiguous. A
 // lookup therefore scans only a set's way words, an 8-way set's in one
 // 64-byte host line, instead of dragging every way's payload through the
-// cache. No payload type holds a pointer (TestSlotBudget checks), so the
-// garbage collector never scans an array's slots. There are two layouts:
+// cache. Each peek, probe, insert and invalidate scans line's set once,
+// and no way index outlives the call. No payload type holds a pointer
+// (TestSlotBudget checks), so the garbage collector never scans an array's
+// slots. There are two layouts:
 //
 //   - Dense, for small geometries (every L1/L2, and the shrunk shared
 //     caches tests use): one page, allocated at construction, holds every
@@ -48,10 +50,9 @@ type array[P any] struct {
 	chunks []arrayPage[P]  // block storage, chunkSlots slots each
 	used   int             // slots cut from the last chunk
 	free   [][]uint32      // freed blocks' base slots, by sizeClass
-	// touched has one bit per set, raised by every fill (insert, commit)
-	// and cleared only by reset. A set whose bit is clear holds no valid
-	// way, so reset and forEach cost what a run touched, not what the
-	// geometry holds.
+	// touched has one bit per set, raised by every insert and cleared
+	// only by reset. A set whose bit is clear holds no valid way, so reset
+	// and forEach cost what a run touched, not what the geometry holds.
 	touched []uint64
 }
 
@@ -97,9 +98,9 @@ const chunkSlots = 1024
 // A chunk holds a block of every associativity Config.Validate accepts.
 var _ [chunkSlots - maxWays]struct{}
 
-// maxWays is the largest associativity an array supports: a slot handle's
-// way field is 8 bits wide, and wayUnknown is not a way.
-const maxWays = int(wayUnknown)
+// maxWays is the largest associativity an array supports, small enough
+// that a block of any associativity fits in one chunk.
+const maxWays = 255
 
 // newArray builds an array holding sizeBytes of 64-byte lines with the
 // given associativity (1 to maxWays). The set count is rounded down to a
@@ -165,13 +166,28 @@ func (a *array[P]) peek(line uint64) *P {
 	return nil
 }
 
+// probe returns the payload of the way holding line and touches its LRU
+// stamp, or returns nil on a miss.
+func (a *array[P]) probe(line uint64) *P {
+	pg, base, n := a.setAt(line)
+	key := uint32(line>>a.setBits) | validBit
+	for w, x := range pg.words[base : base+n] {
+		if uint32(x) == key {
+			i := base + uint64(w)
+			pg.words[i] = wayWord(key, a.step())
+			return &pg.pay[i]
+		}
+	}
+	return nil
+}
+
 // insert allocates a way for line, evicting the LRU way if the set is
-// full. It returns the new way's payload (zero value) and way index, plus
-// the victim's tag and payload if an eviction occurred. The caller must
-// not insert a line that is already present. An insert may move the ways
-// of line's set (a sparse block grows), so no payload pointer into that
-// set survives it: callers re-derive theirs afterwards.
-func (a *array[P]) insert(line uint64) (p *P, victimTag uint64, victim P, evicted bool, way uint8) {
+// full. It returns the new way's payload (zero value), plus the victim's
+// line address and payload if an eviction occurred. The caller must not
+// insert a line that is already present. An insert may move the ways of
+// line's set (a sparse block grows), so no payload pointer into that set
+// survives it: callers re-derive theirs afterwards.
+func (a *array[P]) insert(line uint64) (p *P, victimTag uint64, victim P, evicted bool) {
 	pg, base, n := a.setAt(line)
 	vi, vmin := n, ^uint64(0)
 	for w := uint64(0); w < n; w++ {
@@ -190,27 +206,19 @@ func (a *array[P]) insert(line uint64) (p *P, victimTag uint64, victim P, evicte
 		// the first way past it.
 		vi, evicted = n, false
 	}
-	return a.fill(line, pg, base, n, vi, evicted)
-}
-
-// fill writes line into way w of its set, which setAt located at (pg,
-// base, n), and returns what insert returns. evict says the way holds the
-// victim; a way past the set's block first grows the block.
-func (a *array[P]) fill(line uint64, pg *arrayPage[P], base, n, w uint64, evict bool) (p *P, victimTag uint64, victim P, evicted bool, way uint8) {
-	if w >= n {
+	if vi >= n {
 		pg, base = a.grow(line&a.setMask, n)
 	}
-	i := base + w
-	if evict {
+	i := base + vi
+	if evicted {
 		victimTag = uint64(uint32(pg.words[i])&^validBit)<<a.setBits | (line & a.setMask)
 		victim = pg.pay[i]
-		evicted = true
 	}
 	var zero P
 	pg.words[i] = wayWord(uint32(line>>a.setBits)|validBit, a.step())
 	pg.pay[i] = zero
 	a.mark(line)
-	return &pg.pay[i], victimTag, victim, evicted, uint8(w)
+	return &pg.pay[i], victimTag, victim, evicted
 }
 
 // grow moves sparse set s from its block of n ways to one twice that size
@@ -266,27 +274,27 @@ func (a *array[P]) mark(line uint64) {
 	a.touched[s>>6] |= 1 << (s & 63)
 }
 
-// invalidate removes line from the array if present. The clock step marks
-// the mutation so outstanding slot handles (see probe) notice the set may
-// have changed; it never reorders LRU decisions, because stored stamps are
-// untouched and future stamps only grow.
-func (a *array[P]) invalidate(line uint64) {
+// invalidate removes line from the array and returns the payload it held
+// and true, or a zero payload and false when line is absent. The LRU clock
+// does not move: stamps are compared only within a set, and emptying a way
+// reorders none of them.
+func (a *array[P]) invalidate(line uint64) (P, bool) {
 	pg, base, n := a.setAt(line)
 	key := uint32(line>>a.setBits) | validBit
+	var zero P
 	for i := base; i < base+n; i++ {
 		if uint32(pg.words[i]) == key {
-			var zero P
+			p := pg.pay[i]
 			pg.words[i] = 0
 			pg.pay[i] = zero
-			a.step()
-			return
+			return p, true
 		}
 	}
+	return zero, false
 }
 
-// step advances the LRU clock and returns the new stamp. Every hit, fill
-// and invalidation steps it once, which is how outstanding slot handles
-// notice a mutation. Where the 32-bit clock would wrap, renumber first
+// step advances the LRU clock and returns the new stamp. Every hit and
+// fill steps it once. Where the 32-bit clock would wrap, renumber first
 // compacts every set's stamps, so a new stamp is always the set's newest.
 func (a *array[P]) step() uint32 {
 	if a.tick == math.MaxUint32 {
@@ -298,8 +306,7 @@ func (a *array[P]) step() uint32 {
 
 // renumber gives the valid ways of each touched set the stamps 1…k in
 // their LRU order and restarts the clock at the largest k. Stamps are only
-// compared within a set, so no victim changes; an outstanding slot handle
-// no longer matches the clock and falls back to a fresh scan.
+// compared within a set, so no victim changes.
 //
 //go:noinline
 func (a *array[P]) renumber() {
@@ -325,154 +332,6 @@ func (a *array[P]) renumber() {
 			}
 		}
 	}
-}
-
-// slotRef is a handle to one way of an array, captured by probe or
-// peekSlot and consumed together with the same line address. It stays
-// valid — the way and the staged victim choice remain exact — until the
-// array's tick changes (any hit, insert or invalidate); consumers re-check
-// the tick and fall back to a fresh scan when it moved, so a stale handle
-// can never change behaviour, only cost.
-//
-// The handle is one packed word so the hot paths that produce one but
-// rarely use it (every private-cache probe) pay a single register, not a
-// struct spill: [tick:32][way:8][flags:8]. The tick is compared for
-// equality only. For a handle to match again after the clock moved, the
-// clock must run through nearly 2^32 steps (a renumbering restarts it at
-// most at the associativity), far more than one directory transaction
-// makes.
-type slotRef = uint64
-
-const (
-	slotHit   = 1 << 0 // the handle names line's own way
-	slotEvict = 1 << 1 // staged miss in a full set: way holds the LRU victim
-)
-
-func packSlot(tick uint32, way uint8, flags uint8) slotRef {
-	return uint64(tick)<<32 | uint64(way)<<8 | uint64(flags)
-}
-
-func (a *array[P]) slotCurrent(h slotRef) bool { return uint32(h>>32) == a.tick }
-
-// slotWay returns the way index recorded in a probe/peekSlot handle.
-func slotWay(h slotRef) uint8 { return uint8(h >> 8) }
-
-// wayUnknown marks a hint whose way index was not tracked; any
-// out-of-range way simply fails peekAt's tag check, so unknown hints are
-// safe everywhere a hint is.
-const wayUnknown = ^uint8(0)
-
-// probe scans line's set once, fusing the hit test with the victim choice
-// insert would otherwise rescan for. On a hit it touches the way's LRU
-// stamp and returns the payload plus a handle to the hit way; on a miss
-// it returns nil plus a handle staging the insertion — the way a fresh
-// insert would choose — which commit turns into the actual insert without
-// rescanning the set. The hit path pays only a first-empty-way test over
-// a plain tag scan; only a miss in a full set compares LRU stamps, as
-// insert would have.
-func (a *array[P]) probe(line uint64) (*P, slotRef) {
-	pg, base, n := a.setAt(line)
-	key := uint32(line>>a.setBits) | validBit
-	ws := pg.words[base : base+n]
-	empty := -1
-	for w, x := range ws {
-		if uint32(x) == key {
-			i := base + uint64(w)
-			pg.words[i] = wayWord(key, a.step())
-			return &pg.pay[i], packSlot(a.tick, uint8(w), slotHit)
-		}
-		if empty < 0 && x == 0 {
-			empty = w
-		}
-	}
-	if empty >= 0 {
-		return nil, packSlot(a.tick, uint8(empty), 0)
-	}
-	if n < uint64(a.ways) {
-		// A full block of a set below its associativity: the fill takes
-		// the first way past it.
-		return nil, packSlot(a.tick, uint8(n), 0)
-	}
-	// Full set: pick the LRU way, exactly as insert would.
-	vi, vmin := 0, ws[0]
-	for w := 1; w < len(ws); w++ {
-		if x := ws[w]; x < vmin {
-			vi, vmin = w, x
-		}
-	}
-	return nil, packSlot(a.tick, uint8(vi), slotEvict)
-}
-
-// commit completes the insertion staged by a missing probe of line. While
-// the array is untouched since the probe (the common case) it fills the
-// staged way directly; otherwise it falls back to a full insert, so the
-// result is always identical to calling insert fresh. Like insert, it may
-// move the ways of line's set.
-func (a *array[P]) commit(line uint64, h slotRef) (p *P, victimTag uint64, victim P, evicted bool, way uint8) {
-	if h&slotHit != 0 || !a.slotCurrent(h) {
-		return a.insert(line)
-	}
-	pg, base, n := a.setAt(line)
-	return a.fill(line, pg, base, n, uint64(slotWay(h)), h&slotEvict != 0)
-}
-
-// revalidate re-derives the payload pointer of a hit handle for line:
-// nearly free while the array is untouched, one peek otherwise.
-// Missing-probe handles (and lines invalidated since) return nil, like
-// peek.
-func (a *array[P]) revalidate(line uint64, h slotRef) *P {
-	if h&slotHit != 0 && a.slotCurrent(h) {
-		pg, base, _ := a.setAt(line)
-		return &pg.pay[base+uint64(slotWay(h))]
-	}
-	return a.peek(line)
-}
-
-// peekAt returns the payload of the way holding line when the hinted way
-// index still does, falling back to a full peek otherwise. Hints are
-// best-effort: the tag comparison validates them exactly (a set holds at
-// most one way per line), so stale or unknown hints cost one extra scan
-// and can never change the result.
-func (a *array[P]) peekAt(line uint64, way uint8) *P {
-	pg, base, n := a.setAt(line)
-	if uint64(way) < n {
-		i := base + uint64(way)
-		if uint32(pg.words[i]) == uint32(line>>a.setBits)|validBit {
-			return &pg.pay[i]
-		}
-	}
-	return a.peek(line)
-}
-
-// peekSlot is peek returning a handle to the hit way, so a following
-// invalidateAt avoids rescanning the set.
-func (a *array[P]) peekSlot(line uint64) (*P, slotRef) {
-	pg, base, n := a.setAt(line)
-	key := uint32(line>>a.setBits) | validBit
-	for w, x := range pg.words[base : base+n] {
-		if uint32(x) == key {
-			return &pg.pay[base+uint64(w)], packSlot(a.tick, uint8(w), slotHit)
-		}
-	}
-	return nil, 0
-}
-
-// invalidateAt removes line, which the handle points at, without
-// rescanning the set while the handle is still current.
-func (a *array[P]) invalidateAt(line uint64, h slotRef) {
-	if h&slotHit == 0 {
-		return
-	}
-	if !a.slotCurrent(h) {
-		a.invalidate(line)
-		return
-	}
-	pg, base, _ := a.setAt(line)
-	i := base + uint64(slotWay(h))
-	var zero P
-	pg.words[i] = 0
-	pg.pay[i] = zero
-	a.step()
 }
 
 // reset returns the array to its post-newArray state while keeping its

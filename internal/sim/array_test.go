@@ -72,7 +72,7 @@ func checkReset(t *testing.T, a *array[int], step string) {
 // refArray is the reference model of array: every set a plain slice of
 // its ways, each holding a full line address. A fill takes the lowest
 // empty way or, once every way is valid, the way with the oldest LRU
-// stamp; the clock advances on every hit, fill and invalidation.
+// stamp; the clock advances on every hit and fill.
 type refArray struct {
 	ways  int
 	nsets uint64
@@ -132,11 +132,16 @@ func (r *refArray) insert(line uint64) (int, refWay) {
 	return w, old
 }
 
-func (r *refArray) invalidate(line uint64) {
-	if w := r.find(line); w >= 0 {
-		r.set(line)[w] = refWay{}
-		r.tick++
+// invalidate removes line and returns its payload and true, or 0 and false
+// when line is absent.
+func (r *refArray) invalidate(line uint64) (int, bool) {
+	w := r.find(line)
+	if w < 0 {
+		return 0, false
 	}
+	pay := r.set(line)[w].pay
+	r.set(line)[w] = refWay{}
+	return pay, true
 }
 
 // contents lists the valid ways' lines and payloads in set-major order.
@@ -148,6 +153,19 @@ func (r *refArray) contents() (lines []uint64, pays []int) {
 		}
 	}
 	return lines, pays
+}
+
+// wayOf returns the way of line's set that holds line, or -1: the way a
+// fill took, which insert does not report.
+func wayOf[P any](a *array[P], line uint64) int {
+	pg, base, n := a.setAt(line)
+	key := uint32(line>>a.setBits) | validBit
+	for w, x := range pg.words[base : base+n] {
+		if uint32(x) == key {
+			return w
+		}
+	}
+	return -1
 }
 
 // arrayCase is an array for the random model steps of runArrayModel. The
@@ -173,41 +191,97 @@ func arrayCases() []arrayCase {
 	}
 }
 
-// TestArrayTouchedSets drives random probe, commit, insert, invalidate,
-// invalidateAt, peekAt and reset steps into an array and into refArray,
-// which knows nothing of layouts. Every step must return the same hits,
-// staged and filled ways, victims and payloads; afterwards forEach must
-// yield the model's lines in the model's order, a full slot scan must
-// agree with forEach, which reads only the sets the touched bitmap marks,
-// and reset must leave every stored slot zero.
+// TestArrayTouchedSets drives random probe, insert, invalidate, peek and
+// reset steps into an array and into refArray, which knows nothing of
+// layouts. Every step must return the same hits, filled ways, victims and
+// payloads; afterwards forEach must yield the model's lines in the model's
+// order, a full slot scan must agree with forEach, which reads only the
+// sets the touched bitmap marks, and reset must leave every stored slot
+// zero.
 func TestArrayTouchedSets(t *testing.T) {
 	for _, tc := range arrayCases() {
-		t.Run(tc.name, func(t *testing.T) { runArrayModel(t, tc, 0) })
+		t.Run(tc.name, func(t *testing.T) { checkModelRun(t, tc, runArrayModel(t, tc, 7, 0)) })
 	}
 }
 
 // TestArrayLRUWrap runs the model steps with the array's 32-bit LRU clock
 // set 200 steps below its wrap at the start and after every reset, while
 // refArray's 64-bit clock runs on. Each wrap renumbers the array's stamps;
-// hits, staged ways and victims must still match the model's, also after
+// hits, filled ways and victims must still match the model's, also after
 // a wrap that found a set full.
 func TestArrayLRUWrap(t *testing.T) {
 	for _, tc := range arrayCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			wraps, full := runArrayModel(t, tc, 200)
-			if wraps < 3 || full == 0 {
-				t.Fatalf("%d wraps, %d with a full set; want at least 3 and 1", wraps, full)
+			run := runArrayModel(t, tc, 7, 200)
+			checkModelRun(t, tc, run)
+			if run.wraps < 3 || run.full == 0 {
+				t.Fatalf("%d wraps, %d with a full set; want at least 3 and 1", run.wraps, run.full)
 			}
 		})
 	}
 }
 
-// runArrayModel checks tc.a against refArray over 6000 random steps. With
-// left > 0 it sets the array's clock left steps below its wrap at the
-// start and after every reset, and the model's clock to the same value,
-// and it returns how many times the clock wrapped and how many of those
-// wraps found a hot set full.
-func runArrayModel(t *testing.T, tc arrayCase, left uint32) (wraps, full int) {
+// FuzzArrayModel runs the model steps of every array case from a fuzzed
+// seed, with the clock left steps below its wrap (not armed at 0). Each
+// step must agree with the model; the floors on what a run exercises stay
+// with the fixed-seed tests above.
+func FuzzArrayModel(f *testing.F) {
+	f.Add(uint64(7), uint32(200))
+	f.Fuzz(func(t *testing.T, seed uint64, left uint32) {
+		for _, tc := range arrayCases() {
+			runArrayModel(t, tc, seed, left)
+		}
+	})
+}
+
+// modelRun counts what one runArrayModel run exercised.
+type modelRun struct {
+	fills, evictions int
+	reuses           int             // fills that took a freed block
+	grownTo          map[uint64]bool // block sizes a fill grew a set to
+	wraps, full      int             // clock wraps, and those that found a hot set full
+}
+
+// checkModelRun fails unless run filled and evicted enough, and, on a
+// sparse case, grew a block to every size, reused a freed block and left
+// some header group unallocated.
+func checkModelRun(t *testing.T, tc arrayCase, run modelRun) {
+	t.Helper()
+	a := tc.a
+	if run.fills < 1000 || run.evictions < 50 {
+		t.Fatalf("only %d fills and %d evictions in 6000 steps", run.fills, run.evictions)
+	}
+	if !tc.sparse {
+		return
+	}
+	for n := uint64(1); ; n = min(2*n, uint64(a.ways)) {
+		if !run.grownTo[n] {
+			t.Errorf("no block grew to %d ways", n)
+		}
+		if n == uint64(a.ways) {
+			break
+		}
+	}
+	if run.reuses == 0 {
+		t.Error("no fill reused a freed block")
+	}
+	allocated := 0
+	for _, g := range a.groups {
+		if g != nil {
+			allocated++
+		}
+	}
+	if allocated == len(a.groups) {
+		t.Errorf("all %d header groups allocated; the lines should leave some untouched", allocated)
+	}
+}
+
+// runArrayModel checks tc.a against refArray over 6000 random steps drawn
+// from seed. A probe that misses leaves its line pending, and a later step
+// inserts it, as the hierarchy fills after a miss. With left > 0 it sets
+// the array's clock left steps below its wrap at the start and after every
+// reset, and the model's clock to the same value.
+func runArrayModel(t *testing.T, tc arrayCase, seed uint64, left uint32) modelRun {
 	t.Helper()
 	a := tc.a
 	if sparse := a.groups != nil; sparse != tc.sparse {
@@ -224,44 +298,43 @@ func runArrayModel(t *testing.T, tc arrayCase, left uint32) (wraps, full int) {
 		}
 	}
 	arm()
-	r := newRNG(7)
+	r := newRNG(seed)
 	line := func() uint64 {
 		if r.intn(2) == 0 {
 			return r.intn(2*uint64(a.ways))*nsets + tc.hot[r.intn(uint64(len(tc.hot)))]
 		}
 		return r.intn(3)*nsets + r.intn(tc.cold)
 	}
-	var pending uint64 // a line whose missing probe staged a fill
-	var pendH slotRef
+	var pending uint64 // a line whose probe missed
 	hasPending := false
-	fills, evictions, reuses := 0, 0, 0
-	grownTo := map[uint64]bool{}
-	// fill checks one insert or commit of ln against the model and
-	// stamps the new way's payload.
-	fill := func(what string, ln uint64, do func() (*int, uint64, int, bool, uint8)) {
+	run := modelRun{grownTo: map[uint64]bool{}}
+	// fill checks one insert of ln against the model and stamps the new
+	// way's payload.
+	fill := func(what string, ln uint64) {
 		t.Helper()
 		_, _, n0 := a.setAt(ln)
 		free := make([]int, len(a.free))
 		for c, f := range a.free {
 			free[c] = len(f)
 		}
-		p, vtag, vp, ev, way := do()
+		p, vtag, vp, ev := a.insert(ln)
+		way := wayOf(a, ln)
 		w, old := ref.insert(ln)
-		if int(way) != w || ev != old.valid || ev && (vtag != old.line || vp != old.pay) {
+		if way != w || p != a.peek(ln) || ev != old.valid || ev && (vtag != old.line || vp != old.pay) {
 			t.Fatalf("%s: way %d, evicted %v (line %#x, payload %d); the model fills way %d over %+v", what, way, ev, vtag, vp, w, old)
 		}
-		*p = fills + 1
+		run.fills++
+		*p = run.fills
 		ref.set(ln)[w].pay = *p
-		fills++
 		if ev {
-			evictions++
+			run.evictions++
 		}
 		if _, _, n := a.setAt(ln); n != n0 {
-			grownTo[n] = true
+			run.grownTo[n] = true
 		}
 		for c, f := range a.free {
 			if len(f) < free[c] {
-				reuses++
+				run.reuses++
 			}
 		}
 	}
@@ -271,63 +344,46 @@ func runArrayModel(t *testing.T, tc arrayCase, left uint32) (wraps, full int) {
 		case op < 300:
 			ln := line()
 			what = fmt.Sprintf("step %d: probe %#x", step, ln)
-			p, h := a.probe(ln)
+			p := a.probe(ln)
 			if w := ref.find(ln); w >= 0 {
 				ref.tick++
 				ref.set(ln)[w].lru = ref.tick
-				if p == nil || *p != ref.set(ln)[w].pay || h&slotHit == 0 || int(slotWay(h)) != w {
-					t.Fatalf("%s: got (%v, %#x), the model hits way %d", what, p, h, w)
+				if p == nil || *p != ref.set(ln)[w].pay || wayOf(a, ln) != w {
+					t.Fatalf("%s: got %v at way %d, the model hits way %d", what, p, wayOf(a, ln), w)
 				}
 				break
 			}
-			w, ev := ref.victim(ln)
-			if p != nil || h&slotHit != 0 || int(slotWay(h)) != w || (h&slotEvict != 0) != ev {
-				t.Fatalf("%s: got (%v, %#x), the model misses and stages way %d (evict %v)", what, p, h, w, ev)
+			if p != nil {
+				t.Fatalf("%s: got %v, the model misses", what, p)
 			}
-			pending, pendH, hasPending = ln, h, true
+			pending, hasPending = ln, true
 		case op < 550:
 			if !hasPending || ref.find(pending) >= 0 {
 				hasPending = false
 				continue
 			}
-			what, hasPending = fmt.Sprintf("step %d: commit %#x", step, pending), false
-			fill(what, pending, func() (*int, uint64, int, bool, uint8) { return a.commit(pending, pendH) })
+			what, hasPending = fmt.Sprintf("step %d: insert pending %#x", step, pending), false
+			fill(what, pending)
 		case op < 800:
 			ln := line()
 			if ref.find(ln) >= 0 {
 				continue
 			}
 			what = fmt.Sprintf("step %d: insert %#x", step, ln)
-			fill(what, ln, func() (*int, uint64, int, bool, uint8) { return a.insert(ln) })
-		case op < 860:
-			ln := line()
-			what = fmt.Sprintf("step %d: invalidate %#x", step, ln)
-			a.invalidate(ln)
-			ref.invalidate(ln)
+			fill(what, ln)
 		case op < 920:
 			ln := line()
-			what = fmt.Sprintf("step %d: invalidateAt %#x", step, ln)
-			p, h := a.peekSlot(ln)
-			if w := ref.find(ln); (p != nil) != (w >= 0) || w >= 0 && (*p != ref.set(ln)[w].pay || int(slotWay(h)) != w) {
-				t.Fatalf("%s: peekSlot got (%v, %#x), the model finds way %d", what, p, h, w)
+			what = fmt.Sprintf("step %d: invalidate %#x", step, ln)
+			tick := a.tick
+			p, ok := a.invalidate(ln)
+			wp, wok := ref.invalidate(ln)
+			if p != wp || ok != wok || a.tick != tick {
+				t.Fatalf("%s: got (%d, %v) with tick %d → %d; the model removes (%d, %v) and keeps the tick", what, p, ok, tick, a.tick, wp, wok)
 			}
-			if r.intn(2) == 0 {
-				a.step() // a stale handle takes the rescan path
-				ref.tick++
-			}
-			a.invalidateAt(ln, h)
-			ref.invalidate(ln)
 		case op < 998:
 			ln := line()
-			way := uint8(r.intn(uint64(a.ways) + 2))
-			if way > uint8(a.ways) {
-				way = wayUnknown
-			}
-			what = fmt.Sprintf("step %d: peekAt %#x way %d", step, ln, way)
-			p := a.peekAt(ln, way)
-			if p != a.peek(ln) {
-				t.Fatalf("%s: got %v, peek finds %v", what, p, a.peek(ln))
-			}
+			what = fmt.Sprintf("step %d: peek %#x", step, ln)
+			p := a.peek(ln)
 			if w := ref.find(ln); (p != nil) != (w >= 0) || w >= 0 && *p != ref.set(ln)[w].pay {
 				t.Fatalf("%s: got %v, the model finds way %d", what, p, w)
 			}
@@ -354,45 +410,20 @@ func runArrayModel(t *testing.T, tc arrayCase, left uint32) (wraps, full int) {
 		}
 		if ref.tick > math.MaxUint32 && !wrapped {
 			wrapped = true
-			wraps++
+			run.wraps++
 			for _, s := range tc.hot {
 				if _, ev := ref.victim(s); ev {
-					full++
+					run.full++
 					break
 				}
 			}
 		}
 		checkForEach(t, a, what)
 	}
-	if fills < 1000 || evictions < 50 {
-		t.Fatalf("only %d fills and %d evictions in 6000 steps", fills, evictions)
-	}
-	if tc.sparse {
-		for n := uint64(1); ; n = min(2*n, uint64(a.ways)) {
-			if !grownTo[n] {
-				t.Errorf("no block grew to %d ways", n)
-			}
-			if n == uint64(a.ways) {
-				break
-			}
-		}
-		if reuses == 0 {
-			t.Error("no fill reused a freed block")
-		}
-		allocated := 0
-		for _, g := range a.groups {
-			if g != nil {
-				allocated++
-			}
-		}
-		if allocated == len(a.groups) {
-			t.Errorf("all %d header groups allocated; the lines should leave some untouched", allocated)
-		}
-	}
 	a.reset()
 	checkReset(t, a, "final reset")
 	checkForEach(t, a, "final reset")
-	return wraps, full
+	return run
 }
 
 // TestSlotBudget pins what one slot of each cache array costs, its way

@@ -306,7 +306,7 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("sim: bad %s geometry (%dB, %d ways)", g.name, g.size, g.ways)
 		}
 		if g.ways > maxWays {
-			return fmt.Errorf("sim: %s associativity must be <= %d (the width of a way index), got %d", g.name, maxWays, g.ways)
+			return fmt.Errorf("sim: %s associativity must be <= %d (so a set's block fits in one array chunk), got %d", g.name, maxWays, g.ways)
 		}
 	}
 	if c.L3Banks < 1 || c.L4Banks < 1 || c.MemChannels < 1 {

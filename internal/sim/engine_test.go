@@ -52,16 +52,16 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // lookups of absent lines, overwrite, and collision probing.
 func TestBusyTableBasics(t *testing.T) {
 	bt := newBusyTable()
-	if got, _ := bt.getSlot(42); got != 0 {
+	if got := bt.get(42); got != 0 {
 		t.Errorf("absent line: got %d, want 0", got)
 	}
 	bt.put(42, 100, 0)
 	bt.put(43, 200, 0)
 	bt.put(42, 150, 0) // overwrite
-	if got, _ := bt.getSlot(42); got != 150 {
+	if got := bt.get(42); got != 150 {
 		t.Errorf("line 42: got %d, want 150", got)
 	}
-	if got, _ := bt.getSlot(43); got != 200 {
+	if got := bt.get(43); got != 200 {
 		t.Errorf("line 43: got %d, want 200", got)
 	}
 }
@@ -84,7 +84,7 @@ func TestBusyTableBounded(t *testing.T) {
 	for i := uint64(100); i < 10_000; i++ {
 		bt2.put(i, i+1, i)
 	}
-	if got, _ := bt2.getSlot(7); got != 1<<40 {
+	if got := bt2.get(7); got != 1<<40 {
 		t.Errorf("live entry lost during purges: got %d", got)
 	}
 }
@@ -98,7 +98,7 @@ func TestBusyTableGrow(t *testing.T) {
 		bt.put(i, 1<<30+i, 0) // all live far in the future
 	}
 	for i := uint64(0); i < n; i++ {
-		if got, _ := bt.getSlot(i); got != 1<<30+i {
+		if got := bt.get(i); got != 1<<30+i {
 			t.Fatalf("line %d: got %d, want %d", i, got, 1<<30+i)
 		}
 	}
@@ -134,7 +134,7 @@ func TestArrayLazyEvictTagRoundTrip(t *testing.T) {
 	base := uint64(0x3F00_0000) >> 6  // a large line address
 	base -= base & a.setMask          // align to set 0
 	for k := uint64(0); k < 17; k++ { // 17 lines, same set, 16 ways
-		p, vtag, vp, evicted, _ := a.insert(base + k*sets)
+		p, vtag, vp, evicted := a.insert(base + k*sets)
 		*p = int(k)
 		if k < 16 && evicted {
 			t.Fatalf("unexpected eviction at insert %d", k)

@@ -107,18 +107,14 @@ func (s lineState) CanRead() bool { return s == stateS || s == stateE || s == st
 // Exclusive reports whether s implies no other cache holds a valid copy.
 func (s lineState) Exclusive() bool { return s == stateE || s == stateM }
 
-// privLine is the coherence payload of a private (L2) cache line. dirWay
-// remembers which way of the L3 set held the line's directory entry when
-// the line was filled — a best-effort hint (validated by tag on use, see
-// array.peekAt) that lets the eviction path find the entry without a
-// 16-way scan. buf is a handle into the core's buffer slab, not a
-// pointer, so an L2 slot costs 16 bytes with its way word and the garbage
-// collector never scans an L2 page.
+// privLine is the coherence payload of a private (L2) cache line. buf is
+// a handle into the core's buffer slab, not a pointer, so an L2 slot costs
+// 16 bytes with its way word and the garbage collector never scans an L2
+// page.
 type privLine struct {
-	state  lineState
-	otype  ops.Type // operation type when state == U
-	dirWay uint8
-	buf    uint32 // partial-update buffer (privCache.buf) when state == U; 0 = none
+	state lineState
+	otype ops.Type // operation type when state == U
+	buf   uint32   // partial-update buffer (privCache.buf) when state == U; 0 = none
 }
 
 // dirLine is the payload of an L3/L4 in-cache-directory entry. At the L3 it
@@ -163,7 +159,6 @@ type busyTable struct {
 	vals []uint64 // busy-until cycle
 	n    int      // occupied slots
 	mask uint64
-	gen  uint64 // bumped whenever slots move (insert/purge/grow/reset)
 }
 
 func newBusyTable() busyTable {
@@ -175,39 +170,17 @@ func newBusyTable() busyTable {
 	}
 }
 
-// busySlot is getSlot's handle: the slot where line was found, valid while
-// the table's generation is unchanged.
-type busySlot struct {
-	idx     uint64
-	gen     uint64
-	present bool
-}
-
-// getSlot returns the busy-until cycle recorded for line (0 if none) and
-// a handle that putAt can use to update the same entry without a second
-// probe. Each bank transaction reads a line's busy-until on entry and
-// writes the same line's on exit; fusing the pair halves the table
-// probes on the miss path.
-func (t *busyTable) getSlot(line uint64) (uint64, busySlot) {
+// get returns the busy-until cycle recorded for line, 0 if none.
+func (t *busyTable) get(line uint64) uint64 {
 	k := line + 1
 	for i := mixLine(line) & t.mask; ; i = (i + 1) & t.mask {
 		switch t.keys[i] {
 		case k:
-			return t.vals[i], busySlot{idx: i, gen: t.gen, present: true}
+			return t.vals[i]
 		case 0:
-			return 0, busySlot{}
+			return 0
 		}
 	}
-}
-
-// putAt is put for the line s was probed at. While the table's slots have
-// not moved since (same generation), an existing entry updates in place.
-func (t *busyTable) putAt(s busySlot, line, until, watermark uint64) {
-	if s.present && s.gen == t.gen {
-		t.vals[s.idx] = until
-		return
-	}
-	t.put(line, until, watermark)
 }
 
 // put records that line's current transaction completes at until. When the
@@ -238,7 +211,6 @@ func (t *busyTable) put(line, until, watermark uint64) {
 			t.keys[i] = k
 			t.vals[i] = until
 			t.n++
-			t.gen++
 			return
 		}
 	}
@@ -259,7 +231,6 @@ func (t *busyTable) purge(watermark uint64) {
 // deleteAt empties slot i, backward-shifting the entries of its linear-
 // probe cluster so every survivor stays reachable from its home slot.
 func (t *busyTable) deleteAt(i uint64) {
-	t.gen++
 	mask := t.mask
 	j := i
 	for {
@@ -307,7 +278,6 @@ func (t *busyTable) grow() {
 		}
 	}
 	t.keys, t.vals, t.mask = keys, vals, mask
-	t.gen++
 }
 
 // privCache is one core's private L1 and L2, plus the slab holding the
@@ -549,19 +519,17 @@ func (h *hierarchy) access(c *core, r *request) uint64 {
 	// Private-cache fast path. Latency accounting goes straight into the
 	// global breakdown buckets — no per-transaction scratch to zero and
 	// merge on the path that serves the overwhelming majority of accesses.
-	// The probe doubles as the fill staging: on a clean miss the handle
-	// carries the victim way, so fillPriv commits without rescanning.
-	l2s, l2h := pc.l2.probe(line)
+	l2s := pc.l2.probe(line)
 	if l2s != nil && h.privSufficient(l2s, r) {
 		var lat uint64
-		if l1s, l1h := pc.l1.probe(line); l1s != nil {
+		if pc.l1.probe(line) != nil {
 			h.st.L1Hits++
 			lat = h.cfg.L1Lat
 		} else {
 			h.st.L2Hits++
 			lat = h.cfg.L1Lat + h.cfg.L2Lat
 			h.st.Breakdown.L2 += h.cfg.L2Lat
-			pc.l1.commit(line, l1h) // L1 fills silently; L2 is inclusive
+			pc.l1.insert(line) // L1 fills silently; L2 is inclusive
 		}
 		l1bd := h.cfg.L1Lat
 		if atomicOp {
@@ -594,7 +562,7 @@ func (h *hierarchy) access(c *core, r *request) uint64 {
 		if l2s.state == stateU {
 			h.foldBufferAt(pc, line, l2s)
 		}
-		pc.l2.invalidateAt(line, l2h)
+		pc.l2.invalidate(line)
 		pc.l1.invalidate(line)
 	}
 
@@ -611,10 +579,10 @@ func (h *hierarchy) access(c *core, r *request) uint64 {
 		rq = shGetU
 	}
 
-	grant, dirWay := h.l3Access(c, line, rq, r.otype, &tx, l2s != nil)
+	grant := h.l3Access(c, line, rq, r.otype, &tx, l2s != nil)
 
 	// Fill the private cache with the granted line and apply the operation.
-	filled := h.fillPriv(c, line, grant, r.otype, l2h, dirWay)
+	filled := h.fillPriv(c, line, grant, r.otype)
 	if atomicOp {
 		tx.adv(h.cfg.AtomicOverhead, &tx.bd.L1)
 	}
@@ -741,19 +709,16 @@ func (h *hierarchy) applyPriv(c *core, p *privLine, r *request) {
 }
 
 // fillPriv installs a line in the requesting core's L1/L2 with the granted
-// state and returns the installed L2 way, so the caller can apply the
-// operation without rescanning the set. fh is the handle from the miss
-// probe in access: on a clean miss it still stages the victim way and the
-// fill commits scan-free; after a same-set mutation (e.g. the requester
-// dropped its own insufficient copy) commit falls back to a fresh insert.
-func (h *hierarchy) fillPriv(c *core, line uint64, grant lineState, t ops.Type, fh slotRef, dirWay uint8) *privLine {
+// state and returns its L2 payload, so the caller can apply the operation
+// without rescanning the set.
+func (h *hierarchy) fillPriv(c *core, line uint64, grant lineState, t ops.Type) *privLine {
 	pc := h.priv[c.id]
-	s, vtag, vp, evicted, _ := pc.l2.commit(line, fh)
+	s, vtag, vp, evicted := pc.l2.insert(line)
 	if evicted {
 		h.evictPrivLine(c, vtag, &vp)
 		pc.l1.invalidate(vtag)
 	}
-	*s = privLine{state: grant, dirWay: dirWay}
+	*s = privLine{state: grant}
 	if grant == stateU {
 		s.buf = pc.newBuf(t)
 		s.otype = t
@@ -769,7 +734,7 @@ func (h *hierarchy) fillPriv(c *core, line uint64, grant lineState, t ops.Type, 
 func (h *hierarchy) evictPrivLine(c *core, line uint64, p *privLine) {
 	ch := h.chips[c.chip]
 	ci := c.id % h.cfg.CoresPerChip
-	e := ch.arr.peekAt(line, p.dirWay)
+	e := ch.arr.peek(line)
 	if e == nil {
 		panic(fmt.Sprintf("sim: inclusion violated — L2 line %#x missing from L3", line))
 	}
@@ -823,30 +788,23 @@ func (h *hierarchy) offChip(bytes uint64) {
 // l3Access obtains the requested permission for core c from its chip's L3
 // directory, escalating to the L4 global directory when the chip's own
 // permission is insufficient. It returns the state to install in the
-// private cache, plus the L3 way its directory entry landed in (a
-// best-effort hint for the requester's later eviction of the line;
-// wayUnknown on the rare re-scan paths). dropSelf marks a requester that
-// just dropped its own insufficient private copy: the matching
-// directory-entry cleanup happens on the entry found by this function's
-// probe, instead of a separate tag scan in access.
-func (h *hierarchy) l3Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn, dropSelf bool) (lineState, uint8) {
+// private cache. dropSelf marks a requester that just dropped its own
+// insufficient private copy: the matching directory-entry cleanup happens
+// on the entry found by this function's probe, instead of a separate tag
+// scan in access.
+func (h *hierarchy) l3Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn, dropSelf bool) lineState {
 	ch := h.chips[c.chip]
 	b := ch.bank(line)
 	ci := c.id % h.cfg.CoresPerChip
 
 	// Serialize against other transactions on this line and this bank.
-	lineBusy, bslot := b.lineBusy.getSlot(line)
-	tx.waitUntil(lineBusy, &tx.bd.L3)
+	tx.waitUntil(b.lineBusy.get(line), &tx.bd.L3)
 	tx.waitUntil(b.busyUntil, &tx.bd.L3)
 	b.busyUntil = tx.now + h.cfg.DirBankService
 	tx.adv(h.cfg.L3Lat+h.jitter(), &tx.bd.L3)
 	h.onChip(ctrlBytes)
 
-	// One fused probe serves both outcomes: a hit yields the entry plus a
-	// handle that survives l4Access untouched in the common case, and a miss
-	// stages the insertion so the allocation after l4Access needs no second
-	// 16-way tag scan.
-	e, eh := ch.arr.probe(line)
+	e := ch.arr.probe(line)
 	if e != nil && dropSelf {
 		// The requester no longer holds its (just-dropped) private copy;
 		// clear it before any directory decision reads the sharer set. The
@@ -854,27 +812,25 @@ func (h *hierarchy) l3Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn
 		// in privSufficient, so its owner never takes the miss path.
 		e.sharers &^= bit(ci)
 	}
-	way := slotWay(eh)
 	if e == nil {
 		// Chip-level miss: obtain chip permission from the L4, then allocate
 		// the (inclusive) L3 entry.
 		cstate := h.l4Access(c, line, rq, t, tx)
-		s, vtag, vp, evicted, w := ch.arr.commit(line, eh)
+		s, vtag, vp, evicted := ch.arr.insert(line)
 		if evicted {
 			h.evictL3Line(ch, vtag, &vp)
 		}
 		*s = dirLine{owner: invalidOwner, cstate: cstate}
-		e, way = s, w
+		e = s
 	} else if !h.chipSufficient(e, rq, t) {
 		cstate := h.l4Access(c, line, rq, t, tx)
-		e = ch.arr.revalidate(line, eh) // l4Access may have invalidated our entry
+		e = ch.arr.peek(line) // l4Access may have invalidated our entry
 		if e == nil {
 			// l4Access invalidates L3 entries but never inserts one, so
 			// the way ours just vacated is free and the insert evicts
 			// nothing.
-			s, _, _, _, w := ch.arr.insert(line)
-			*s = dirLine{owner: invalidOwner}
-			e, way = s, w
+			e, _, _, _ = ch.arr.insert(line)
+			*e = dirLine{owner: invalidOwner}
 		}
 		e.cstate = cstate
 	} else {
@@ -882,8 +838,8 @@ func (h *hierarchy) l3Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn
 	}
 
 	grant := h.resolveInChip(c, ch, b, e, line, rq, t, tx, ci)
-	b.lineBusy.putAt(bslot, line, tx.now, h.now)
-	return grant, way
+	b.lineBusy.put(line, tx.now, h.now)
+	return grant
 }
 
 // chipSufficient reports whether the chip's global permission covers rq.
@@ -1015,30 +971,28 @@ func (h *hierarchy) downgradeCore(chip, ci int, line uint64, to lineState, t ops
 // invalidateCore removes a core's private copy, folding partial updates and
 // accounting the ack traffic. It returns the state the copy held, so
 // callers that need it (the hierarchical-reduction counts in evictL3Line
-// and invalidateChip) avoid a pre-peek of the same L2 set. The slot handle
-// from the single peek also feeds the invalidation, so the victim L2 is
-// walked once rather than twice.
+// and invalidateChip) avoid a pre-peek of the same L2 set. The victim L2
+// set is walked once: invalidate returns the copy it removed. It never
+// reads the L3 array.
 func (h *hierarchy) invalidateCore(chip, ci int, line uint64) lineState {
 	coreID := chip*h.cfg.CoresPerChip + ci
 	pc := h.priv[coreID]
-	s, sh := pc.l2.peekSlot(line)
-	if s == nil {
+	s, ok := pc.l2.invalidate(line)
+	if !ok {
 		panic(fmt.Sprintf("sim: directory thinks core %d holds %#x but L2 misses", coreID, line))
 	}
+	pc.l1.invalidate(line)
 	h.st.Invalidations++
-	was := s.state
-	switch was {
+	switch s.state {
 	case stateU:
-		h.foldBufferAt(pc, line, s)
+		h.foldBufferAt(pc, line, &s)
 		h.onChip(dataBytes)
 	case stateM:
 		h.onChip(dataBytes)
 	default:
 		h.onChip(ctrlBytes)
 	}
-	pc.l2.invalidateAt(line, sh)
-	pc.l1.invalidate(line)
-	return was
+	return s.state
 }
 
 // invalidateChipSharers invalidates every in-chip non-exclusive copy.
@@ -1124,17 +1078,13 @@ func (h *hierarchy) l4Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn
 	p := c.chip
 
 	tx.adv(2*h.cfg.LinkLat, &tx.bd.Net) // request + reply link traversals
-	lineBusy, bslot := b.lineBusy.getSlot(line)
-	tx.waitUntil(lineBusy, &tx.bd.L4Inval)
+	tx.waitUntil(b.lineBusy.get(line), &tx.bd.L4Inval)
 	tx.waitUntil(b.busyUntil, &tx.bd.L4)
 	b.busyUntil = tx.now + h.cfg.DirBankService
 	tx.adv(h.cfg.L4Lat+h.jitter(), &tx.bd.L4)
 	h.offChip(ctrlBytes)
 
-	// Fused probe: the memory access between a global miss and the entry
-	// allocation never touches the L4 array, so the staged insertion commits
-	// without a second tag scan.
-	ge, gh := h.l4.arr.probe(line)
+	ge := h.l4.arr.probe(line)
 	if ge == nil {
 		// Global miss: fetch from memory. Update-only requests need no data
 		// (the line starts at the identity element); the fill happens off
@@ -1144,7 +1094,7 @@ func (h *hierarchy) l4Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn
 		} else {
 			h.memAccess(line, tx)
 		}
-		s, vtag, vp, evicted, _ := h.l4.arr.commit(line, gh)
+		s, vtag, vp, evicted := h.l4.arr.insert(line)
 		if evicted {
 			h.evictL4Line(vtag, &vp)
 		}
@@ -1154,9 +1104,8 @@ func (h *hierarchy) l4Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn
 		h.st.L4Hits++
 	}
 
-	d := ge
-	grant := h.resolveGlobal(p, d, line, rq, t, tx)
-	b.lineBusy.putAt(bslot, line, tx.now, h.now)
+	grant := h.resolveGlobal(p, ge, line, rq, t, tx)
+	b.lineBusy.put(line, tx.now, h.now)
 	h.offChip(dataBytes) // grant reply (data or permission+identity metadata)
 	return grant
 }
@@ -1283,14 +1232,13 @@ func (h *hierarchy) downgradeChip(q int, line uint64, to lineState, t ops.Type, 
 	tx.adv(cost, &tx.bd.L4Inval)
 }
 
-// invalidateChip removes chip q's copy entirely (all core copies plus the
-// L3 entry), folding partial updates.
+// invalidateChip removes chip q's copy entirely (the L3 entry plus all core
+// copies), folding partial updates. The entry goes first, in the one scan
+// of its set, and the recall reads its copy: invalidateCore never reads
+// the L3 array.
 func (h *hierarchy) invalidateChip(q int, line uint64, tx *txn) uint64 {
-	ch := h.chips[q]
-	// Only the chip's private caches change before the entry is removed,
-	// so the handle stays current and invalidateAt skips a second scan.
-	e, eh := ch.arr.peekSlot(line)
-	if e == nil {
+	e, ok := h.chips[q].arr.invalidate(line)
+	if !ok {
 		panic(fmt.Sprintf("sim: L4 thinks chip %d holds %#x but L3 misses", q, line))
 	}
 	cost := 2 * h.cfg.LinkLat
@@ -1312,10 +1260,8 @@ func (h *hierarchy) invalidateChip(q int, line uint64, tx *txn) uint64 {
 		// cores' partials before one response crosses the link (Sec 3.2).
 		cost += h.cfg.ReduceLatency + uint64(nU)*h.cfg.ReduceCyclesPerLine
 	}
-	dirty := e.dirty || e.cstate == stateU || nU > 0
-	ch.arr.invalidateAt(line, eh)
 	h.st.Invalidations++
-	if dirty {
+	if e.dirty || e.cstate == stateU || nU > 0 {
 		h.offChip(dataBytes)
 	} else {
 		h.offChip(ctrlBytes)
@@ -1448,11 +1394,9 @@ func (h *hierarchy) rmoUpdate(c *core, r *request) uint64 {
 
 	// Drop any local copy; remote updates do not cache.
 	pc := h.priv[c.id]
-	if s, sh := pc.l2.peekSlot(line); s != nil {
-		dirWay := s.dirWay
-		pc.l2.invalidateAt(line, sh)
+	if _, ok := pc.l2.invalidate(line); ok {
 		pc.l1.invalidate(line)
-		if e := h.chips[c.chip].arr.peekAt(line, dirWay); e != nil {
+		if e := h.chips[c.chip].arr.peek(line); e != nil {
 			ci := c.id % h.cfg.CoresPerChip
 			e.sharers &^= bit(ci)
 			if e.owner == int16(ci) {
@@ -1463,17 +1407,16 @@ func (h *hierarchy) rmoUpdate(c *core, r *request) uint64 {
 
 	b := h.l4.bank(line)
 	tx.adv(2*h.cfg.LinkLat, &tx.bd.Net)
-	lineBusy, bslot := b.lineBusy.getSlot(line)
-	tx.waitUntil(lineBusy, &tx.bd.L4Inval)
+	tx.waitUntil(b.lineBusy.get(line), &tx.bd.L4Inval)
 	tx.waitUntil(b.busyUntil, &tx.bd.L4)
 	b.busyUntil = tx.now + h.cfg.DirBankService
 	tx.adv(h.cfg.L4Lat, &tx.bd.L4)
 	h.offChip(ctrlBytes + 8) // address + operand
 
-	ge, gh := h.l4.arr.probe(line)
+	ge := h.l4.arr.probe(line)
 	if ge == nil {
 		h.memAccess(line, &tx)
-		s, vtag, vp, evicted, _ := h.l4.arr.commit(line, gh)
+		s, vtag, vp, evicted := h.l4.arr.insert(line)
 		if evicted {
 			h.evictL4Line(vtag, &vp)
 		}
@@ -1500,7 +1443,7 @@ func (h *hierarchy) rmoUpdate(c *core, r *request) uint64 {
 	w := (r.addr >> 3) & 7
 	ln := h.store.lineOf(r.addr)
 	ln[w] = ops.ApplyAt(r.otype, ln[w], uint(r.addr&7), r.val)
-	b.lineBusy.putAt(bslot, line, tx.now, h.now)
+	b.lineBusy.put(line, tx.now, h.now)
 
 	h.st.Breakdown.add(tx.bd)
 	return tx.now - c.time

@@ -46,7 +46,7 @@ func TestConfigValidate(t *testing.T) {
 		bad = cfg
 		*ways = maxWays + 1
 		if bad.Validate() == nil {
-			t.Errorf("a %d-way L%d must be invalid: a way index addresses %d ways", maxWays+1, i+1, maxWays)
+			t.Errorf("a %d-way L%d must be invalid: arrays support at most %d ways", maxWays+1, i+1, maxWays)
 		}
 	}
 	bad = cfg
@@ -645,15 +645,15 @@ func TestAllocAlignment(t *testing.T) {
 func TestArrayLRU(t *testing.T) {
 	a := newArray[int](4*64, 2) // 4 lines, 2 ways, 2 sets
 	// Fill one set (lines 0 and 2 map to set 0 with 2 sets).
-	s0, _, _, ev, _ := a.insert(0)
+	s0, _, _, ev := a.insert(0)
 	if ev {
 		t.Fatal("no eviction expected")
 	}
 	*s0 = 10
-	s2, _, _, _, _ := a.insert(2)
+	s2, _, _, _ := a.insert(2)
 	*s2 = 20
 	a.probe(0) // touch 0: now 2 is LRU
-	_, vt, vp, ev, _ := a.insert(4)
+	_, vt, vp, ev := a.insert(4)
 	if !ev || vt != 2 || vp != 20 {
 		t.Errorf("eviction: ev=%v tag=%d p=%d, want line 2", ev, vt, vp)
 	}

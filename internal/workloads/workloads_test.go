@@ -274,8 +274,9 @@ func (w frozenWriter) Kernel(c *sim.Ctx) {
 }
 
 // TestRunInFrozenWrite: RunIn returns a kernel's frozen write as a wrapped
-// *sim.FrozenWriteError and keeps the failed machine out of its arena,
-// while any other panic propagates.
+// *sim.FrozenWriteError and keeps the failed machine out of its arena (the
+// next machine of its geometry is built cold), while any other panic
+// propagates.
 func TestRunInFrozenWrite(t *testing.T) {
 	a := sim.NewArena()
 	w := frozenWriter{Hist: NewHist(4000, 64, HistShared, 1)}
@@ -284,8 +285,9 @@ func TestRunInFrozenWrite(t *testing.T) {
 	if !errors.As(err, &fw) || fw.Addr != w.inputAddr+64 || fw.Core != 2 {
 		t.Fatalf("err = %v, want a *sim.FrozenWriteError by core 2", err)
 	}
-	if a.Pooled() != 0 {
-		t.Errorf("arena pooled %d machines after a frozen write, want 0", a.Pooled())
+	sim.NewIn(a, testCfg(4, sim.MEUSI))
+	if warm, cold := a.PoolStats(); warm != 0 || cold != 2 {
+		t.Errorf("after a frozen write the next machine came %d warm, %d cold of 2 builds; want 0 warm", warm, cold)
 	}
 	got := func() (r any) {
 		defer func() { r = recover() }()
