@@ -16,10 +16,12 @@ package sim
 // New would have produced, with two deliberate exceptions that are
 // invisible to simulation results:
 //
-//   - the L3/L4 arrays' header groups, chunks and per-set blocks,
-//     backing-store pages and grown bank tables stay allocated (that is
-//     the point — their contents are cleared, their capacity is kept; a
-//     set's block keeps the size of the most ways it ever held), and
+//   - the L3/L4 arrays' header groups, chunks and per-set blocks, the
+//     L1/L2 arrays' 64-set pages, backing-store pages and grown bank
+//     tables stay allocated (that is the point — their contents are
+//     cleared, their capacity is kept; a set's block keeps the size of
+//     the most ways it ever held, and a private cache keeps every page
+//     any run on the machine filled), and
 //   - each core's partial-update buffer slab keeps its pages.
 //
 // Neither affects timing or statistics: an allocated-but-empty block or

@@ -19,8 +19,12 @@ import (
 // slots. There are two layouts:
 //
 //   - Dense, for small geometries (every L1/L2, and the shrunk shared
-//     caches tests use): one page, allocated at construction, holds every
-//     set at full associativity.
+//     caches tests use): one page per 64 sets (one word of touched) holds
+//     those sets at full associativity, allocated on the page's first
+//     fill. A lookup in a page not yet allocated misses, as in a sparse
+//     set without a block. The contended runs fill one of a Table-1 L2's
+//     eight pages, so a private cache costs memory for the pages its core
+//     touches rather than for its capacity.
 //   - Sparse, for the full-size Table-1 L3 and L4: each set owns a block
 //     sized to the most ways it has held at once (1, 2, 4, … up to the
 //     associativity), cut from fixed-size chunks that never move. A header
@@ -42,14 +46,15 @@ type array[P any] struct {
 	setMask uint64
 	setBits uint   // log2(sets); tag = line >> setBits
 	tick    uint32 // LRU clock, advanced only by step
-	// dense holds every slot of a dense array. A sparse array leaves it
-	// empty and hands it out for sets that have no block yet.
-	dense arrayPage[P]
+	// pages holds a dense array's slots: page g holds sets 64g…64g+63,
+	// each at full associativity, and is empty until its first fill.
+	pages []arrayPage[P]
 	// Sparse layout; groups is nil in a dense array.
 	groups []*[64]setBlock // header group of sets 64g…64g+63, nil until one fills
 	chunks []arrayPage[P]  // block storage, chunkSlots slots each
 	used   int             // slots cut from the last chunk
-	free   [][]uint32      // freed blocks' base slots, by sizeClass
+	free   [][]setBlock    // freed blocks, by sizeClass
+	none   arrayPage[P]    // always empty: the page of a set without a block
 	// touched has one bit per set, raised by every insert and cleared
 	// only by reset. A set whose bit is clear holds no valid way, so reset
 	// and forEach cost what a run touched, not what the geometry holds.
@@ -77,18 +82,23 @@ func newPage[P any](n int) arrayPage[P] {
 // wayWord packs a valid way's tag word and LRU stamp.
 func wayWord(key, stamp uint32) uint64 { return uint64(stamp)<<32 | uint64(key) }
 
-// setBlock locates a sparse set's block: its first slot, numbered across
-// all chunks (chunk index × chunkSlots + offset), and its size in ways,
-// zero until the set's first fill.
-type setBlock struct{ base, n uint32 }
+// setBlock locates a sparse set's block: its chunk, the offset of its
+// first slot in that chunk, and its size in ways, zero until the set's
+// first fill. Chunk and offset are stored apart so that slots, which
+// every lookup inlines, spends no inlining budget on splitting them.
+type setBlock struct {
+	chunk uint32
+	off   uint16
+	n     uint16
+}
 
 // validBit marks an occupied way inside a tag word.
 const validBit = 1 << 31
 
-// eagerSlots bounds the geometries (sets × ways) that use the dense
-// layout. 4096 slots covers a Table-1 L2 (512 sets × 8 ways); the 32 MB L3
-// and 128 MB L4 are sparse.
-const eagerSlots = 4096
+// denseSlots bounds the geometries (sets × ways) that use the dense
+// layout. 4096 slots covers a Table-1 L2 (512 sets × 8 ways, eight
+// pages); the 32 MB L3 and 128 MB L4 are sparse.
+const denseSlots = 4096
 
 // chunkSlots is the size of a sparse array's chunks: big enough to
 // amortize allocation, small enough that a small footprint does not
@@ -118,11 +128,11 @@ func newArray[P any](sizeBytes, ways int) *array[P] {
 	}
 	a := &array[P]{ways: ways, setMask: uint64(p2 - 1), setBits: uint(bits.TrailingZeros(uint(p2)))}
 	a.touched = make([]uint64, (p2+63)/64)
-	if p2*ways <= eagerSlots {
-		a.dense = newPage[P](p2 * ways)
+	if p2*ways <= denseSlots {
+		a.pages = make([]arrayPage[P], (p2+63)/64)
 	} else {
 		a.groups = make([]*[64]setBlock, (p2+63)/64)
-		a.free = make([][]uint32, sizeClass(uint64(ways))+1)
+		a.free = make([][]setBlock, sizeClass(uint64(ways))+1)
 	}
 	return a
 }
@@ -133,9 +143,9 @@ func newArray[P any](sizeBytes, ways int) *array[P] {
 func sizeClass(n uint64) int { return bits.Len64(n - 1) }
 
 // setAt returns the page holding line's set, the offset of the set's way 0
-// in it, and the number of ways the set has slots for: the associativity
-// in a dense array, the block size (0 before the set's first fill) in a
-// sparse one.
+// in it, and the number of ways the set has slots for: in a dense array
+// the associativity, or 0 before the set's page is allocated; in a sparse
+// one the block size, 0 before the set's first fill.
 func (a *array[P]) setAt(line uint64) (*arrayPage[P], uint64, uint64) {
 	return a.slots(line & a.setMask)
 }
@@ -143,14 +153,18 @@ func (a *array[P]) setAt(line uint64) (*arrayPage[P], uint64, uint64) {
 // slots is setAt by set index.
 func (a *array[P]) slots(s uint64) (*arrayPage[P], uint64, uint64) {
 	if a.groups == nil {
-		return &a.dense, s * uint64(a.ways), uint64(a.ways)
+		// An allocated page holds at least one set's ways, an empty one
+		// none, so n is the associativity or 0.
+		pg := &a.pages[s>>6]
+		n := min(uint64(len(pg.words)), uint64(a.ways))
+		return pg, (s & 63) * n, n
 	}
 	g := a.groups[s>>6]
 	if g == nil {
-		return &a.dense, 0, 0
+		return &a.none, 0, 0
 	}
 	b := g[s&63]
-	return &a.chunks[b.base/chunkSlots], uint64(b.base % chunkSlots), uint64(b.n)
+	return &a.chunks[b.chunk], uint64(b.off), uint64(b.n)
 }
 
 // peek returns the payload of the way holding line without touching LRU
@@ -186,7 +200,8 @@ func (a *array[P]) probe(line uint64) *P {
 // line address and payload if an eviction occurred. The caller must not
 // insert a line that is already present. An insert may move the ways of
 // line's set (a sparse block grows), so no payload pointer into that set
-// survives it: callers re-derive theirs afterwards.
+// survives it: callers re-derive theirs afterwards. A set with no slots
+// yet (n == 0) always grows, which in a dense array allocates its page.
 func (a *array[P]) insert(line uint64) (p *P, victimTag uint64, victim P, evicted bool) {
 	pg, base, n := a.setAt(line)
 	vi, vmin := n, ^uint64(0)
@@ -224,36 +239,41 @@ func (a *array[P]) insert(line uint64) (p *P, victimTag uint64, victim P, evicte
 // grow moves sparse set s from its block of n ways to one twice that size
 // (one way on the set's first fill, at most the associativity), keeping
 // every way at its position, and returns the new block's page and offset.
-// The old block is cleared and goes to its free list.
+// The old block is cleared and goes to its free list. In a dense array it
+// allocates the page of set s, whose sets have no slots yet (n == 0).
 //
 //go:noinline
 func (a *array[P]) grow(s, n uint64) (*arrayPage[P], uint64) {
+	if a.groups == nil {
+		pg := &a.pages[s>>6]
+		*pg = newPage[P](min(int(a.setMask)+1, 64) * a.ways)
+		return pg, (s & 63) * uint64(a.ways)
+	}
 	g := a.groups[s>>6]
 	if g == nil {
 		g = new([64]setBlock)
 		a.groups[s>>6] = g
 	}
 	b := &g[s&63]
-	m := min(max(2*n, 1), uint64(a.ways))
-	nb := a.alloc(m)
-	pg, base := &a.chunks[nb/chunkSlots], uint64(nb%chunkSlots)
+	nb := a.alloc(min(max(2*n, 1), uint64(a.ways)))
+	pg, base := &a.chunks[nb.chunk], uint64(nb.off)
 	if n > 0 {
-		old, ob := &a.chunks[b.base/chunkSlots], uint64(b.base%chunkSlots)
+		old, ob := &a.chunks[b.chunk], uint64(b.off)
 		copy(pg.words[base:base+n], old.words[ob:ob+n])
 		copy(pg.pay[base:base+n], old.pay[ob:ob+n])
 		clear(old.words[ob : ob+n])
 		clear(old.pay[ob : ob+n])
 		c := sizeClass(n)
-		a.free[c] = append(a.free[c], b.base)
+		a.free[c] = append(a.free[c], *b)
 	}
-	b.base, b.n = nb, uint32(m)
+	*b = nb
 	return pg, base
 }
 
-// alloc returns the first slot of an empty block of n ways: a freed block
-// of that size if there is one, else the next n slots of the last chunk,
-// or of a new chunk when the last one has fewer left.
-func (a *array[P]) alloc(n uint64) uint32 {
+// alloc returns an empty block of n ways: a freed block of that size if
+// there is one, else the next n slots of the last chunk, or of a new chunk
+// when the last one has fewer left.
+func (a *array[P]) alloc(n uint64) setBlock {
 	c := sizeClass(n)
 	if f := a.free[c]; len(f) > 0 {
 		a.free[c] = f[:len(f)-1]
@@ -263,9 +283,9 @@ func (a *array[P]) alloc(n uint64) uint32 {
 		a.chunks = append(a.chunks, newPage[P](chunkSlots))
 		a.used = 0
 	}
-	base := uint32((len(a.chunks)-1)*chunkSlots + a.used)
+	b := setBlock{chunk: uint32(len(a.chunks) - 1), off: uint16(a.used), n: uint16(n)}
 	a.used += int(n)
-	return base
+	return b
 }
 
 // mark records that line's set holds a valid way.
@@ -335,11 +355,11 @@ func (a *array[P]) renumber() {
 }
 
 // reset returns the array to its post-newArray state while keeping its
-// storage for reuse (the arena's zero-on-reuse contract): the dense page,
-// or a sparse array's header groups, chunks and every set's block, whose
-// size only ever grows. Only the sets marked in touched can hold a valid
-// way, and an empty way's word and payload are always zero, so clearing
-// the marked sets leaves every slot zero.
+// storage for reuse (the arena's zero-on-reuse contract): a dense array's
+// allocated pages, or a sparse array's header groups, chunks and every
+// set's block, whose size only ever grows. Only the sets marked in
+// touched can hold a valid way, and an empty way's word and payload are
+// always zero, so clearing the marked sets leaves every slot zero.
 func (a *array[P]) reset() {
 	for wi, w := range a.touched {
 		for ; w != 0; w &= w - 1 {

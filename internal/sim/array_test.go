@@ -1,20 +1,25 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
 )
 
-// slotScan lists every valid way of a by reading the slots of every set,
-// filled or not, in set-major order: the reference that forEach, which
-// reads only the sets its bitmap marks, must match.
-func slotScan[P any](a *array[P]) (lines []uint64, pays []*P) {
+// slotScan appends every valid way of a to lines and pays, read from the
+// slots of every set, filled or not, in set-major order: the reference
+// that forEach, which reads only the sets its bitmap marks, must match.
+func slotScan[P any](a *array[P], lines []uint64, pays []*P) ([]uint64, []*P) {
 	for s := uint64(0); s <= a.setMask; s++ {
 		pg, base, n := a.slots(s)
+		if emptyWays(pg.words[base : base+n]) {
+			continue
+		}
 		for i := base; i < base+n; i++ {
 			if x := pg.words[i]; x != 0 {
 				lines = append(lines, uint64(uint32(x)&^validBit)<<a.setBits|s)
@@ -25,47 +30,93 @@ func slotScan[P any](a *array[P]) (lines []uint64, pays []*P) {
 	return lines, pays
 }
 
-// checkForEach fails unless forEach yields exactly the valid ways that a
-// full slot scan finds, in the same order.
-func checkForEach(t *testing.T, a *array[int], step string) {
-	t.Helper()
-	wantLines, wantPays := slotScan(a)
-	var gotLines []uint64
-	var gotPays []*int
-	a.forEach(func(tag uint64, p *int) {
-		gotLines = append(gotLines, tag)
-		gotPays = append(gotPays, p)
-	})
-	if !slices.Equal(gotLines, wantLines) {
-		t.Fatalf("%s: forEach yields lines %#x, slot scan finds %#x", step, gotLines, wantLines)
+// emptyWays reports whether ws holds only empty ways. It compares ws's
+// bytes with zeros in one call rather than word by word, which keeps a
+// scan of every set cheap under the fuzzer's per-comparison hooks.
+func emptyWays(ws []uint64) bool {
+	if len(ws) == 0 {
+		return true
 	}
-	for i := range gotPays {
-		if gotPays[i] != wantPays[i] {
-			t.Fatalf("%s: forEach entry %d (line %#x) points at another slot than the scan's", step, i, gotLines[i])
+	return bytes.Equal(unsafe.Slice((*byte)(unsafe.Pointer(&ws[0])), 8*len(ws)), zeroWays[:8*len(ws)])
+}
+
+var zeroWays [8 * maxWays]byte
+
+// stepLabel names a model step in failure messages. It is formatted only
+// when a check fails.
+type stepLabel struct {
+	step int
+	op   string
+	line uint64
+}
+
+func (l stepLabel) String() string {
+	if l.op == "reset" {
+		return fmt.Sprintf("step %d: reset", l.step)
+	}
+	return fmt.Sprintf("step %d: %s %#x", l.step, l.op, l.line)
+}
+
+// listings holds what one model step lists of the array and of the
+// model, kept from step to step so that a step's checks allocate nothing.
+type listings struct {
+	lines, scanLines, wantLines []uint64
+	slots, scanSlots            []*int
+	wantPays                    []int
+}
+
+// check fails unless forEach yields the lines and payloads ref holds, in
+// the model's order, and exactly the valid ways a full slot scan finds, in
+// the same order and at the same slots.
+func (l *listings) check(t *testing.T, a *array[int], ref *refArray, step stepLabel) {
+	l.lines, l.slots = l.lines[:0], l.slots[:0]
+	a.forEach(func(tag uint64, p *int) {
+		l.lines = append(l.lines, tag)
+		l.slots = append(l.slots, p)
+	})
+	l.wantLines, l.wantPays = ref.contents(l.wantLines[:0], l.wantPays[:0])
+	same := slices.Equal(l.lines, l.wantLines)
+	for i := 0; same && i < len(l.slots); i++ {
+		same = *l.slots[i] == l.wantPays[i]
+	}
+	if !same {
+		pays := make([]int, len(l.slots))
+		for i, p := range l.slots {
+			pays[i] = *p
+		}
+		t.Fatalf("%v: forEach yields %#x %v, the model holds %#x %v", step, l.lines, pays, l.wantLines, l.wantPays)
+	}
+	l.scanLines, l.scanSlots = slotScan(a, l.scanLines[:0], l.scanSlots[:0])
+	if !slices.Equal(l.lines, l.scanLines) {
+		t.Fatalf("%v: forEach yields lines %#x, slot scan finds %#x", step, l.lines, l.scanLines)
+	}
+	for i := range l.slots {
+		if l.slots[i] != l.scanSlots[i] {
+			t.Fatalf("%v: forEach entry %d (line %#x) points at another slot than the scan's", step, i, l.lines[i])
 		}
 	}
 }
 
 // checkReset fails unless every way word and payload the array stores is
-// zero — the dense page, or every chunk of a sparse array: its blocks in
-// use, its freed blocks and the uncut tail — no set is marked and the
-// clock is back at zero.
-func checkReset(t *testing.T, a *array[int], step string) {
+// zero — every allocated page of a dense array, or every chunk of a sparse
+// one: its blocks in use, its freed blocks and the uncut tail — no set is
+// marked and the clock is back at zero.
+func checkReset(t *testing.T, a *array[int], step stepLabel) {
 	t.Helper()
-	for pi, pg := range append([]arrayPage[int]{a.dense}, a.chunks...) {
+	for pi, pg := range append(append([]arrayPage[int]{a.none}, a.pages...), a.chunks...) {
 		for i := range pg.words {
 			if pg.words[i] != 0 || pg.pay[i] != 0 {
-				t.Fatalf("%s: page %d slot %d holds word %#x, payload %d after reset", step, pi, i, pg.words[i], pg.pay[i])
+				t.Fatalf("%v: page %d slot %d holds word %#x, payload %d after reset", step, pi, i, pg.words[i], pg.pay[i])
 			}
 		}
 	}
 	for wi, w := range a.touched {
 		if w != 0 {
-			t.Fatalf("%s: touched word %d is %#x after reset", step, wi, w)
+			t.Fatalf("%v: touched word %d is %#x after reset", step, wi, w)
 		}
 	}
 	if a.tick != 0 {
-		t.Fatalf("%s: tick %d after reset", step, a.tick)
+		t.Fatalf("%v: tick %d after reset", step, a.tick)
 	}
 }
 
@@ -78,6 +129,9 @@ type refArray struct {
 	nsets uint64
 	slots []refWay // set s is slots[s*ways : (s+1)*ways]
 	tick  uint64
+	// Indexes of the valid ways, for contents: one bit per way of each
+	// set (at most 64 ways), and one bit per set that holds a valid way.
+	valid, filled []uint64
 }
 
 type refWay struct {
@@ -87,7 +141,10 @@ type refWay struct {
 }
 
 func newRefArray(nsets uint64, ways int) *refArray {
-	return &refArray{ways: ways, nsets: nsets, slots: make([]refWay, nsets*uint64(ways))}
+	return &refArray{
+		ways: ways, nsets: nsets, slots: make([]refWay, nsets*uint64(ways)),
+		valid: make([]uint64, nsets), filled: make([]uint64, (nsets+63)/64),
+	}
 }
 
 func (r *refArray) set(line uint64) []refWay {
@@ -127,6 +184,7 @@ func (r *refArray) insert(line uint64) (int, refWay) {
 	w, _ := r.victim(line)
 	ws := r.set(line)
 	old := ws[w]
+	r.setValid(line, w, true)
 	r.tick++
 	ws[w] = refWay{line: line, lru: r.tick, valid: true}
 	return w, old
@@ -141,15 +199,42 @@ func (r *refArray) invalidate(line uint64) (int, bool) {
 	}
 	pay := r.set(line)[w].pay
 	r.set(line)[w] = refWay{}
+	r.setValid(line, w, false)
 	return pay, true
 }
 
-// contents lists the valid ways' lines and payloads in set-major order.
-func (r *refArray) contents() (lines []uint64, pays []int) {
-	for _, x := range r.slots {
-		if x.valid {
-			lines = append(lines, x.line)
-			pays = append(pays, x.pay)
+// setValid records in the indexes whether way w of line's set is valid.
+func (r *refArray) setValid(line uint64, w int, valid bool) {
+	s := line % r.nsets
+	r.valid[s] &^= 1 << w
+	if valid {
+		r.valid[s] |= 1 << w
+	}
+	r.filled[s/64] &^= 1 << (s % 64)
+	if r.valid[s] != 0 {
+		r.filled[s/64] |= 1 << (s % 64)
+	}
+}
+
+// reset empties every set and restarts the clock.
+func (r *refArray) reset() {
+	clear(r.slots)
+	clear(r.valid)
+	clear(r.filled)
+	r.tick = 0
+}
+
+// contents appends the valid ways' lines and payloads to lines and pays
+// in set-major order. It reads only the valid ways.
+func (r *refArray) contents(lines []uint64, pays []int) ([]uint64, []int) {
+	for i, f := range r.filled {
+		for ; f != 0; f &= f - 1 {
+			s := i*64 + bits.TrailingZeros64(f)
+			for v := r.valid[s]; v != 0; v &= v - 1 {
+				x := r.slots[s*r.ways+bits.TrailingZeros64(v)]
+				lines = append(lines, x.line)
+				pays = append(pays, x.pay)
+			}
 		}
 	}
 	return lines, pays
@@ -169,25 +254,29 @@ func wayOf[P any](a *array[P], line uint64) int {
 }
 
 // arrayCase is an array for the random model steps of runArrayModel. The
-// eager case is a dense 8-way array on one page. The lazy cases are sparse
-// 16- and 12-way arrays: half of their lines crowd five hot sets, whose
-// blocks grow to the full associativity and then evict, and half spread
-// thinly over the first 256 sets, whose first fills reuse the blocks that
-// growth frees. Sets 256-510 stay empty, so their header groups are never
-// allocated.
+// dense cases are 8-way: eager-8way has 16 sets, all on one page, and
+// paged-8way has the Table-1 L2's 512 sets on eight pages. The sparse
+// cases are 16- and 12-way arrays of 512 sets. In the 512-set cases, half
+// of the lines crowd five hot sets, whose slots fill and then evict (a
+// sparse set's block first grows to the full associativity), and half
+// spread thinly over the first 256 sets, whose first sparse fills reuse
+// the blocks that growth frees. Sets 256-447 stay empty, so their pages
+// or header groups are never allocated.
 type arrayCase struct {
 	name   string
 	a      *array[int]
 	hot    []uint64 // sets that overflow
 	cold   uint64   // lines also fall in sets [0, cold), 3 tags each
 	sparse bool
+	gaps   bool // the lines leave some page or header group unallocated
 }
 
 func arrayCases() []arrayCase {
 	return []arrayCase{
 		{name: "eager-8way", a: newArray[int](16*8*64, 8), hot: []uint64{0, 1, 2, 5, 9, 15}, cold: 16},
-		{name: "lazy-16way", a: newArray[int](512*16*64, 16), hot: []uint64{0, 63, 64, 200, 511}, cold: 256, sparse: true},
-		{name: "lazy-12way", a: newArray[int](512*12*64, 12), hot: []uint64{0, 63, 64, 200, 511}, cold: 256, sparse: true},
+		{name: "paged-8way", a: newArray[int](512*8*64, 8), hot: []uint64{0, 63, 64, 200, 511}, cold: 256, gaps: true},
+		{name: "lazy-16way", a: newArray[int](512*16*64, 16), hot: []uint64{0, 63, 64, 200, 511}, cold: 256, sparse: true, gaps: true},
+		{name: "lazy-12way", a: newArray[int](512*12*64, 12), hot: []uint64{0, 63, 64, 200, 511}, cold: 256, sparse: true, gaps: true},
 	}
 }
 
@@ -197,7 +286,7 @@ func arrayCases() []arrayCase {
 // payloads; afterwards forEach must yield the model's lines in the model's
 // order, a full slot scan must agree with forEach, which reads only the
 // sets the touched bitmap marks, and reset must leave every stored slot
-// zero.
+// zero and keep every page, header group and chunk allocated.
 func TestArrayTouchedSets(t *testing.T) {
 	for _, tc := range arrayCases() {
 		t.Run(tc.name, func(t *testing.T) { checkModelRun(t, tc, runArrayModel(t, tc, 7, 0)) })
@@ -242,14 +331,18 @@ type modelRun struct {
 	wraps, full      int             // clock wraps, and those that found a hot set full
 }
 
-// checkModelRun fails unless run filled and evicted enough, and, on a
-// sparse case, grew a block to every size, reused a freed block and left
-// some header group unallocated.
+// checkModelRun fails unless run filled and evicted enough; on a sparse
+// case, grew a block to every size and reused a freed block; and, on a
+// case with gaps, left some page or header group unallocated. Pages and
+// header groups survive reset, so one unallocated now was never allocated.
 func checkModelRun(t *testing.T, tc arrayCase, run modelRun) {
 	t.Helper()
 	a := tc.a
 	if run.fills < 1000 || run.evictions < 50 {
 		t.Fatalf("only %d fills and %d evictions in 6000 steps", run.fills, run.evictions)
+	}
+	if n := heldPages(a); tc.gaps && n == len(a.pages)+len(a.groups) {
+		t.Errorf("all %d pages or header groups allocated; the lines should leave some untouched", n)
 	}
 	if !tc.sparse {
 		return
@@ -265,15 +358,23 @@ func checkModelRun(t *testing.T, tc arrayCase, run modelRun) {
 	if run.reuses == 0 {
 		t.Error("no fill reused a freed block")
 	}
-	allocated := 0
-	for _, g := range a.groups {
-		if g != nil {
-			allocated++
+}
+
+// heldPages counts a's allocated pages, or its allocated header groups:
+// a dense array has no header groups, a sparse one no pages.
+func heldPages(a *array[int]) int {
+	n := 0
+	for _, pg := range a.pages {
+		if len(pg.words) > 0 {
+			n++
 		}
 	}
-	if allocated == len(a.groups) {
-		t.Errorf("all %d header groups allocated; the lines should leave some untouched", allocated)
+	for _, g := range a.groups {
+		if g != nil {
+			n++
+		}
 	}
+	return n
 }
 
 // runArrayModel checks tc.a against refArray over 6000 random steps drawn
@@ -308,12 +409,12 @@ func runArrayModel(t *testing.T, tc arrayCase, seed uint64, left uint32) modelRu
 	var pending uint64 // a line whose probe missed
 	hasPending := false
 	run := modelRun{grownTo: map[uint64]bool{}}
+	var ls listings
+	free := make([]int, len(a.free))
 	// fill checks one insert of ln against the model and stamps the new
 	// way's payload.
-	fill := func(what string, ln uint64) {
-		t.Helper()
+	fill := func(what stepLabel, ln uint64) {
 		_, _, n0 := a.setAt(ln)
-		free := make([]int, len(a.free))
 		for c, f := range a.free {
 			free[c] = len(f)
 		}
@@ -321,7 +422,7 @@ func runArrayModel(t *testing.T, tc arrayCase, seed uint64, left uint32) modelRu
 		way := wayOf(a, ln)
 		w, old := ref.insert(ln)
 		if way != w || p != a.peek(ln) || ev != old.valid || ev && (vtag != old.line || vp != old.pay) {
-			t.Fatalf("%s: way %d, evicted %v (line %#x, payload %d); the model fills way %d over %+v", what, way, ev, vtag, vp, w, old)
+			t.Fatalf("%v: way %d, evicted %v (line %#x, payload %d); the model fills way %d over %+v", what, way, ev, vtag, vp, w, old)
 		}
 		run.fills++
 		*p = run.fills
@@ -339,22 +440,22 @@ func runArrayModel(t *testing.T, tc arrayCase, seed uint64, left uint32) modelRu
 		}
 	}
 	for step := 0; step < 6000; step++ {
-		var what string
+		var what stepLabel
 		switch op := r.intn(1000); {
 		case op < 300:
 			ln := line()
-			what = fmt.Sprintf("step %d: probe %#x", step, ln)
+			what = stepLabel{step, "probe", ln}
 			p := a.probe(ln)
 			if w := ref.find(ln); w >= 0 {
 				ref.tick++
 				ref.set(ln)[w].lru = ref.tick
 				if p == nil || *p != ref.set(ln)[w].pay || wayOf(a, ln) != w {
-					t.Fatalf("%s: got %v at way %d, the model hits way %d", what, p, wayOf(a, ln), w)
+					t.Fatalf("%v: got %v at way %d, the model hits way %d", what, p, wayOf(a, ln), w)
 				}
 				break
 			}
 			if p != nil {
-				t.Fatalf("%s: got %v, the model misses", what, p)
+				t.Fatalf("%v: got %v, the model misses", what, p)
 			}
 			pending, hasPending = ln, true
 		case op < 550:
@@ -362,51 +463,44 @@ func runArrayModel(t *testing.T, tc arrayCase, seed uint64, left uint32) modelRu
 				hasPending = false
 				continue
 			}
-			what, hasPending = fmt.Sprintf("step %d: insert pending %#x", step, pending), false
+			what, hasPending = stepLabel{step, "insert pending", pending}, false
 			fill(what, pending)
 		case op < 800:
 			ln := line()
 			if ref.find(ln) >= 0 {
 				continue
 			}
-			what = fmt.Sprintf("step %d: insert %#x", step, ln)
+			what = stepLabel{step, "insert", ln}
 			fill(what, ln)
 		case op < 920:
 			ln := line()
-			what = fmt.Sprintf("step %d: invalidate %#x", step, ln)
+			what = stepLabel{step, "invalidate", ln}
 			tick := a.tick
 			p, ok := a.invalidate(ln)
 			wp, wok := ref.invalidate(ln)
 			if p != wp || ok != wok || a.tick != tick {
-				t.Fatalf("%s: got (%d, %v) with tick %d → %d; the model removes (%d, %v) and keeps the tick", what, p, ok, tick, a.tick, wp, wok)
+				t.Fatalf("%v: got (%d, %v) with tick %d → %d; the model removes (%d, %v) and keeps the tick", what, p, ok, tick, a.tick, wp, wok)
 			}
 		case op < 998:
 			ln := line()
-			what = fmt.Sprintf("step %d: peek %#x", step, ln)
+			what = stepLabel{step, "peek", ln}
 			p := a.peek(ln)
 			if w := ref.find(ln); (p != nil) != (w >= 0) || w >= 0 && *p != ref.set(ln)[w].pay {
-				t.Fatalf("%s: got %v, the model finds way %d", what, p, w)
+				t.Fatalf("%v: got %v, the model finds way %d", what, p, w)
 			}
 		default:
-			what, hasPending = fmt.Sprintf("step %d: reset", step), false
+			what, hasPending = stepLabel{step: step, op: "reset"}, false
+			pages, chunks := heldPages(a), len(a.chunks)
 			a.reset()
-			clear(ref.slots)
-			ref.tick = 0
+			ref.reset()
 			checkReset(t, a, what)
+			if heldPages(a) != pages || len(a.chunks) != chunks {
+				t.Fatalf("%v: %d pages or header groups and %d chunks before, %d and %d after", what, pages, chunks, heldPages(a), len(a.chunks))
+			}
 			arm()
 		}
-		var lines []uint64
-		var pays []int
-		a.forEach(func(tag uint64, p *int) {
-			lines = append(lines, tag)
-			pays = append(pays, *p)
-		})
-		wantLines, wantPays := ref.contents()
-		if !slices.Equal(lines, wantLines) || !slices.Equal(pays, wantPays) {
-			t.Fatalf("%s: forEach yields %#x %v, the model holds %#x %v", what, lines, pays, wantLines, wantPays)
-		}
 		if ref.tick <= math.MaxUint32 && uint64(a.tick) != ref.tick {
-			t.Fatalf("%s: tick %d, the model's %d", what, a.tick, ref.tick)
+			t.Fatalf("%v: tick %d, the model's %d", what, a.tick, ref.tick)
 		}
 		if ref.tick > math.MaxUint32 && !wrapped {
 			wrapped = true
@@ -418,11 +512,13 @@ func runArrayModel(t *testing.T, tc arrayCase, seed uint64, left uint32) modelRu
 				}
 			}
 		}
-		checkForEach(t, a, what)
+		ls.check(t, a, ref, what)
 	}
+	final := stepLabel{step: 6000, op: "reset"}
 	a.reset()
-	checkReset(t, a, "final reset")
-	checkForEach(t, a, "final reset")
+	ref.reset()
+	checkReset(t, a, final)
+	ls.check(t, a, ref, final)
 	return run
 }
 

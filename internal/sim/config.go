@@ -48,11 +48,12 @@
 // Ctx.exec or Ctx.post with no coroutine switch at all (a single-core
 // machine runs its whole kernel that way); the cache and directory arrays
 // pack each way's 31-bit hardware-style tag and 32-bit LRU stamp into one
-// word beside a pointer-free payload, the private caches in one page each
-// and the full-size L3 and L4 in per-set blocks sized to the most ways
-// each set has held, and each core's partial-update buffers sit in a slab
-// its L2 lines name by handle; and the backing memory image is a
-// two-level paged table with lines embedded by value. The loser tree is
+// word beside a pointer-free payload, the private caches in pages of 64
+// sets allocated on their first fill and the full-size L3 and L4 in
+// per-set blocks sized to the most ways each set has held, and each
+// core's partial-update buffers sit in a slab its L2 lines name by
+// handle; and the backing memory image is a two-level paged table with
+// lines embedded by value. The loser tree is
 // the only scheduler: it covers every machine the package can build,
 // because the hierarchy tracks sharers in uint64 bitvectors — one bit per
 // chip at the L4 directory, one per core at each L3 — which caps a machine
@@ -182,8 +183,9 @@ type Config struct {
 
 	// Cache geometry. Sizes are in bytes; defaults are the unscaled Table 1
 	// organization. The L3 and L4 arrays give each set storage for only the
-	// most ways it has held at once, so full-size geometry costs memory for
-	// the lines a workload keeps, not for the capacity. Using the real
+	// most ways it has held at once, and the L1 and L2 arrays allocate 64
+	// sets at a time on their first fill, so full-size geometry costs
+	// memory for the lines a workload keeps, not for the capacity. Using the real
 	// capacities keeps the key working sets — histograms, bitmaps, counter
 	// pools — in the same fits-in-L2/L3 regimes as the paper even though
 	// input streams are scaled down. Associativity is at most 255 at every

@@ -27,3 +27,19 @@ func DirFootprint(m *Machine) (held, filled []int) {
 	}
 	return held, filled
 }
+
+// L2Pages reports how many of its pages each core's L2 has allocated, and
+// how many pages an L2 has. It is meant for dense arrays, which every
+// Table-1 L2 is.
+func L2Pages(m *Machine) (allocated []int, pages int) {
+	for _, pc := range m.hier.priv {
+		n := 0
+		for _, pg := range pc.l2.pages {
+			if len(pg.words) > 0 {
+				n++
+			}
+		}
+		allocated = append(allocated, n)
+	}
+	return allocated, len(m.hier.priv[0].l2.pages)
+}

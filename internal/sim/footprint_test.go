@@ -39,3 +39,37 @@ func TestDirectoriesHoldFilledWays(t *testing.T) {
 		}
 	}
 }
+
+// TestPrivateArraysHoldTouchedPages pins what the private L2s cost. A
+// Table-1 L2 has eight 64-set pages, each allocated on its first fill.
+// After a 16-counter refcount on 64 cores, whose cores each touch a
+// handful of lines, every L2 may hold at most two pages (runs at 128
+// cores fill one); after a small spmv, whose cores stream through more
+// lines than an L2 holds, every L2 holds all eight.
+func TestPrivateArraysHoldTouchedPages(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		w           workloads.Workload
+		cores       int
+		least, most int // pages each L2 may hold
+	}{
+		{"refcount", workloads.NewRefCount(16, 100, false, workloads.RefPlain, 1), 64, 1, 2},
+		{"spmv", workloads.NewSpMV(4000, 24, 1), 32, 8, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := sim.New(sim.DefaultConfig(tc.cores, sim.MEUSI))
+			tc.w.Setup(m)
+			m.Run(tc.w.Kernel)
+			if err := tc.w.Validate(m); err != nil {
+				t.Fatal(err)
+			}
+			allocated, pages := sim.L2Pages(m)
+			t.Logf("pages allocated per L2 (of %d): %v", pages, allocated)
+			for c, n := range allocated {
+				if n < tc.least || n > tc.most {
+					t.Errorf("core %d's L2 holds %d of its %d pages; want %d to %d", c, n, pages, tc.least, tc.most)
+				}
+			}
+		})
+	}
+}
