@@ -156,28 +156,67 @@ func BenchmarkAppendBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkCoupdSnapshot measures reduce-on-read for a 512-bin histogram
-// through the handler (pooled scratch, no per-request allocation of the
-// reduction buffers).
+// benchHist is the snapshot of a bins-bin histogram with small counts,
+// the shape coupd-mixed's dashboard reads.
+func benchHist(bins int) Snapshot {
+	s := Snapshot{Name: "lat", Kind: "hist", Bins: make([]uint64, bins)}
+	for i := range s.Bins {
+		s.Bins[i] = uint64(i % 97)
+		s.Total += s.Bins[i]
+	}
+	return s
+}
+
+// BenchmarkCoupdSnapshot measures reduce-on-read through the handler —
+// pooled scratch, append-encoded body — for a 512-bin histogram and for
+// the 4096-bin one coupd-mixed reads.
 func BenchmarkCoupdSnapshot(b *testing.B) {
-	s, err := New()
+	for _, bins := range []int{512, 4096} {
+		b.Run(fmt.Sprintf("bins=%d", bins), func(b *testing.B) {
+			s, err := New()
+			if err != nil {
+				b.Fatal(err)
+			}
+			want := benchHist(bins)
+			for i, v := range want.Bins {
+				u := Update{Name: want.Name, Kind: "hist", Op: "add", Args: []int64{int64(i), int64(v)}, Bins: bins}
+				if err := s.reg.Apply(&u); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := httptest.NewRequest("GET", "/v1/snapshot/lat", nil)
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, r)
+				if w.Code != http.StatusOK {
+					b.Fatalf("HTTP %d: %s", w.Code, w.Body)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeSnapshot is a reader's decode alone: json.Unmarshal of
+// a 4096-bin snapshot body into a fresh Snapshot, as coupd-mixed's
+// dashboard reader does.
+func BenchmarkDecodeSnapshot(b *testing.B) {
+	want := benchHist(4096)
+	body, err := json.Marshal(&want)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 512; i++ {
-		u := Update{Name: "lat", Kind: "hist", Op: "inc", Args: []int64{int64(i)}, Bins: 512}
-		if err := s.reg.Apply(&u); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := httptest.NewRequest("GET", "/v1/snapshot/lat", nil)
-		w := httptest.NewRecorder()
-		s.ServeHTTP(w, r)
-		if w.Code != http.StatusOK {
-			b.Fatalf("HTTP %d: %s", w.Code, w.Body)
+		var got Snapshot
+		if err := json.Unmarshal(body, &got); err != nil {
+			b.Fatal(err)
+		}
+		if got.Total != want.Total {
+			b.Fatalf("decoded total %d, want %d", got.Total, want.Total)
 		}
 	}
 }

@@ -284,6 +284,15 @@ func plainInt(data []byte, pos int) (v int64, end int) {
 // wordString returns the constant for a served kind or op, so the
 // common records allocate nothing for them.
 func (d *batchDecoder) wordString(b []byte) string {
+	if w := servedWord(b); w != "" {
+		return w
+	}
+	return d.names.intern(b)
+}
+
+// servedWord returns the constant for a served kind or op, or "" when b
+// names none.
+func servedWord(b []byte) string {
 	switch string(b) {
 	case "counter":
 		return "counter"
@@ -304,7 +313,7 @@ func (d *batchDecoder) wordString(b []byte) string {
 	case "escalate":
 		return "escalate"
 	}
-	return d.names.intern(b)
+	return ""
 }
 
 // internTable dedups the strings a decoder hands out (structure names,
@@ -407,4 +416,174 @@ func appendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	dst = append(dst, s...)
 	return append(dst, '"')
+}
+
+// The snapshot codec. The server writes GET /v1/snapshot bodies with
+// appendSnapshot, whose bytes equal json.Marshal's (FuzzAppendSnapshot).
+// (*Snapshot).UnmarshalJSON reads a snapshot in exactly that layout in
+// one pass (decodeCanonical) and hands every other input to
+// encoding/json, so acceptance and values stay encoding/json's
+// (FuzzDecodeSnapshot).
+//
+// The layout, as appendSnapshot and json.Marshal both write a Snapshot:
+// snapName and a string, snapKind and a string, then in field order the
+// fields that are not zero — snapValue and an integer, snapEscalated,
+// snapBins with its integers and ']', snapTotal, snapN, snapMin and
+// snapMax each with an integer — then '}'. A bulk body is bulkOpen, the
+// snapshots separated by ',', then bulkClose.
+const (
+	snapName      = `{"name":`
+	snapKind      = `,"kind":`
+	snapValue     = `,"value":`
+	snapEscalated = `,"escalated":true`
+	snapBins      = `,"bins":[`
+	snapTotal     = `,"total":`
+	snapN         = `,"n":`
+	snapMin       = `,"min":`
+	snapMax       = `,"max":`
+	bulkOpen      = `{"structures":[`
+	bulkClose     = `]}`
+)
+
+// appendSnapshot appends the JSON encoding of s to dst: the bytes
+// json.Marshal(s) produces.
+func appendSnapshot(dst []byte, s *Snapshot) []byte {
+	dst = appendString(append(dst, snapName...), s.Name)
+	dst = appendString(append(dst, snapKind...), s.Kind)
+	if s.Value != 0 {
+		dst = strconv.AppendInt(append(dst, snapValue...), s.Value, 10)
+	}
+	if s.Escalated {
+		dst = append(dst, snapEscalated...)
+	}
+	if len(s.Bins) > 0 {
+		dst = append(dst, snapBins...)
+		for i, v := range s.Bins {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendUint(dst, v, 10)
+		}
+		dst = append(dst, ']')
+	}
+	if s.Total != 0 {
+		dst = strconv.AppendUint(append(dst, snapTotal...), s.Total, 10)
+	}
+	if s.N != 0 {
+		dst = strconv.AppendUint(append(dst, snapN...), s.N, 10)
+	}
+	if s.Min != 0 {
+		dst = strconv.AppendInt(append(dst, snapMin...), s.Min, 10)
+	}
+	if s.Max != 0 {
+		dst = strconv.AppendInt(append(dst, snapMax...), s.Max, 10)
+	}
+	return append(dst, '}')
+}
+
+// decodeCanonical decodes data into s when it is a snapshot in the
+// layout appendSnapshot writes, with plain strings and plain integers,
+// and reports whether it was. Such a snapshot has no repeated, unknown or
+// case-folded key, no whitespace and no bytes after its '}', so it
+// decodes as encoding/json would decode it: the fields it holds are set,
+// the others keep their values, and Bins reuses its capacity. The whole
+// layout is checked before s changes, so on false s is as it was.
+//
+// Not //coup:hotpath: a fresh destination allocates its name and bins.
+func (s *Snapshot) decodeCanonical(data []byte) bool {
+	name, p := plainField(data, 0, snapName)
+	kind, p := plainField(data, p, snapKind)
+	if p < 0 {
+		return false
+	}
+	t := *s
+	t.Value, p = optInt(data, p, snapValue, t.Value)
+	if hasFrag(data, p, snapEscalated) {
+		t.Escalated, p = true, p+len(snapEscalated)
+	}
+	bins, nbins := -1, 0
+	if hasFrag(data, p, snapBins) {
+		bins = p + len(snapBins)
+		nbins, p = scanUints(data, bins)
+	}
+	t.Total, p = optUint(data, p, snapTotal, t.Total)
+	t.N, p = optUint(data, p, snapN, t.N)
+	t.Min, p = optInt(data, p, snapMin, t.Min)
+	t.Max, p = optInt(data, p, snapMax, t.Max)
+	if p < 0 || p != len(data)-1 || data[p] != '}' {
+		return false
+	}
+	if string(name) != t.Name {
+		t.Name = string(name)
+	}
+	if t.Kind = servedWord(kind); t.Kind == "" {
+		t.Kind = string(kind)
+	}
+	if bins >= 0 {
+		t.Bins = appendUints(slices.Grow(t.Bins[:0], nbins), data[bins:])
+	}
+	*s = t
+	return true
+}
+
+// optInt scans the optional key fragment frag and a plain integer at p,
+// which may be -1. It returns the integer and the position after it, or
+// old and p when frag is not there, or end -1.
+func optInt(data []byte, p int, frag string, old int64) (v int64, end int) {
+	if !hasFrag(data, p, frag) {
+		return old, p
+	}
+	return plainInt(data, p+len(frag))
+}
+
+// optUint is optInt for a non-negative integer.
+func optUint(data []byte, p int, frag string, old uint64) (v uint64, end int) {
+	if !hasFrag(data, p, frag) {
+		return old, p
+	}
+	if p += len(frag); p < len(data) && data[p] == '-' {
+		return 0, -1
+	}
+	n, end := plainInt(data, p)
+	return uint64(n), end
+}
+
+// scanUints scans the non-empty list of non-negative plain integers at p
+// through its ']', and returns how many it holds and the position after
+// the ']', or end -1.
+func scanUints(data []byte, p int) (n, end int) {
+	for {
+		if p < len(data) && data[p] == '-' {
+			return 0, -1
+		}
+		_, end := plainInt(data, p)
+		if end < 0 || end == len(data) {
+			return 0, -1
+		}
+		n, p = n+1, end+1
+		switch data[end] {
+		case ']':
+			return n, p
+		case ',':
+		default:
+			return 0, -1
+		}
+	}
+}
+
+// appendUints appends the integers of a list scanUints accepted, which
+// starts data, to dst.
+func appendUints(dst []uint64, data []byte) []uint64 {
+	var v uint64
+	for _, c := range data {
+		switch c {
+		case ',':
+			dst, v = append(dst, v), 0
+		case ']':
+			return append(dst, v)
+		default:
+			v = v*10 + uint64(c-'0')
+		}
+	}
+	return dst
 }

@@ -53,7 +53,7 @@
 // resent whole. The typed sentinels in errors.go name every failure
 // class.
 //
-// # The batch codec
+// # The batch and snapshot codecs
 //
 // Batch bodies are plain JSON, the shape of BatchRequest. Session.Send
 // writes them with an append-style encoder (codec.go) whose bytes equal
@@ -70,7 +70,21 @@
 // the one-pass reader to it. The one deliberate difference from a
 // streaming Decoder: the body is read whole, so a body over MaxBatchBytes
 // is rejected even when a complete JSON value ends before the cap.
-// Responses, snapshots and error bodies stay on encoding/json.
+//
+// Snapshots take the same two roads the other way round, so a read costs
+// about its reduction rather than its reflection. The server writes each
+// snapshot body with an append-style encoder whose bytes equal
+// json.Marshal's plus the newline json.Encoder adds, into a pooled buffer
+// sent in one Write with a Content-Length; the bulk handler encodes each
+// structure right after reducing it. A Snapshot decodes itself
+// (UnmarshalJSON): a snapshot in the server's layout — keys in field
+// order, zero fields omitted, plain ASCII strings, integers of at most 18
+// digits, nothing after the closing brace — is read in one pass, and
+// every other input goes to encoding/json, so every json.Unmarshal or
+// Decoder of a Snapshot gets the fast path without a new method or
+// format. FuzzAppendSnapshot and FuzzDecodeSnapshot hold both ends to
+// encoding/json. Batch acknowledgements and error bodies stay on
+// encoding/json.
 //
 // # Exactly-once replay
 //

@@ -341,12 +341,30 @@ func (e *entry) apply(u *Update, dry bool) error {
 	return nil
 }
 
-// snapScratch is the per-snapshot reduction buffer set, pooled by the
-// server so steady-state snapshots reuse the pkg/commute no-alloc
-// read-side helpers.
+// snapScratch is one snapshot request's reduction buffers and response
+// body, pooled by the server so steady-state snapshots reuse the
+// pkg/commute no-alloc read-side helpers and one response buffer.
 type snapScratch struct {
-	i64 []int64
-	u64 []uint64
+	i64  []int64
+	u64  []uint64
+	body []byte
+}
+
+// maxPooledBins caps the pooled reduction buffer at maxPooledBody bytes.
+const maxPooledBins = maxPooledBody / 8
+
+// reset empties the scratch for reuse, dropping buffers a huge histogram
+// grew past the pool caps. Truncating matters too: a pooled scratch that
+// kept its length would hand the next Get a view of this request's
+// partial sums.
+func (sc *snapScratch) reset() {
+	if cap(sc.u64) > maxPooledBins {
+		sc.u64 = nil
+	}
+	if cap(sc.body) > maxPooledBody {
+		sc.body = nil
+	}
+	sc.i64, sc.u64, sc.body = sc.i64[:0], sc.u64[:0], sc.body[:0]
 }
 
 // Snapshot reduces one structure into out using scratch buffers. The

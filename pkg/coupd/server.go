@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -67,7 +68,7 @@ type Server struct {
 	panics      *obs.Counter   // handler panics recovered to 500s
 	decoders    sync.Pool      // *batchDecoder, body read + decode reuse
 	entScratch  sync.Pool      // *entScratch, validate-then-apply reuse
-	snapScratch sync.Pool      // *snapScratch, reduction reuse
+	snapScratch sync.Pool      // *snapScratch, reduction + response reuse
 }
 
 // entScratch carries the resolved-entry slice between a batch's
@@ -454,10 +455,7 @@ func (s *Server) countBatch(applied int) {
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	sc := s.snapScratch.Get().(*snapScratch)
 	defer func() {
-		// Truncate before Put: a pooled scratch that kept its length would
-		// hand the next Get a view of this request's partial sums.
-		sc.i64 = sc.i64[:0]
-		sc.u64 = sc.u64[:0]
+		sc.reset()
 		s.snapScratch.Put(sc)
 	}()
 	if s.reduceHook != nil {
@@ -471,37 +469,39 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, &snap)
+	sc.body = append(appendSnapshot(sc.body, &snap), '\n')
+	writeBody(w, sc.body)
 }
 
+// handleBulkSnapshot encodes each structure into the response right
+// after reducing it, so one scratch serves every reduction.
 func (s *Server) handleBulkSnapshot(w http.ResponseWriter, r *http.Request) {
 	sc := s.snapScratch.Get().(*snapScratch)
 	defer func() {
-		sc.i64 = sc.i64[:0]
-		sc.u64 = sc.u64[:0]
+		sc.reset()
 		s.snapScratch.Put(sc)
 	}()
 	if s.reduceHook != nil {
 		s.reduceHook()
 	}
-	names := s.reg.Names()
-	bulk := BulkSnapshot{Structures: make([]Snapshot, 0, len(names))}
-	t0 := time.Now()
-	for _, name := range names {
+	var reduce time.Duration
+	sc.body = append(sc.body, bulkOpen...)
+	for _, name := range s.reg.Names() {
 		var snap Snapshot
-		// The snapshot borrows sc's buffers, which the next iteration
-		// reuses; histogram bins must survive until the response is
-		// serialized, so clone them.
-		if err := s.reg.Snapshot(name, sc, &snap); err != nil {
+		t0 := time.Now()
+		err := s.reg.Snapshot(name, sc, &snap)
+		reduce += time.Since(t0)
+		if err != nil {
 			continue // deleted between Names and here: impossible today, harmless
 		}
-		if snap.Bins != nil {
-			snap.Bins = append([]uint64(nil), snap.Bins...)
+		if len(sc.body) > len(bulkOpen) {
+			sc.body = append(sc.body, ',')
 		}
-		bulk.Structures = append(bulk.Structures, snap)
+		sc.body = appendSnapshot(sc.body, &snap)
 	}
-	s.countReduce(time.Since(t0))
-	writeJSON(w, http.StatusOK, &bulk)
+	s.countReduce(reduce)
+	sc.body = append(sc.body, bulkClose+"\n"...)
+	writeBody(w, sc.body)
 }
 
 // countReduce records one snapshot request's reduction latency into the
@@ -511,6 +511,18 @@ func (s *Server) handleBulkSnapshot(w http.ResponseWriter, r *http.Request) {
 func (s *Server) countReduce(d time.Duration) {
 	s.snapshots.Inc()
 	s.reduceNs.Observe(d.Nanoseconds())
+}
+
+// writeBody sends a complete 200 JSON body in one Write, with its
+// Content-Length.
+func writeBody(w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	// Write errors past the header write are undeliverable; the client
+	// sees a short body and reports the transport error.
+	_, _ = w.Write(body)
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

@@ -1,5 +1,7 @@
 package coupd
 
+import "encoding/json"
+
 // Wire types: the JSON bodies of the batch and snapshot endpoints. They
 // are plain data so the swbench HTTP driver, the repository benchmark,
 // and any other client can share them with the server.
@@ -69,6 +71,16 @@ type ErrorResponse struct {
 //	hist:     Bins (one element per bucket), Total (their sum)
 //	minmax:   N, Min, Max (Min/Max only meaningful when N > 0)
 //	refcount: Value, Escalated
+//
+// Snapshot decodes itself (UnmarshalJSON), so json.Unmarshal and a
+// json.Decoder read the server's own layout without reflection. The
+// result is encoding/json's for every input: the same inputs are
+// accepted, to the same values, and decoding merges into the
+// destination as encoding/json does — absent fields keep their values,
+// and "bins" resets the slice's length and reuses its capacity. As with
+// any json.Unmarshaler, a Decoder's DisallowUnknownFields does not reach
+// inside a Snapshot, and a type error inside one element of a
+// BulkSnapshot ends the decode at that element.
 type Snapshot struct {
 	Name      string   `json:"name"`
 	Kind      string   `json:"kind"`
@@ -79,6 +91,19 @@ type Snapshot struct {
 	N         uint64   `json:"n,omitempty"`
 	Min       int64    `json:"min,omitempty"`
 	Max       int64    `json:"max,omitempty"`
+}
+
+// snapshotFields is Snapshot without its methods, which encoding/json
+// decodes by reflection.
+type snapshotFields Snapshot
+
+// UnmarshalJSON decodes a snapshot in the layout the server writes in
+// one pass, and any other input with encoding/json.
+func (s *Snapshot) UnmarshalJSON(data []byte) error {
+	if s.decodeCanonical(data) {
+		return nil
+	}
+	return json.Unmarshal(data, (*snapshotFields)(s))
 }
 
 // BulkSnapshot is the GET /v1/snapshot body: every structure, sorted by
