@@ -1,10 +1,30 @@
 package exp
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/pkg/coup"
 )
+
+// updateTables rewrites testdata/quick_tables.txt from the current
+// simulator. Run `go test ./internal/exp -run TestTablesGolden -update`
+// only when a change is supposed to alter simulated results.
+var updateTables = flag.Bool("update", false, "rewrite testdata/quick_tables.txt from the current simulator")
+
+const quickTablesPath = "testdata/quick_tables.txt"
+
+// simulatedExperiments are the experiments whose tables hold simulation
+// results only, in the order the nightly full evaluation runs them: every
+// experiment but fig8, figsw and figsvc, whose tables carry wall-clock
+// columns.
+var simulatedExperiments = []string{
+	"fig2", "fig10", "fig11", "fig12", "fig13a", "fig13b", "fig13c",
+	"sec55", "traffic", "table2", "ablation",
+}
 
 func tinyParams() Params {
 	return Params{Scale: 0.02, Reps: 1, MaxCores: 16}
@@ -115,15 +135,9 @@ func TestGridMatchesMeasure(t *testing.T) {
 // figsvc (the software benchmarks' ns/op).
 func TestTablesIdenticalSerialVsParallel(t *testing.T) {
 	p := Params{Scale: 0.01, Reps: 2, MaxCores: 8}
-	wallClock := map[string]bool{"fig8": true, "figsw": true, "figsvc": true}
 	ids := []string{"fig2", "traffic"}
 	if !testing.Short() {
-		ids = ids[:0]
-		for _, e := range All() {
-			if !wallClock[e.ID] {
-				ids = append(ids, e.ID)
-			}
-		}
+		ids = simulatedExperiments
 	}
 	for _, id := range ids {
 		e, ok := ByID(id)
@@ -144,6 +158,51 @@ func TestTablesIdenticalSerialVsParallel(t *testing.T) {
 		if serial != parallel {
 			t.Errorf("%s: tables differ between -parallel 1 and -parallel 8:\n--- serial ---\n%s--- parallel ---\n%s",
 				id, serial, parallel)
+		}
+	}
+}
+
+// TestTablesGolden pins every simulated table at BenchParams, the scale
+// of coupbench -quick: a change that moves one cell of one figure fails
+// here. The file holds what `coupbench -quick -exp` prints for
+// simulatedExperiments, less its "(id in time)" lines.
+func TestTablesGolden(t *testing.T) {
+	var b strings.Builder
+	for _, id := range simulatedExperiments {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("experiment %q not registered", id)
+		}
+		fmt.Fprintf(&b, "### %s — %s\n", e.ID, e.Desc)
+		for _, tb := range e.Run(BenchParams()) {
+			b.WriteString(tb.String() + "\n")
+		}
+		b.WriteString("\n")
+	}
+	got := b.String()
+	if *updateTables {
+		if err := os.WriteFile(quickTablesPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(quickTablesPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("tables differ from %s at line %d:\n got: %q\nwant: %q", quickTablesPath, i+1, g, w)
+			}
 		}
 	}
 }
