@@ -131,6 +131,15 @@ type dirLine struct {
 
 func (d *dirLine) hasChildren() bool { return d.sharers != 0 || d.owner >= 0 }
 
+// children returns the bitvector of every child the entry names, its owner
+// included.
+func (d *dirLine) children() uint64 {
+	if d.owner >= 0 {
+		return d.sharers | bit(int(d.owner))
+	}
+	return d.sharers
+}
+
 // bank models one L3/L4 bank: directory/tag pipeline occupancy, per-line
 // transaction serialization, and the bank's reduction unit (Sec 3.1.1).
 type bank struct {
@@ -1505,13 +1514,21 @@ func (h *hierarchy) checkInvariants() error {
 			return err
 		}
 	}
-	// L3 entries must appear in the L4 directory, and U-mode lines must have
-	// a single operation type across all caches.
+	// L3 entries must appear in the L4 directory, every core an L3 entry
+	// names must hold the line, and U-mode lines must have a single
+	// operation type across all caches.
 	for q, ch := range h.chips {
 		var err error
 		ch.arr.forEach(func(tag uint64, d *dirLine) {
 			if err != nil {
 				return
+			}
+			for rem := d.children(); rem != 0; rem &= rem - 1 {
+				cid := q*h.cfg.CoresPerChip + bits.TrailingZeros64(rem)
+				if cid >= len(h.priv) || h.priv[cid].l2.peek(tag) == nil {
+					err = fmt.Errorf("chip %d directory names core %d on %#x but its L2 misses", q, cid, tag)
+					return
+				}
 			}
 			ge := h.l4.arr.peek(tag)
 			if ge == nil {
@@ -1540,18 +1557,26 @@ func (h *hierarchy) checkInvariants() error {
 	// Global exclusivity, the SWMR analogue: a chip owner excludes sharer
 	// chips. Each tag occurs once in the L4 array, so this is a check per
 	// entry. Report the lowest violating tag so a broken run always
-	// produces the same error text.
+	// produces the same error text. Every chip an L4 entry names must hold
+	// the line in its L3.
 	var bad *dirLine
 	var badTag uint64
+	var err error
 	h.l4.arr.forEach(func(tag uint64, d *dirLine) {
 		if d.owner >= 0 && d.sharers != 0 && (bad == nil || tag < badTag) {
 			bad, badTag = d, tag
+		}
+		for rem := d.children(); rem != 0 && err == nil; rem &= rem - 1 {
+			q := bits.TrailingZeros64(rem)
+			if q >= len(h.chips) || h.chips[q].arr.peek(tag) == nil {
+				err = fmt.Errorf("L4 directory names chip %d on %#x but its L3 misses", q, tag)
+			}
 		}
 	})
 	if bad != nil {
 		return fmt.Errorf("line %#x violates global exclusivity: owner chip %d and sharer chips %#x", badTag, bad.owner, bad.sharers)
 	}
-	return nil
+	return err
 }
 
 // CheckInvariants validates structural coherence invariants (inclusion,

@@ -536,25 +536,52 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		name, want string
 		// corrupt breaks one entry of h and returns its line.
 		corrupt func(h *hierarchy) (uint64, bool)
+		// chips is the fewest chips the corruption needs.
+		chips int
 	}{
-		{"L4 owner with sharers", "global exclusivity", func(h *hierarchy) (uint64, bool) {
+		{name: "L4 owner with sharers", want: "global exclusivity", corrupt: func(h *hierarchy) (uint64, bool) {
 			return corruptFirst(h.l4.arr, func(d *dirLine) bool { return d.owner >= 0 },
 				func(_ uint64, d *dirLine) { d.sharers |= 1 })
 		}},
-		{"L3 entry without L4 entry", "L4 has no entry", func(h *hierarchy) (uint64, bool) {
+		{name: "L3 entry without L4 entry", want: "L4 has no entry", corrupt: func(h *hierarchy) (uint64, bool) {
 			return corruptFirst(h.chips[0].arr, func(*dirLine) bool { return true },
 				func(line uint64, _ *dirLine) { h.l4.arr.invalidate(line) })
 		}},
-		{"L2 S line without L3 sharer bit", "in S but dir sharers", func(h *hierarchy) (uint64, bool) {
+		{name: "L2 S line without L3 sharer bit", want: "in S but dir sharers", corrupt: func(h *hierarchy) (uint64, bool) {
 			return corruptFirst(h.priv[0].l2, func(p *privLine) bool { return p.state == stateS },
 				func(line uint64, _ *privLine) { h.chips[0].arr.peek(line).sharers &^= bit(0) })
+		}},
+		// A stale bit: the child dropped its copy without telling the
+		// directory.
+		{name: "stale L3 sharer bit", want: "names core 0 on", corrupt: func(h *hierarchy) (uint64, bool) {
+			return corruptFirst(h.chips[0].arr, func(d *dirLine) bool { return d.sharers&bit(0) != 0 },
+				func(line uint64, _ *dirLine) {
+					h.priv[0].l2.invalidate(line)
+					h.priv[0].l1.invalidate(line)
+				})
+		}},
+		// A lone chip always owns its lines at the L4, so a sharer bit
+		// needs two chips.
+		{name: "stale L4 sharer bit", want: "names chip 0 on", chips: 2, corrupt: func(h *hierarchy) (uint64, bool) {
+			return corruptFirst(h.l4.arr, func(d *dirLine) bool { return d.sharers&bit(0) != 0 },
+				func(line uint64, _ *dirLine) {
+					h.chips[0].arr.invalidate(line)
+					for _, pc := range h.priv[:h.cfg.CoresPerChip] {
+						pc.l2.invalidate(line)
+						pc.l1.invalidate(line)
+					}
+				})
 		}},
 	}
 	for _, cores := range []int{4, 32} {
 		for _, p := range []Protocol{MESI, MEUSI} {
 			for _, tc := range cases {
+				cfg := smallCfg(cores, p)
+				if cfg.Chips() < tc.chips {
+					continue
+				}
 				t.Run(fmt.Sprintf("%dcores/%v/%s", cores, p, tc.name), func(t *testing.T) {
-					m := New(smallCfg(cores, p))
+					m := New(cfg)
 					shared := m.AllocLines(8)
 					private := m.AllocLines(uint64(2 * cores))
 					m.Run(func(c *Ctx) {
