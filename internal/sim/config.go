@@ -5,7 +5,9 @@
 // the same number of L4-and-global-directory chips, and DDR3-like memory
 // channels. It implements both the MESI baseline and COUP's MEUSI, plus a
 // remote-memory-operation (RMO) mode as an extra baseline for the Fig 1
-// comparison.
+// comparison. Every machine runs on Table 1's timing, which is fixed in
+// constants; a Config picks the protocol, the core count, the cache
+// geometry, the reduction ALU and the seed.
 //
 // # Engine architecture
 //
@@ -156,6 +158,37 @@ func (p Protocol) hasE() bool { return protocols[p].hasE }
 // such rather than falling back to conventional atomics.
 func (p Protocol) commNative() bool { return p.HasU() || p.Remote() }
 
+// Table 1 timing, in cycles at 2.4 GHz. Every machine runs on these
+// values; what a Config varies is the protocol, the geometry, the
+// reduction ALU and the seed.
+const (
+	l1Lat   uint64 = 4   // L1D hit
+	l2Lat   uint64 = 7   // private L2
+	l3Lat   uint64 = 27  // shared L3 bank + in-cache directory
+	linkLat uint64 = 40  // off-chip point-to-point link, each direction
+	l4Lat   uint64 = 35  // L4 bank + global directory
+	memLat  uint64 = 120 // DDR3-1600-CL10 access
+
+	// onChipHop is the one-way on-chip network latency between an L3 bank
+	// and a core's private L2, used for invalidation/reduction round trips.
+	onChipHop uint64 = 6
+	// atomicOverhead models the four-µop load-linked/execute/store-
+	// conditional/fence sequence used for both atomic and commutative-update
+	// instructions (Sec 5.1).
+	atomicOverhead uint64 = 10
+
+	dirBankService    uint64 = 4  // bank occupancy per directory transaction
+	memChannelService uint64 = 10 // channel occupancy per memory access (burst)
+
+	// barrierBase and barrierPerLog2Core model a software tree barrier.
+	barrierBase        uint64 = 300
+	barrierPerLog2Core uint64 = 60
+
+	// maxJitter is the maximum per-miss random latency perturbation;
+	// Config.Seed seeds the draws.
+	maxJitter uint64 = 3
+)
+
 // Config describes a simulated machine. The zero value is not usable; start
 // from DefaultConfig.
 type Config struct {
@@ -164,22 +197,6 @@ type Config struct {
 	Cores int
 	// CoresPerChip is the number of cores per processor chip (Table 1: 16).
 	CoresPerChip int
-
-	// Latencies, in cycles at 2.4 GHz (Table 1).
-	L1Lat   uint64 // L1D hit: 4
-	L2Lat   uint64 // private L2: 7
-	L3Lat   uint64 // shared L3 bank + in-cache directory: 27
-	LinkLat uint64 // off-chip point-to-point link, each direction: 40
-	L4Lat   uint64 // L4 bank + global directory: 35
-	MemLat  uint64 // DDR3-1600-CL10 access: ~120 cycles
-
-	// OnChipHop is the one-way on-chip network latency between an L3 bank
-	// and a core's private L2, used for invalidation/reduction round trips.
-	OnChipHop uint64
-	// AtomicOverhead models the four-µop load-linked/execute/store-
-	// conditional/fence sequence used for both atomic and commutative-update
-	// instructions (Sec 5.1).
-	AtomicOverhead uint64
 
 	// Cache geometry. Sizes are in bytes; defaults are the unscaled Table 1
 	// organization. The L3 and L4 arrays give each set storage for only the
@@ -193,19 +210,14 @@ type Config struct {
 	//
 	// Together with Cores/CoresPerChip and the bank/channel counts below,
 	// these fields form the geometry key an Arena pools machines under
-	// (see arena.go): two configs differing only in protocol, latencies,
-	// seed or jitter recycle the same machine.
+	// (see arena.go): two configs differing only in protocol, reduction
+	// ALU, FlatReductions or seed recycle the same machine.
 	L1Size, L1Ways   int // 32 KB, 8-way
 	L2Size, L2Ways   int // 256 KB, 8-way
 	L3Size, L3Ways   int // per chip; 32 MB, 16-way, 8 banks
 	L4Size, L4Ways   int // per L4 chip; 128 MB, 16-way, 8 banks
 	L3Banks, L4Banks int
 	MemChannels      int // DDR3 channels per L4 chip: 4
-
-	// DirBankService is the bank occupancy per directory transaction.
-	DirBankService uint64
-	// MemChannelService is the channel occupancy per memory access (burst).
-	MemChannelService uint64
 
 	// Reduction unit (Sec 5.1): a 2-stage pipelined 256-bit ALU reduces one
 	// 64-byte line every 2 cycles with a 3-cycle latency. The Sec 5.5
@@ -218,15 +230,9 @@ type Config struct {
 	// collects one partial per core rather than one per chip. Ablation only.
 	FlatReductions bool
 
-	// BarrierBase and BarrierPerLog2Core model a software tree barrier.
-	BarrierBase        uint64
-	BarrierPerLog2Core uint64
-
 	// Seed drives the workload RNGs and the small non-determinism injection
 	// (Alameldeen & Wood) used to compute confidence intervals.
 	Seed uint64
-	// Jitter is the maximum per-miss random latency perturbation, cycles.
-	Jitter uint64
 }
 
 // DefaultConfig returns the Table 1 machine with the given core count and
@@ -237,27 +243,16 @@ func DefaultConfig(cores int, p Protocol) Config {
 		Cores:        cores,
 		CoresPerChip: 16,
 
-		L1Lat: 4, L2Lat: 7, L3Lat: 27, LinkLat: 40, L4Lat: 35, MemLat: 120,
-		OnChipHop:      6,
-		AtomicOverhead: 10,
-
 		L1Size: 32 << 10, L1Ways: 8,
 		L2Size: 256 << 10, L2Ways: 8,
 		L3Size: 32 << 20, L3Ways: 16, L3Banks: 8,
 		L4Size: 128 << 20, L4Ways: 16, L4Banks: 8,
 		MemChannels: 4,
 
-		DirBankService:    4,
-		MemChannelService: 10,
-
 		ReduceCyclesPerLine: 2,
 		ReduceLatency:       3,
 
-		BarrierBase:        300,
-		BarrierPerLog2Core: 60,
-
-		Seed:   1,
-		Jitter: 3,
+		Seed: 1,
 	}
 }
 

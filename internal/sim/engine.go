@@ -584,7 +584,7 @@ func packKey(t uint64, id int) uint64 {
 // at opBarrier: a core parks only once its posted ops have drained, and
 // every live core has parked by the time the barrier releases.
 func (m *Machine) releaseBarrier(lastArrival uint64, reschedule func(*core)) {
-	exit := lastArrival + m.cfg.BarrierBase + m.cfg.BarrierPerLog2Core*log2ceil(m.cfg.Cores)
+	exit := lastArrival + barrierBase + barrierPerLog2Core*log2ceil(m.cfg.Cores)
 	// Inline servicing is off during the release (a zero horizon fails
 	// every run-ahead check), so resumed kernels post or block at their
 	// next operation and the scheduler interleaves the post-barrier ops in

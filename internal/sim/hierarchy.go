@@ -63,24 +63,10 @@ func (b *backing) growTo(pi uint64) {
 
 func (b *backing) lineOf(addr uint64) *ops.Line { return b.line(addr >> 6) }
 
-func (b *backing) read64(addr uint64) uint64 { return b.lineOf(addr)[(addr>>3)&7] }
-func (b *backing) write64(addr, v uint64)    { b.lineOf(addr)[(addr>>3)&7] = v }
-func (b *backing) read32(addr uint64) uint32 {
-	w := b.lineOf(addr)[(addr>>3)&7]
-	if addr&4 != 0 {
-		return uint32(w >> 32)
-	}
-	return uint32(w)
-}
-func (b *backing) write32(addr uint64, v uint32) {
-	p := b.lineOf(addr)
-	i := (addr >> 3) & 7
-	if addr&4 != 0 {
-		p[i] = p[i]&0x00000000FFFFFFFF | uint64(v)<<32
-	} else {
-		p[i] = p[i]&^uint64(0xFFFFFFFF) | uint64(v)
-	}
-}
+func (b *backing) read64(addr uint64) uint64     { return b.lineOf(addr)[(addr>>3)&7] }
+func (b *backing) write64(addr, v uint64)        { b.lineOf(addr)[(addr>>3)&7] = v }
+func (b *backing) read32(addr uint64) uint32     { return word32(b.read64(addr), addr) }
+func (b *backing) write32(addr uint64, v uint32) { setWord32(&b.lineOf(addr)[(addr>>3)&7], addr, v) }
 
 // lineState is a stable coherence state: of a line in a core's private
 // cache, or (dirLine.cstate) of a chip's grant from the global directory.
@@ -149,6 +135,14 @@ type bank struct {
 }
 
 func newBank() *bank { return &bank{lineBusy: newBusyTable()} }
+
+// reduce runs cycles of work through the bank's reduction unit once the
+// unit is free, charging the wait and the work to bucket.
+func (b *bank) reduce(tx *txn, cycles uint64, bucket *uint64) {
+	tx.waitUntil(b.redBusy, bucket)
+	tx.adv(cycles, bucket)
+	b.redBusy = tx.now
+}
 
 // busyTable maps a line address to the cycle its last bank transaction
 // completes. It is an open-addressed linear-probe table (power-of-two
@@ -346,33 +340,38 @@ func (pc *privCache) freeBuf(h uint32) {
 	pc.bufFree = h
 }
 
-type l3cache struct {
-	chip     int
+// dirCache is one directory level's array and banks: a chip's L3 or the
+// global L4.
+type dirCache struct {
 	arr      *array[dirLine]
 	banks    []*bank
 	bankMask int // len(banks)-1 when a power of two, else -1 (modulo path)
 }
 
-func (l *l3cache) bank(line uint64) *bank {
-	if l.bankMask >= 0 {
-		return l.banks[mixLine(line)&uint64(l.bankMask)]
+func newDirCache(size, ways, banks int) dirCache {
+	d := dirCache{arr: newArray[dirLine](size, ways), banks: make([]*bank, banks), bankMask: powMask(banks)}
+	for i := range d.banks {
+		d.banks[i] = newBank()
 	}
-	return l.banks[mixLine(line)%uint64(len(l.banks))]
+	return d
+}
+
+func (d *dirCache) bank(line uint64) *bank {
+	if d.bankMask >= 0 {
+		return d.banks[mixLine(line)&uint64(d.bankMask)]
+	}
+	return d.banks[mixLine(line)%uint64(len(d.banks))]
+}
+
+type l3cache struct {
+	dirCache
+	chip int
 }
 
 type l4cache struct {
-	arr      *array[dirLine]
-	banks    []*bank
+	dirCache
 	chans    []uint64 // per-DRAM-channel busy-until
-	bankMask int      // as l3cache.bankMask
 	chanMask int
-}
-
-func (l *l4cache) bank(line uint64) *bank {
-	if l.bankMask >= 0 {
-		return l.banks[mixLine(line)&uint64(l.bankMask)]
-	}
-	return l.banks[mixLine(line)%uint64(len(l.banks))]
 }
 
 func (l *l4cache) channel(line uint64) *uint64 {
@@ -382,9 +381,11 @@ func (l *l4cache) channel(line uint64) *uint64 {
 	return &l.chans[(mixLine(line)>>8)%uint64(len(l.chans))]
 }
 
-// powMask returns n-1 when n is a power of two (the bank/channel counts of
-// every option-built machine), else -1 to select the modulo path. Both
-// pick identical indices: x % n == x & (n-1) for powers of two.
+// powMask returns n-1 when n is a power of two, else -1 to select the
+// modulo path. Both pick identical indices: x % n == x & (n-1) for powers
+// of two. The L4's bank and channel counts scale with the chip count, so
+// a machine with a chip count that is not a power of two takes the modulo
+// path: 96 cores make 6 chips, 48 L4 banks and 24 channels.
 func powMask(n int) int {
 	if n&(n-1) == 0 {
 		return n - 1
@@ -419,7 +420,6 @@ type hierarchy struct {
 	chips  []*l3cache
 	l4     *l4cache
 	jrng   rng
-	nChips int
 	hasE   bool
 	remote bool
 
@@ -435,7 +435,6 @@ func newHierarchy(cfg *Config, st *Stats) *hierarchy {
 		cfg:    cfg,
 		st:     st,
 		store:  newBacking(),
-		nChips: n,
 		hasE:   cfg.Protocol.hasE(),
 		remote: cfg.Protocol.Remote(),
 		jrng:   newRNG(cfg.Seed ^ 0xC0FFEE),
@@ -449,17 +448,13 @@ func newHierarchy(cfg *Config, st *Stats) *hierarchy {
 	}
 	h.chips = make([]*l3cache, n)
 	for i := range h.chips {
-		c := &l3cache{chip: i, arr: newArray[dirLine](cfg.L3Size, cfg.L3Ways), bankMask: powMask(cfg.L3Banks)}
-		for b := 0; b < cfg.L3Banks; b++ {
-			c.banks = append(c.banks, newBank())
-		}
-		h.chips[i] = c
+		h.chips[i] = &l3cache{dirCache: newDirCache(cfg.L3Size, cfg.L3Ways, cfg.L3Banks), chip: i}
 	}
-	h.l4 = &l4cache{arr: newArray[dirLine](cfg.L4Size*n, cfg.L4Ways), bankMask: powMask(cfg.L4Banks * n), chanMask: powMask(cfg.MemChannels * n)}
-	for b := 0; b < cfg.L4Banks*n; b++ {
-		h.l4.banks = append(h.l4.banks, newBank())
+	h.l4 = &l4cache{
+		dirCache: newDirCache(cfg.L4Size*n, cfg.L4Ways, cfg.L4Banks*n),
+		chans:    make([]uint64, cfg.MemChannels*n),
+		chanMask: powMask(cfg.MemChannels * n),
 	}
-	h.l4.chans = make([]uint64, cfg.MemChannels*n)
 	return h
 }
 
@@ -482,12 +477,7 @@ func (t *txn) waitUntil(abs uint64, bucket *uint64) {
 	}
 }
 
-func (h *hierarchy) jitter() uint64 {
-	if h.cfg.Jitter == 0 {
-		return 0
-	}
-	return h.jrng.intn(h.cfg.Jitter + 1)
-}
+func (h *hierarchy) jitter() uint64 { return h.jrng.intn(maxJitter + 1) }
 
 const invalidOwner = -1
 
@@ -495,7 +485,12 @@ func bit(i int) uint64 { return 1 << uint(i) }
 
 // invalRTT is the round-trip cost of the L3 directory invalidating or
 // downgrading one of its cores' private caches.
-func (h *hierarchy) invalRTT() uint64 { return 2*h.cfg.OnChipHop + h.cfg.L2Lat }
+const invalRTT = 2*onChipHop + l2Lat
+
+// reduceCycles is the reduction unit's time to fold n partial lines.
+func (h *hierarchy) reduceCycles(n int) uint64 {
+	return h.cfg.ReduceLatency + uint64(n)*h.cfg.ReduceCyclesPerLine
+}
 
 // access performs core c's memory operation r, issued at c.time:
 // functional effect plus critical-path latency. It returns the operation's
@@ -533,17 +528,17 @@ func (h *hierarchy) access(c *core, r *request) uint64 {
 		var lat uint64
 		if pc.l1.probe(line) != nil {
 			h.st.L1Hits++
-			lat = h.cfg.L1Lat
+			lat = l1Lat
 		} else {
 			h.st.L2Hits++
-			lat = h.cfg.L1Lat + h.cfg.L2Lat
-			h.st.Breakdown.L2 += h.cfg.L2Lat
+			lat = l1Lat + l2Lat
+			h.st.Breakdown.L2 += l2Lat
 			pc.l1.insert(line) // L1 fills silently; L2 is inclusive
 		}
-		l1bd := h.cfg.L1Lat
+		l1bd := l1Lat
 		if atomicOp {
-			lat += h.cfg.AtomicOverhead
-			l1bd += h.cfg.AtomicOverhead
+			lat += atomicOverhead
+			l1bd += atomicOverhead
 			if r.kind == opComm {
 				h.st.ULocalHits++ // COUP's fast path: buffered locally
 			}
@@ -575,8 +570,8 @@ func (h *hierarchy) access(c *core, r *request) uint64 {
 		pc.l1.invalidate(line)
 	}
 
-	tx.adv(h.cfg.L1Lat, &tx.bd.L1)
-	tx.adv(h.cfg.L2Lat, &tx.bd.L2)
+	tx.adv(l1Lat, &tx.bd.L1)
+	tx.adv(l2Lat, &tx.bd.L2)
 
 	var rq shReq
 	switch r.kind {
@@ -593,7 +588,7 @@ func (h *hierarchy) access(c *core, r *request) uint64 {
 	// Fill the private cache with the granted line and apply the operation.
 	filled := h.fillPriv(c, line, grant, r.otype)
 	if atomicOp {
-		tx.adv(h.cfg.AtomicOverhead, &tx.bd.L1)
+		tx.adv(atomicOverhead, &tx.bd.L1)
 	}
 	h.applyPriv(c, filled, r)
 	h.st.Breakdown.add(tx.bd)
@@ -632,9 +627,8 @@ func setWord32(w *uint64, addr uint64, v uint32) {
 }
 
 // applyPriv performs the functional effect of r against a line the private
-// cache now has sufficient permission for. The backing line is resolved
-// once; read-modify-write kinds then work on the word in place instead of
-// walking the page table per half-access.
+// cache now has sufficient permission for. The backing word is read once,
+// at r's width, and written at most once.
 func (h *hierarchy) applyPriv(c *core, p *privLine, r *request) {
 	if r.kind == opComm && p.state == stateU {
 		// Buffer and coalesce locally (Sec 3.1.2).
@@ -642,35 +636,33 @@ func (h *hierarchy) applyPriv(c *core, p *privLine, r *request) {
 		b[w] = ops.ApplyAt(r.otype, b[w], uint(r.addr&7), r.val)
 		return
 	}
-	ln := h.store.lineOf(r.addr)
-	w := &ln[(r.addr>>3)&7]
+	w := &h.store.lineOf(r.addr)[(r.addr>>3)&7]
+	old := *w
+	if r.width == 4 {
+		old = uint64(word32(old, r.addr))
+	}
+	if r.kind == opLoad {
+		r.out = old
+		return
+	}
+	// Every other kind holds the line exclusively, and its copy turns
+	// dirty even when a CAS fails.
+	if p.state == stateE {
+		p.state = stateM
+	}
+	nv := r.val // a store, an exchange or a successful CAS
 	switch r.kind {
-	case opLoad:
-		if r.width == 4 {
-			r.out = uint64(word32(*w, r.addr))
-		} else {
-			r.out = *w
-		}
-	case opStore:
-		if p.state == stateE {
-			p.state = stateM
-		}
-		if r.width == 4 {
-			setWord32(w, r.addr, uint32(r.val))
-		} else {
-			*w = r.val
+	case opComm:
+		// Exclusive states apply in place, in the operation's lane.
+		*w = ops.ApplyAt(r.otype, *w, uint(r.addr&7), r.val)
+		return
+	case opCAS:
+		r.out, r.ok = old, old == r.cmp
+		if !r.ok {
+			return
 		}
 	case opRMW:
-		if p.state == stateE {
-			p.state = stateM
-		}
-		var old uint64
-		if r.width == 4 {
-			old = uint64(word32(*w, r.addr))
-		} else {
-			old = *w
-		}
-		var nv uint64
+		r.out = old
 		switch r.rop {
 		case rmwAdd:
 			nv = old + r.val
@@ -680,40 +672,12 @@ func (h *hierarchy) applyPriv(c *core, p *privLine, r *request) {
 			nv = old & r.val
 		case rmwXor:
 			nv = old ^ r.val
-		case rmwXchg:
-			nv = r.val
 		}
-		if r.width == 4 {
-			setWord32(w, r.addr, uint32(nv))
-		} else {
-			*w = nv
-		}
-		r.out = old
-	case opCAS:
-		if p.state == stateE {
-			p.state = stateM
-		}
-		var old uint64
-		if r.width == 4 {
-			old = uint64(word32(*w, r.addr))
-		} else {
-			old = *w
-		}
-		r.out = old
-		r.ok = old == r.cmp
-		if r.ok {
-			if r.width == 4 {
-				setWord32(w, r.addr, uint32(r.val))
-			} else {
-				*w = r.val
-			}
-		}
-	case opComm:
-		// Exclusive states apply in place.
-		if p.state == stateE {
-			p.state = stateM
-		}
-		*w = ops.ApplyAt(r.otype, *w, uint(r.addr&7), r.val)
+	}
+	if r.width == 4 {
+		setWord32(w, r.addr, uint32(nv))
+	} else {
+		*w = nv
 	}
 }
 
@@ -809,8 +773,8 @@ func (h *hierarchy) l3Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn
 	// Serialize against other transactions on this line and this bank.
 	tx.waitUntil(b.lineBusy.get(line), &tx.bd.L3)
 	tx.waitUntil(b.busyUntil, &tx.bd.L3)
-	b.busyUntil = tx.now + h.cfg.DirBankService
-	tx.adv(h.cfg.L3Lat+h.jitter(), &tx.bd.L3)
+	b.busyUntil = tx.now + dirBankService
+	tx.adv(l3Lat+h.jitter(), &tx.bd.L3)
 	h.onChip(ctrlBytes)
 
 	e := ch.arr.probe(line)
@@ -821,32 +785,25 @@ func (h *hierarchy) l3Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn
 		// in privSufficient, so its owner never takes the miss path.
 		e.sharers &^= bit(ci)
 	}
-	if e == nil {
-		// Chip-level miss: obtain chip permission from the L4, then allocate
-		// the (inclusive) L3 entry.
+	if e != nil && h.chipSufficient(e, rq, t) {
+		h.st.L3Hits++
+	} else {
+		// Obtain chip permission from the L4, then find or allocate the
+		// (inclusive) L3 entry: a chip miss has none, and a global
+		// reduction run by l4Access may have invalidated ours.
 		cstate := h.l4Access(c, line, rq, t, tx)
-		s, vtag, vp, evicted := ch.arr.insert(line)
-		if evicted {
-			h.evictL3Line(ch, vtag, &vp)
-		}
-		*s = dirLine{owner: invalidOwner, cstate: cstate}
-		e = s
-	} else if !h.chipSufficient(e, rq, t) {
-		cstate := h.l4Access(c, line, rq, t, tx)
-		e = ch.arr.peek(line) // l4Access may have invalidated our entry
-		if e == nil {
-			// l4Access invalidates L3 entries but never inserts one, so
-			// the way ours just vacated is free and the insert evicts
-			// nothing.
-			e, _, _, _ = ch.arr.insert(line)
-			*e = dirLine{owner: invalidOwner}
+		if e = ch.arr.peek(line); e == nil {
+			s, vtag, vp, evicted := ch.arr.insert(line)
+			if evicted {
+				h.evictL3Line(ch, vtag, &vp)
+			}
+			*s = dirLine{owner: invalidOwner}
+			e = s
 		}
 		e.cstate = cstate
-	} else {
-		h.st.L3Hits++
 	}
 
-	grant := h.resolveInChip(c, ch, b, e, line, rq, t, tx, ci)
+	grant := h.resolveInChip(c, ch, e, line, rq, t, tx, ci)
 	b.lineBusy.put(line, tx.now, h.now)
 	return grant
 }
@@ -869,13 +826,13 @@ func (h *hierarchy) chipSufficient(d *dirLine, rq shReq, t ops.Type) bool {
 
 // resolveInChip resolves the in-chip directory actions once the chip itself
 // holds sufficient permission, and returns the state granted to the core.
-func (h *hierarchy) resolveInChip(c *core, ch *l3cache, b *bank, d *dirLine, line uint64, rq shReq, t ops.Type, tx *txn, ci int) lineState {
+func (h *hierarchy) resolveInChip(c *core, ch *l3cache, d *dirLine, line uint64, rq shReq, t ops.Type, tx *txn, ci int) lineState {
 	switch rq {
 	case shGetS:
 		if d.owner >= 0 {
 			// Downgrade the in-chip owner; it keeps a read-only copy.
 			h.downgradeCore(ch.chip, int(d.owner), line, stateS, ops.Read)
-			tx.adv(h.invalRTT(), &tx.bd.L3)
+			tx.adv(invalRTT, &tx.bd.L3)
 			d.sharers |= bit(int(d.owner))
 			d.owner = invalidOwner
 			d.dirty = true
@@ -883,7 +840,7 @@ func (h *hierarchy) resolveInChip(c *core, ch *l3cache, b *bank, d *dirLine, lin
 		} else if d.sharers != 0 && d.otype.IsUpdate() {
 			// In-chip full reduction (Fig 5d), permitted because the chip is
 			// exclusive (otherwise l4Access already ran a global reduction).
-			h.reduceChipCores(ch, b, d, line, tx, &tx.bd.L3)
+			h.reduceChipCores(ch, d, line, tx, &tx.bd.L3)
 			d.otype = ops.Read
 			h.st.TypeSwitches++
 		}
@@ -900,13 +857,13 @@ func (h *hierarchy) resolveInChip(c *core, ch *l3cache, b *bank, d *dirLine, lin
 	case shGetX:
 		if d.owner >= 0 {
 			h.invalidateCore(ch.chip, int(d.owner), line)
-			tx.adv(h.invalRTT(), &tx.bd.L3)
+			tx.adv(invalRTT, &tx.bd.L3)
 			d.dirty = true
 			d.owner = invalidOwner
 		}
 		if d.sharers != 0 {
 			if d.otype.IsUpdate() {
-				h.reduceChipCores(ch, b, d, line, tx, &tx.bd.L3)
+				h.reduceChipCores(ch, d, line, tx, &tx.bd.L3)
 			} else {
 				h.invalidateChipSharers(ch, d, line, tx, &tx.bd.L3)
 			}
@@ -923,7 +880,7 @@ func (h *hierarchy) resolveInChip(c *core, ch *l3cache, b *bank, d *dirLine, lin
 			// identity buffer, and its value is written back (to the backing
 			// image here).
 			h.downgradeCore(ch.chip, int(d.owner), line, stateU, t)
-			tx.adv(h.invalRTT(), &tx.bd.L3)
+			tx.adv(invalRTT, &tx.bd.L3)
 			d.sharers |= bit(int(d.owner))
 			d.owner = invalidOwner
 			d.dirty = true
@@ -935,7 +892,7 @@ func (h *hierarchy) resolveInChip(c *core, ch *l3cache, b *bank, d *dirLine, lin
 				h.st.TypeSwitches++
 			} else if d.otype != t {
 				// Serialize different update types via full reduction.
-				h.reduceChipCores(ch, b, d, line, tx, &tx.bd.L3)
+				h.reduceChipCores(ch, d, line, tx, &tx.bd.L3)
 				h.st.TypeSwitches++
 			}
 		}
@@ -979,10 +936,9 @@ func (h *hierarchy) downgradeCore(chip, ci int, line uint64, to lineState, t ops
 
 // invalidateCore removes a core's private copy, folding partial updates and
 // accounting the ack traffic. It returns the state the copy held, so
-// callers that need it (the hierarchical-reduction counts in evictL3Line
-// and invalidateChip) avoid a pre-peek of the same L2 set. The victim L2
-// set is walked once: invalidate returns the copy it removed. It never
-// reads the L3 array.
+// recallCores counts update-only copies without a pre-peek of the same L2
+// set. The victim L2 set is walked once: invalidate returns the copy it
+// removed. It never reads the L3 array.
 func (h *hierarchy) invalidateCore(chip, ci int, line uint64) lineState {
 	coreID := chip*h.cfg.CoresPerChip + ci
 	pc := h.priv[coreID]
@@ -1004,59 +960,48 @@ func (h *hierarchy) invalidateCore(chip, ci int, line uint64) lineState {
 	return s.state
 }
 
-// invalidateChipSharers invalidates every in-chip non-exclusive copy.
-// Critical path: one round trip plus a small fan-out cost per extra sharer.
-func (h *hierarchy) invalidateChipSharers(ch *l3cache, d *dirLine, line uint64, tx *txn, bucket *uint64) {
-	n := 0
+// invalidateChipSharers invalidates every in-chip non-exclusive copy and
+// returns how many there were. Critical path: one round trip plus a small
+// fan-out cost per extra sharer.
+func (h *hierarchy) invalidateChipSharers(ch *l3cache, d *dirLine, line uint64, tx *txn, bucket *uint64) (n int) {
 	for rem := d.sharers; rem != 0; rem &= rem - 1 {
 		h.invalidateCore(ch.chip, bits.TrailingZeros64(rem), line)
 		n++
 	}
 	d.sharers = 0
 	if n > 0 {
-		tx.adv(h.invalRTT()+uint64(n-1), bucket)
+		tx.adv(invalRTT+uint64(n-1), bucket)
 	}
+	return n
 }
 
 // reduceChipCores performs an in-chip full reduction: every U copy is
 // invalidated, its partial update folded by the bank's reduction unit.
-func (h *hierarchy) reduceChipCores(ch *l3cache, b *bank, d *dirLine, line uint64, tx *txn, bucket *uint64) {
-	n := 0
-	for rem := d.sharers; rem != 0; rem &= rem - 1 {
-		h.invalidateCore(ch.chip, bits.TrailingZeros64(rem), line)
-		n++
+func (h *hierarchy) reduceChipCores(ch *l3cache, d *dirLine, line uint64, tx *txn, bucket *uint64) {
+	if n := h.invalidateChipSharers(ch, d, line, tx, bucket); n > 0 {
+		h.st.FullReductions++
+		ch.bank(line).reduce(tx, h.reduceCycles(n), bucket)
+		d.dirty = true
 	}
-	d.sharers = 0
-	if n == 0 {
-		return
+}
+
+// recallCores invalidates every core copy that chip q's entry d names,
+// owner and sharers, and returns how many of them were update-only. It
+// leaves d itself unchanged.
+func (h *hierarchy) recallCores(q int, d *dirLine, line uint64) (nU int) {
+	for rem := d.children(); rem != 0; rem &= rem - 1 {
+		if h.invalidateCore(q, bits.TrailingZeros64(rem), line) == stateU {
+			nU++
+		}
 	}
-	h.st.FullReductions++
-	tx.adv(h.invalRTT()+uint64(n-1), bucket)
-	// Reduction unit occupancy: n partial lines through the pipelined ALU.
-	start := tx.now
-	if b.redBusy > start {
-		tx.waitUntil(b.redBusy, bucket)
-	}
-	tx.adv(h.cfg.ReduceLatency+uint64(n)*h.cfg.ReduceCyclesPerLine, bucket)
-	b.redBusy = tx.now
-	d.dirty = true
+	return nU
 }
 
 // evictL3Line handles an inclusive L3 capacity eviction: recall every core
 // copy in this chip, then notify/write back to the L4. Off the critical
 // path; traffic and directory state only.
 func (h *hierarchy) evictL3Line(ch *l3cache, line uint64, d *dirLine) {
-	if d.owner >= 0 {
-		h.invalidateCore(ch.chip, int(d.owner), line)
-		d.dirty = true
-	}
-	nU := 0
-	for rem := d.sharers; rem != 0; rem &= rem - 1 {
-		if h.invalidateCore(ch.chip, bits.TrailingZeros64(rem), line) == stateU {
-			nU++
-		}
-	}
-	if nU > 0 {
+	if nU := h.recallCores(ch.chip, d, line); nU > 0 {
 		h.st.PartialReductions++
 		ch.bank(line).redBusy += uint64(nU) * h.cfg.ReduceCyclesPerLine
 	}
@@ -1070,7 +1015,8 @@ func (h *hierarchy) evictL3Line(ch *l3cache, line uint64, d *dirLine) {
 		ge.dirty = true
 	}
 	ge.sharers &^= bit(ch.chip)
-	if d.dirty || d.cstate == stateU {
+	// A recalled owner may have written the line.
+	if d.dirty || d.owner >= 0 || d.cstate == stateU {
 		h.offChip(dataBytes)
 		ge.dirty = true
 	} else {
@@ -1086,11 +1032,11 @@ func (h *hierarchy) l4Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn
 	b := h.l4.bank(line)
 	p := c.chip
 
-	tx.adv(2*h.cfg.LinkLat, &tx.bd.Net) // request + reply link traversals
+	tx.adv(2*linkLat, &tx.bd.Net) // request + reply link traversals
 	tx.waitUntil(b.lineBusy.get(line), &tx.bd.L4Inval)
 	tx.waitUntil(b.busyUntil, &tx.bd.L4)
-	b.busyUntil = tx.now + h.cfg.DirBankService
-	tx.adv(h.cfg.L4Lat+h.jitter(), &tx.bd.L4)
+	b.busyUntil = tx.now + dirBankService
+	tx.adv(l4Lat+h.jitter(), &tx.bd.L4)
 	h.offChip(ctrlBytes)
 
 	ge := h.l4.arr.probe(line)
@@ -1103,12 +1049,7 @@ func (h *hierarchy) l4Access(c *core, line uint64, rq shReq, t ops.Type, tx *txn
 		} else {
 			h.memAccess(line, tx)
 		}
-		s, vtag, vp, evicted := h.l4.arr.insert(line)
-		if evicted {
-			h.evictL4Line(vtag, &vp)
-		}
-		*s = dirLine{owner: invalidOwner}
-		ge = s
+		ge = h.fillL4(line)
 	} else {
 		h.st.L4Hits++
 	}
@@ -1213,21 +1154,20 @@ func (h *hierarchy) downgradeChip(q int, line uint64, to lineState, t ops.Type, 
 	if to == stateU {
 		newType = t
 	}
-	cost := 2 * h.cfg.LinkLat
+	cost := 2 * linkLat
 	if d.owner >= 0 {
 		h.downgradeCore(q, int(d.owner), line, to, t)
 		d.sharers |= bit(int(d.owner))
 		d.owner = invalidOwner
 		d.otype = newType
 		d.dirty = true
-		cost += h.invalRTT()
+		cost += invalRTT
 	} else if d.sharers != 0 && d.otype != newType {
-		var sub txn
-		sub.now = tx.now
+		sub := txn{now: tx.now}
 		if d.otype.IsUpdate() {
 			// Internal partial updates must be reduced before the chip's
 			// permission weakens (hierarchical reduction, Sec 3.2).
-			h.reduceChipCores(ch, ch.bank(line), d, line, &sub, &sub.bd.L4Inval)
+			h.reduceChipCores(ch, d, line, &sub, &sub.bd.L4Inval)
 		} else {
 			// Internal read-only copies cannot survive an update-only grant.
 			h.invalidateChipSharers(ch, d, line, &sub, &sub.bd.L4Inval)
@@ -1245,29 +1185,20 @@ func (h *hierarchy) downgradeChip(q int, line uint64, to lineState, t ops.Type, 
 // copies), folding partial updates. The entry goes first, in the one scan
 // of its set, and the recall reads its copy: invalidateCore never reads
 // the L3 array.
-func (h *hierarchy) invalidateChip(q int, line uint64, tx *txn) uint64 {
+func (h *hierarchy) invalidateChip(q int, line uint64, tx *txn) {
 	e, ok := h.chips[q].arr.invalidate(line)
 	if !ok {
 		panic(fmt.Sprintf("sim: L4 thinks chip %d holds %#x but L3 misses", q, line))
 	}
-	cost := 2 * h.cfg.LinkLat
-	if e.owner >= 0 {
-		h.invalidateCore(q, int(e.owner), line)
-		cost += h.invalRTT()
+	cost := 2 * linkLat
+	if e.hasChildren() {
+		cost += invalRTT
 	}
-	nU := 0
-	for rem := e.sharers; rem != 0; rem &= rem - 1 {
-		if h.invalidateCore(q, bits.TrailingZeros64(rem), line) == stateU {
-			nU++
-		}
-	}
-	if e.sharers != 0 {
-		cost += h.invalRTT()
-	}
+	nU := h.recallCores(q, &e, line)
 	if nU > 0 {
 		// Hierarchical reduction: the chip's reduction unit aggregates its
 		// cores' partials before one response crosses the link (Sec 3.2).
-		cost += h.cfg.ReduceLatency + uint64(nU)*h.cfg.ReduceCyclesPerLine
+		cost += h.reduceCycles(nU)
 	}
 	h.st.Invalidations++
 	if e.dirty || e.cstate == stateU || nU > 0 {
@@ -1276,76 +1207,44 @@ func (h *hierarchy) invalidateChip(q int, line uint64, tx *txn) uint64 {
 		h.offChip(ctrlBytes)
 	}
 	tx.adv(cost, &tx.bd.L4Inval)
-	return cost
 }
 
 // invalidateGlobalSharers invalidates every sharer chip except keep (the
-// requester, which upgrades in place). Chips are invalidated in parallel;
-// the critical path is the slowest chip plus a per-chip fan-out cycle.
-func (h *hierarchy) invalidateGlobalSharers(d *dirLine, line uint64, keep int, tx *txn) {
-	start := tx.now
+// requester, which upgrades in place; keep == -1 clears every sharer) and
+// returns how many it invalidated. Chips are invalidated in parallel; the
+// critical path is the slowest chip plus a per-chip fan-out cycle.
+func (h *hierarchy) invalidateGlobalSharers(d *dirLine, line uint64, keep int, tx *txn) (n int) {
 	var maxEnd uint64
-	n := 0
-	for q := 0; q < h.nChips; q++ {
-		if d.sharers&bit(q) == 0 {
-			continue
-		}
-		if q == keep {
-			// The requester chip's own non-exclusive copies are handled by
-			// the in-chip resolution step; here it just upgrades.
-			continue
-		}
-		var sub txn
-		sub.now = start
-		h.invalidateChip(q, line, &sub)
-		if sub.now > maxEnd {
-			maxEnd = sub.now
-		}
+	// The requester chip's own non-exclusive copies are handled by the
+	// in-chip resolution step; here it just upgrades.
+	for rem := d.sharers &^ bit(keep); rem != 0; rem &= rem - 1 {
+		sub := txn{now: tx.now}
+		h.invalidateChip(bits.TrailingZeros64(rem), line, &sub)
+		maxEnd = max(maxEnd, sub.now)
 		n++
 	}
 	d.sharers &= bit(keep)
 	if n > 0 {
 		tx.waitUntil(maxEnd+uint64(n-1), &tx.bd.L4Inval)
 	}
+	return n
 }
 
 // globalReduction gathers and reduces every chip's partial updates
 // (hierarchically: each chip aggregates its own cores first), leaving the
 // line uncached below the L4.
 func (h *hierarchy) globalReduction(d *dirLine, line uint64, tx *txn) {
-	start := tx.now
-	var maxEnd uint64
-	n := 0
-	for q := 0; q < h.nChips; q++ {
-		if d.sharers&bit(q) == 0 {
-			continue
-		}
-		var sub txn
-		sub.now = start
-		h.invalidateChip(q, line, &sub)
-		if sub.now > maxEnd {
-			maxEnd = sub.now
-		}
-		n++
-	}
-	d.sharers = 0
+	n := h.invalidateGlobalSharers(d, line, -1, tx)
 	if n == 0 {
 		return
 	}
 	h.st.FullReductions++
-	tx.waitUntil(maxEnd+uint64(n-1), &tx.bd.L4Inval)
-	// L4 reduction unit folds the per-chip partials.
-	b := h.l4.bank(line)
-	units := uint64(n)
 	if h.cfg.FlatReductions {
 		// Ablation: no per-chip aggregation; one partial per core instead.
-		units = uint64(n * h.cfg.CoresPerChip)
+		n *= h.cfg.CoresPerChip
 	}
-	if b.redBusy > tx.now {
-		tx.waitUntil(b.redBusy, &tx.bd.L4Inval)
-	}
-	tx.adv(h.cfg.ReduceLatency+units*h.cfg.ReduceCyclesPerLine, &tx.bd.L4Inval)
-	b.redBusy = tx.now
+	// The L4 reduction unit folds the per-chip partials.
+	h.l4.bank(line).reduce(tx, h.reduceCycles(n), &tx.bd.L4Inval)
 	d.dirty = true
 }
 
@@ -1353,18 +1252,24 @@ func (h *hierarchy) globalReduction(d *dirLine, line uint64, tx *txn) {
 // if dirty. Off the critical path.
 func (h *hierarchy) evictL4Line(line uint64, d *dirLine) {
 	var scratch txn
-	if d.owner >= 0 {
-		h.invalidateChip(int(d.owner), line, &scratch)
-		d.dirty = true
+	for rem := d.children(); rem != 0; rem &= rem - 1 {
+		h.invalidateChip(bits.TrailingZeros64(rem), line, &scratch)
 	}
-	for q := 0; q < h.nChips; q++ {
-		if d.sharers&bit(q) != 0 {
-			h.invalidateChip(q, line, &scratch)
-		}
-	}
-	if d.dirty {
+	// A recalled owner chip may have written the line.
+	if d.dirty || d.owner >= 0 {
 		h.memWriteBackground(line)
 	}
+}
+
+// fillL4 allocates line's L4 entry, recalling the victim it evicts, and
+// returns the entry.
+func (h *hierarchy) fillL4(line uint64) *dirLine {
+	s, vtag, vp, evicted := h.l4.arr.insert(line)
+	if evicted {
+		h.evictL4Line(vtag, &vp)
+	}
+	*s = dirLine{owner: invalidOwner}
+	return s
 }
 
 // memAccess charges a critical-path DRAM access.
@@ -1372,8 +1277,8 @@ func (h *hierarchy) memAccess(line uint64, tx *txn) {
 	h.st.MemAccs++
 	ch := h.l4.channel(line)
 	tx.waitUntil(*ch, &tx.bd.Mem)
-	*ch = tx.now + h.cfg.MemChannelService
-	tx.adv(h.cfg.MemLat+h.jitter(), &tx.bd.Mem)
+	*ch = tx.now + memChannelService
+	tx.adv(memLat+h.jitter(), &tx.bd.Mem)
 	h.st.MemBytes += 64
 }
 
@@ -1383,13 +1288,13 @@ func (h *hierarchy) memAccess(line uint64, tx *txn) {
 func (h *hierarchy) memAccessBackground(line uint64) {
 	h.st.MemAccs++
 	ch := h.l4.channel(line)
-	*ch += h.cfg.MemChannelService
+	*ch += memChannelService
 	h.st.MemBytes += 64
 }
 
 func (h *hierarchy) memWriteBackground(line uint64) {
 	ch := h.l4.channel(line)
-	*ch += h.cfg.MemChannelService
+	*ch += memChannelService
 	h.st.MemBytes += 64
 }
 
@@ -1399,7 +1304,7 @@ func (h *hierarchy) memWriteBackground(line uint64) {
 func (h *hierarchy) rmoUpdate(c *core, r *request) uint64 {
 	line := r.addr >> 6
 	tx := txn{now: c.time}
-	tx.adv(h.cfg.L1Lat, &tx.bd.L1)
+	tx.adv(l1Lat, &tx.bd.L1)
 
 	// Drop any local copy; remote updates do not cache.
 	pc := h.priv[c.id]
@@ -1415,22 +1320,17 @@ func (h *hierarchy) rmoUpdate(c *core, r *request) uint64 {
 	}
 
 	b := h.l4.bank(line)
-	tx.adv(2*h.cfg.LinkLat, &tx.bd.Net)
+	tx.adv(2*linkLat, &tx.bd.Net)
 	tx.waitUntil(b.lineBusy.get(line), &tx.bd.L4Inval)
 	tx.waitUntil(b.busyUntil, &tx.bd.L4)
-	b.busyUntil = tx.now + h.cfg.DirBankService
-	tx.adv(h.cfg.L4Lat, &tx.bd.L4)
+	b.busyUntil = tx.now + dirBankService
+	tx.adv(l4Lat, &tx.bd.L4)
 	h.offChip(ctrlBytes + 8) // address + operand
 
 	ge := h.l4.arr.probe(line)
 	if ge == nil {
 		h.memAccess(line, &tx)
-		s, vtag, vp, evicted := h.l4.arr.insert(line)
-		if evicted {
-			h.evictL4Line(vtag, &vp)
-		}
-		*s = dirLine{owner: invalidOwner}
-		ge = s
+		ge = h.fillL4(line)
 	} else if ge.hasChildren() {
 		// Invalidate cached copies so the remote ALU operates on the only
 		// valid version.
@@ -1439,14 +1339,11 @@ func (h *hierarchy) rmoUpdate(c *core, r *request) uint64 {
 			ge.owner = invalidOwner
 		}
 		h.invalidateGlobalSharers(ge, line, -1, &tx)
-		ge.sharers = 0
 	}
-	// Remote ALU occupancy: this is the hotspot RMOs suffer from.
-	if b.redBusy > tx.now {
-		tx.waitUntil(b.redBusy, &tx.bd.L4Inval)
-	}
-	tx.adv(2, &tx.bd.L4)
-	b.redBusy = tx.now
+	// Remote ALU occupancy: this is the hotspot RMOs suffer from. The wait
+	// for the ALU counts as contention, its two cycles as bank time.
+	tx.waitUntil(b.redBusy, &tx.bd.L4Inval)
+	b.reduce(&tx, 2, &tx.bd.L4)
 	ge.dirty = true
 
 	w := (r.addr >> 3) & 7
