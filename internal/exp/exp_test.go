@@ -191,19 +191,14 @@ func TestTablesGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
 	if got != string(want) {
+		// Report the first line that differs; the last line of each is
+		// compared when every line before it matches.
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) || i < len(wl); i++ {
-			var g, w string
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			if g != w {
-				t.Fatalf("tables differ from %s at line %d:\n got: %q\nwant: %q", quickTablesPath, i+1, g, w)
-			}
+		i := 0
+		for i < min(len(gl), len(wl))-1 && gl[i] == wl[i] {
+			i++
 		}
+		t.Fatalf("tables differ from %s at line %d:\n got: %q\nwant: %q", quickTablesPath, i+1, gl[i], wl[i])
 	}
 }
 

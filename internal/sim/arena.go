@@ -10,8 +10,8 @@ package sim
 //
 // Machines are pooled whole, keyed by their geometry (machineShape): core
 // counts and every cache/bank/channel dimension. Everything else in a
-// Config — protocol, latencies, seed, jitter, flat-reductions — is run
-// state, re-derived when a pooled machine is taken. Reuse is
+// Config — protocol, reduction ALU, flat reductions, seed — is run state,
+// re-derived when a pooled machine is taken. Reuse is
 // zero-on-reuse: NewIn resets the recycled machine to exactly the state
 // New would have produced, with two deliberate exceptions that are
 // invisible to simulation results:

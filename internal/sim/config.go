@@ -158,9 +158,7 @@ func (p Protocol) hasE() bool { return protocols[p].hasE }
 // such rather than falling back to conventional atomics.
 func (p Protocol) commNative() bool { return p.HasU() || p.Remote() }
 
-// Table 1 timing, in cycles at 2.4 GHz. Every machine runs on these
-// values; what a Config varies is the protocol, the geometry, the
-// reduction ALU and the seed.
+// Table 1 timing, in cycles at 2.4 GHz, shared by every machine.
 const (
 	l1Lat   uint64 = 4   // L1D hit
 	l2Lat   uint64 = 7   // private L2

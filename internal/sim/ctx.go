@@ -75,8 +75,9 @@ func (x *Ctx) Work(n uint64) {
 }
 
 // Barrier blocks until every thread reaches it, and so until every core's
-// posted ops have been serviced. Cost models a software tree barrier (see
-// Config.BarrierBase).
+// posted ops have been serviced. Its cost models a software tree barrier:
+// a fixed cost plus one per doubling of the core count (barrierBase and
+// barrierPerLog2Core in config.go).
 func (x *Ctx) Barrier() {
 	x.c.req = request{kind: opBarrier}
 	x.yield()

@@ -69,7 +69,7 @@ func TestGoldenStats(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: factory: %v", key, err)
 				}
-				st, err := Run(w, cfg)
+				st, err := RunIn(nil, w, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}

@@ -36,19 +36,16 @@ type Workload interface {
 	Validate(m *sim.Machine) error
 }
 
-// Run executes w on a fresh machine built from cfg and validates the
-// result.
-func Run(w Workload, cfg sim.Config) (sim.Stats, error) { return RunIn(nil, w, cfg) }
-
-// RunIn is Run on a machine drawn from (and released back to) arena, so
-// repeated runs of same-geometry machines — a sweep worker's steady state
-// — recycle all machine-sized scratch instead of reallocating it. A nil
-// arena builds a fresh machine, exactly like Run. The machine returns to
-// the pool once the run completes, also when it fails validation or the
-// coherence invariants: NewIn's reset clears every set the run touched.
-// A panicked run's machine is dropped. A kernel write to memory its Setup
-// froze (sim.Machine.Freeze) returns the *sim.FrozenWriteError, wrapped;
-// any other panic propagates.
+// RunIn executes w on a machine built from cfg and validates the result.
+// The machine is drawn from (and released back to) arena, so repeated
+// runs of same-geometry machines — a sweep worker's steady state —
+// recycle all machine-sized scratch instead of reallocating it. A nil
+// arena builds a fresh machine. The machine returns to the pool once the
+// run completes, also when it fails validation or the coherence
+// invariants: NewIn's reset clears every set the run touched. A panicked
+// run's machine is dropped. A kernel write to memory its Setup froze
+// (sim.Machine.Freeze) returns the *sim.FrozenWriteError, wrapped; any
+// other panic propagates.
 func RunIn(arena *sim.Arena, w Workload, cfg sim.Config) (st sim.Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {

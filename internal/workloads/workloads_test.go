@@ -19,11 +19,11 @@ func testCfg(cores int, p sim.Protocol) sim.Config {
 func runBoth(t *testing.T, mk func() Workload, cores int) (mesi, meusi sim.Stats) {
 	t.Helper()
 	var err error
-	mesi, err = Run(mk(), testCfg(cores, sim.MESI))
+	mesi, err = RunIn(nil, mk(), testCfg(cores, sim.MESI))
 	if err != nil {
 		t.Fatalf("MESI: %v", err)
 	}
-	meusi, err = Run(mk(), testCfg(cores, sim.MEUSI))
+	meusi, err = RunIn(nil, mk(), testCfg(cores, sim.MEUSI))
 	if err != nil {
 		t.Fatalf("MEUSI: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestHistSharedBothProtocols(t *testing.T) {
 }
 
 func TestHistPrivCore(t *testing.T) {
-	st, err := Run(NewHist(10000, 128, HistPrivCore, 7), testCfg(8, sim.MESI))
+	st, err := RunIn(nil, NewHist(10000, 128, HistPrivCore, 7), testCfg(8, sim.MESI))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestHistPrivCore(t *testing.T) {
 
 func TestHistPrivSocket(t *testing.T) {
 	// 32 cores = 2 chips: socket-level copies really are shared per chip.
-	st, err := Run(NewHist(20000, 128, HistPrivSocket, 7), testCfg(32, sim.MESI))
+	st, err := RunIn(nil, NewHist(20000, 128, HistPrivSocket, 7), testCfg(32, sim.MESI))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestHistManyBinsFavorsShared(t *testing.T) {
 	// privatization pays reduction costs that the shared version avoids.
 	bins := 8192
 	pix := 16000
-	shared, err := Run(NewHist(pix, bins, HistShared, 3), testCfg(16, sim.MEUSI))
+	shared, err := RunIn(nil, NewHist(pix, bins, HistShared, 3), testCfg(16, sim.MEUSI))
 	if err != nil {
 		t.Fatal(err)
 	}
-	priv, err := Run(NewHist(pix, bins, HistPrivCore, 3), testCfg(16, sim.MEUSI))
+	priv, err := RunIn(nil, NewHist(pix, bins, HistPrivCore, 3), testCfg(16, sim.MEUSI))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,14 +165,14 @@ func TestRefCountPlainLow(t *testing.T) {
 }
 
 func TestRefCountPlainHigh(t *testing.T) {
-	_, err := Run(NewRefCount(64, 400, true, RefPlain, 23), testCfg(16, sim.MEUSI))
+	_, err := RunIn(nil, NewRefCount(64, 400, true, RefPlain, 23), testCfg(16, sim.MEUSI))
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRefCountSNZI(t *testing.T) {
-	st, err := Run(NewRefCount(32, 200, true, RefSNZI, 25), testCfg(16, sim.MESI))
+	st, err := RunIn(nil, NewRefCount(32, 200, true, RefSNZI, 25), testCfg(16, sim.MESI))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestRefCountSNZI(t *testing.T) {
 }
 
 func TestRefCountDelayedCoup(t *testing.T) {
-	st, err := Run(NewRefCountDelayed(512, 3, 100, DelayedCoup, 27), testCfg(16, sim.MEUSI))
+	st, err := RunIn(nil, NewRefCountDelayed(512, 3, 100, DelayedCoup, 27), testCfg(16, sim.MEUSI))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestRefCountDelayedCoup(t *testing.T) {
 }
 
 func TestRefCountDelayedRefcache(t *testing.T) {
-	st, err := Run(NewRefCountDelayed(512, 3, 100, DelayedRefcache, 27), testCfg(16, sim.MESI))
+	st, err := RunIn(nil, NewRefCountDelayed(512, 3, 100, DelayedRefcache, 27), testCfg(16, sim.MESI))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +203,11 @@ func TestRefCountDelayedRefcache(t *testing.T) {
 
 // TestDelayedCoupBeatsRefcache reproduces the Fig 13c shape at one point.
 func TestDelayedCoupBeatsRefcache(t *testing.T) {
-	coup, err := Run(NewRefCountDelayed(1024, 2, 200, DelayedCoup, 3), testCfg(16, sim.MEUSI))
+	coup, err := RunIn(nil, NewRefCountDelayed(1024, 2, 200, DelayedCoup, 3), testCfg(16, sim.MEUSI))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := Run(NewRefCountDelayed(1024, 2, 200, DelayedRefcache, 3), testCfg(16, sim.MESI))
+	rc, err := RunIn(nil, NewRefCountDelayed(1024, 2, 200, DelayedRefcache, 3), testCfg(16, sim.MESI))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestWorkloadsSingleCore(t *testing.T) {
 		NewRefCountDelayed(256, 2, 50, DelayedCoup, 1),
 	}
 	for _, w := range wls {
-		if _, err := Run(w, testCfg(1, sim.MEUSI)); err != nil {
+		if _, err := RunIn(nil, w, testCfg(1, sim.MEUSI)); err != nil {
 			t.Errorf("%s on 1 core: %v", w.Name(), err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestWorkloadsCrossChip(t *testing.T) {
 		NewRefCount(64, 150, true, RefPlain, 2),
 	}
 	for _, w := range wls {
-		if _, err := Run(w, testCfg(32, sim.MEUSI)); err != nil {
+		if _, err := RunIn(nil, w, testCfg(32, sim.MEUSI)); err != nil {
 			t.Errorf("%s on 32 cores: %v", w.Name(), err)
 		}
 	}
